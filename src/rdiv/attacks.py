@@ -223,19 +223,22 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     v = np.zeros_like(w)
     rows = np.arange(batch)
 
-    def consider(candidate: np.ndarray) -> None:
-        logits, _ = logits_and_cache(work, candidate.astype(np.float64))
+    def consider(candidate: np.ndarray, logits: np.ndarray) -> None:
         ok = _attack_succeeded(logits, labels, config)
         norm2 = np.sum((candidate - x) ** 2, axis=1)
         better = ok & (norm2 < best_norm2)
         best_norm2[better] = norm2[better]
         best[better] = candidate[better]
 
-    consider(x)
+    consider(x, logits_and_cache(work, x)[0])
     for it in range(1, config.iterations + 1):
         tanh_w = np.tanh(w)
         adv = (tanh_w + 1.0) / 2.0
         logits, cache = logits_and_cache(work, adv)
+        if it > 1:
+            # adv is the iterate the previous step produced; score it here
+            # rather than running its forward pass twice.
+            consider(adv, logits)
         margin, seed = _margin_and_seed(logits, labels, config.kappa,
                                         config.targeted, config.target)
         _, _, dadv = backward_from_logits(work, cache, config.c * seed)
@@ -248,7 +251,8 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
         v_hat = v / (1.0 - 0.999 ** it)
         w = w - config.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
 
-        consider((np.tanh(w) + 1.0) / 2.0)
+    adv = (np.tanh(w) + 1.0) / 2.0
+    consider(adv, logits_and_cache(work, adv)[0])
 
     found = np.isfinite(best_norm2)
     logger.debug("cw-l2: %d/%d samples attacked successfully",

@@ -6,7 +6,8 @@ byte-identical artifacts. Unknown config keys are hard errors so typos
 cannot silently fall back to defaults.
 
 Subcommands:
-  train      build + train the system grid, write system files, print clean error
+  train      train the largest system grid once, write one system file per
+             grid value (its first I branches), print clean error
   surrogate  train the keyless baseline model and write it
   attack     craft adversarial sets against the surrogate
   eval       print clean / adversarial error for the trained systems
@@ -44,7 +45,14 @@ from .serialize import (
     save_params,
     save_system,
 )
-from .system import MODES, SystemSpec, build_system, classify_batch, train_system
+from .system import (
+    MODES,
+    SystemSpec,
+    build_system,
+    classify_batch,
+    first_branches,
+    train_system,
+)
 
 DEFAULT_LIMIT = 1000
 DEFAULT_HIDDEN = (256, 128)
@@ -184,6 +192,8 @@ def parse_config(text: str) -> RunConfig:
         grid = tuple(branches)
     else:
         raise ConfigError("branches must be an int or a non-empty list of ints")
+    if min(grid) < 1:
+        raise ConfigError("branches must be positive")
     master = None
     if "master_key" in system:
         try:
@@ -191,8 +201,13 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     per_color = bool(system.get("per_color", False))
+    if per_color and mode != "direct-permutation":
+        raise ConfigError(f"per_color applies to direct-permutation only, "
+                          f"not mode {mode!r}")
     reject = system.get("reject_threshold")
     reject = None if reject is None else float(reject)
+    if reject is not None and not 0.0 <= reject <= 1.0:
+        raise ConfigError(f"reject_threshold {reject} is outside [0, 1]")
 
     arch = _section(raw, "arch")
     _require_keys(arch, {"hidden"}, "arch")
@@ -320,13 +335,16 @@ def cmd_train(config: RunConfig) -> int:
     arch = _arch_for(config, trainset)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     slice_ = take_first(testset, config.limit)
+    # Channel (j, i) depends only on the master key and its lineage, so the
+    # largest grid holds every smaller one: train each lineage once.
+    full = build_system(config.mode, config.master, config.groups,
+                        max(config.branch_grid), arch, trainset.size,
+                        trainset.colors,
+                        reject_threshold=config.reject_threshold,
+                        per_color=config.per_color)
+    full = train_system(full, trainset, config.hyper, workers=config.workers)
     for branches in config.branch_grid:
-        system = build_system(config.mode, config.master, config.groups,
-                              branches, arch, trainset.size, trainset.colors,
-                              reject_threshold=config.reject_threshold,
-                              per_color=config.per_color)
-        system = train_system(system, trainset, config.hyper,
-                              workers=config.workers)
+        system = first_branches(full, branches)
         path = _system_path(config, branches)
         save_system(path, system)
         errors = _error_count(system, slice_.images, slice_.labels)

@@ -15,7 +15,7 @@ graph in float64.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -222,12 +222,14 @@ def logits_and_cache(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, li
     return h, cache
 
 
-def backward_from_logits(params: ModelParams, cache: list,
-                         dlogits: np.ndarray) -> tuple[list, list, np.ndarray]:
+def backward_from_logits(params: ModelParams, cache: list, dlogits: np.ndarray,
+                         input_grad: bool = True) -> tuple[list, list, np.ndarray | None]:
     """Reverse-mode pass from a gradient seed at the logits.
 
     Returns per-layer weight gradients, bias gradients, and the gradient
-    with respect to the flattened input batch.
+    with respect to the flattened input batch. With `input_grad=False` the
+    pass stops at the first dense layer's parameter gradients and the input
+    gradient comes back as None; training needs no more than that.
     """
     dh = dlogits
     dweights = [None] * len(params.weights)
@@ -238,6 +240,8 @@ def backward_from_logits(params: ModelParams, cache: list,
             dense_idx -= 1
             dweights[dense_idx] = saved.T @ dh
             dbiases[dense_idx] = dh.sum(axis=0)
+            if dense_idx == 0 and not input_grad:
+                return dweights, dbiases, None
             dh = dh @ params.weights[dense_idx].T
         else:  # relu
             dh = dh * saved
@@ -258,11 +262,13 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return probs[0] if single else probs
 
 
-def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray):
+def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray,
+                         input_grad: bool = True):
     """Mean cross-entropy over a batch, with parameter and input gradients.
 
     Returns (loss, weight grads, bias grads, input grads). Input grads come
-    back per sample in the batch's flattened shape.
+    back per sample in the batch's flattened shape, or as None when
+    `input_grad` is False.
     """
     x2d, _ = _as_batch(params.arch, x)
     labels = np.asarray(labels)
@@ -281,7 +287,7 @@ def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray)
     dz = probs.copy()
     dz[np.arange(batch), labels] -= 1.0
     dz /= batch
-    dweights, dbiases, dx = backward_from_logits(params, cache, dz)
+    dweights, dbiases, dx = backward_from_logits(params, cache, dz, input_grad)
     return loss, dweights, dbiases, dx
 
 
@@ -300,11 +306,28 @@ def loss_and_grads(params: ModelParams, x: np.ndarray, label: int):
 
 @dataclass
 class _AdamSlots:
-    m_w: list = field(default_factory=list)
-    v_w: list = field(default_factory=list)
-    m_b: list = field(default_factory=list)
-    v_b: list = field(default_factory=list)
+    """Optimizer state: Adam moments per tensor plus one scratch pair.
+
+    Both scratch buffers are flat and sized to the largest tensor; every
+    update writes its temporaries into views of them instead of allocating.
+    """
+
+    m_w: list
+    v_w: list
+    m_b: list
+    v_b: list
+    scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
+
+    @classmethod
+    def zeros(cls, weights: list, biases: list) -> "_AdamSlots":
+        largest = max(t.size for t in weights + biases)
+        dtype = weights[0].dtype
+        return cls([np.zeros_like(w) for w in weights],
+                   [np.zeros_like(w) for w in weights],
+                   [np.zeros_like(b) for b in biases],
+                   [np.zeros_like(b) for b in biases],
+                   (np.empty(largest, dtype), np.empty(largest, dtype)))
 
 
 def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
@@ -328,12 +351,7 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
     x2d = x2d.astype(params.dtype, copy=False)
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
-    slots = _AdamSlots(
-        m_w=[np.zeros_like(w) for w in weights],
-        v_w=[np.zeros_like(w) for w in weights],
-        m_b=[np.zeros_like(b) for b in biases],
-        v_b=[np.zeros_like(b) for b in biases],
-    )
+    slots = _AdamSlots.zeros(weights, biases)
     state = RngState(key.value)
     lr = params.dtype.type(hyper.learning_rate)
 
@@ -345,7 +363,8 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
         for start in range(0, count, hyper.batch_size):
             idx = order[start:start + hyper.batch_size]
             current = ModelParams(params.arch, tuple(weights), tuple(biases))
-            loss, dw, db, _ = batch_loss_and_grads(current, x2d[idx], labels[idx])
+            loss, dw, db, _ = batch_loss_and_grads(current, x2d[idx], labels[idx],
+                                                   input_grad=False)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training diverged at epoch {epoch}: loss={loss}")
             epoch_loss += loss * len(idx)
@@ -367,18 +386,32 @@ def _keyed_order(state: RngState, count: int) -> np.ndarray:
     return np.asarray(order)
 
 
+def _scratch_like(buffer: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    return buffer[:tensor.size].reshape(tensor.shape)
+
+
 def _apply_update(weights, biases, dw, db, hyper: Hyper, slots: _AdamSlots, lr):
+    """One optimizer step, in place on `weights` and `biases`.
+
+    Temporaries go to the slots' scratch pair; the float operations and
+    their order are those of the textbook formulas in the comments, so the
+    result is bitwise the same as evaluating them directly.
+    """
     dtype = weights[0].dtype
     if hyper.weight_decay:
         wd = dtype.type(hyper.weight_decay)
         dw = [g + wd * w for g, w in zip(dw, weights)]
     if hyper.optimizer == "sgd":
         for k in range(len(weights)):
-            weights[k] -= lr * dw[k].astype(dtype, copy=False)
-            biases[k] -= lr * db[k].astype(dtype, copy=False)
+            for grad, value in ((dw[k], weights[k]), (db[k], biases[k])):
+                # value -= lr * g
+                step = _scratch_like(slots.scratch[0], value)
+                np.multiply(lr, grad.astype(dtype, copy=False), out=step)
+                value -= step
         return
     slots.t += 1
     b1, b2 = dtype.type(hyper.beta1), dtype.type(hyper.beta2)
+    one_minus_b1, one_minus_b2 = 1 - b1, 1 - b2
     eps = dtype.type(hyper.eps)
     correction1 = dtype.type(1.0 - hyper.beta1 ** slots.t)
     correction2 = dtype.type(1.0 - hyper.beta2 ** slots.t)
@@ -386,11 +419,25 @@ def _apply_update(weights, biases, dw, db, hyper: Hyper, slots: _AdamSlots, lr):
         for grad, value, m, v in ((dw[k], weights[k], slots.m_w[k], slots.v_w[k]),
                                   (db[k], biases[k], slots.m_b[k], slots.v_b[k])):
             g = grad.astype(dtype, copy=False)
+            tmp = _scratch_like(slots.scratch[0], value)
+            step = _scratch_like(slots.scratch[1], value)
+            # m = b1 * m + (1 - b1) * g
             m *= b1
-            m += (1 - b1) * g
+            np.multiply(one_minus_b1, g, out=tmp)
+            m += tmp
+            # v = b2 * v + (1 - b2) * g * g
             v *= b2
-            v += (1 - b2) * g * g
-            value -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+            np.multiply(one_minus_b2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            # value -= lr * (m / correction1) / (sqrt(v / correction2) + eps)
+            np.divide(v, correction2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            np.divide(m, correction1, out=step)
+            np.multiply(lr, step, out=step)
+            step /= tmp
+            value -= step
 
 
 def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int,

@@ -32,8 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from dataclasses import replace
-
 from .attacks import AdvSet, AttackConfig
 from .nn import ArchSpec, ModelParams
 from .rng import TAG_INIT, MasterKey, SubKey, derive_subkey
@@ -297,11 +295,11 @@ def load_system(blob: bytes) -> SystemSpec:
     if arch.classes != classes or arch.input_dim != size * size * colors:
         raise BlobFormatError("system: header dims disagree with the arch")
 
-    rebuilt = build_system(mode, master, groups, branches, arch, size, colors,
-                           per_color=per_color)
-    out = []
-    for channel, (params, pre_key_value, model_key_value, _) in zip(
-            rebuilt.channels, channels):
+    system = build_system(mode, master, groups, branches, arch, size, colors,
+                          per_color=per_color,
+                          params=[model for model, _, _, _ in channels])
+    for channel, (_, pre_key_value, model_key_value, _) in zip(
+            system.channels, channels):
         if channel.preprocessor.key.value != pre_key_value:
             raise BlobFormatError(
                 f"system: channel ({channel.j}, {channel.i}) preprocessor "
@@ -311,8 +309,7 @@ def load_system(blob: bytes) -> SystemSpec:
             raise BlobFormatError(
                 f"system: channel ({channel.j}, {channel.i}) model subkey "
                 f"does not derive from the stored master key")
-        out.append(replace(channel, params=params))
-    return replace(rebuilt, channels=tuple(out))
+    return system
 
 
 def dump_adv_set(adv: AdvSet) -> bytes:

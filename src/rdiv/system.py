@@ -15,6 +15,7 @@ Modes:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -90,13 +91,16 @@ class SystemSpec:
 def build_system(mode: str, master: MasterKey, groups: int, branches: int,
                  arch: ArchSpec, size: int, colors: int,
                  reject_threshold: float | None = None,
-                 per_color: bool = False) -> SystemSpec:
+                 per_color: bool = False,
+                 params: Sequence[ModelParams] | None = None) -> SystemSpec:
     """Create the J x I channel grid with keyed preprocessors and init params.
 
     `groups` must match the mode (1 for identity/direct-permutation, 3 for
     the sub-band modes). Channel (j, i) derives its preprocessor, its weight
     init, and later its shuffle order from lineage (j, i) under the master
-    key.
+    key. `per_color` applies to direct-permutation only. `params`, when
+    given, supplies every channel's weights in grid order instead of the
+    keyed init; loading a saved system uses it.
     """
     expected_groups = _mode_groups(mode)
     if groups != expected_groups:
@@ -106,6 +110,13 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
     if arch.input_dim != size * size * colors:
         raise ValueError(f"arch input_dim {arch.input_dim} does not match "
                          f"{size}x{size}x{colors} images")
+    if per_color and mode != "direct-permutation":
+        raise ValueError(f"per_color applies to direct-permutation only, not {mode!r}")
+    if reject_threshold is not None and not 0.0 <= reject_threshold <= 1.0:
+        raise ValueError(f"reject threshold {reject_threshold} is outside [0, 1]")
+    if params is not None and len(params) != groups * branches:
+        raise ValueError(f"got {len(params)} parameter sets for "
+                         f"{groups * branches} channels")
     kind = _channel_kind(mode)
     channels = []
     for j in range(groups):
@@ -113,10 +124,26 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
         for i in range(branches):
             pre = make_preprocessor(kind, master, j, i, size, colors,
                                     subband=band, per_color=per_color)
-            params = init_params(arch, derive_subkey(master, j, i, TAG_INIT))
-            channels.append(ChannelSpec(j, i, pre, arch, params))
+            if params is None:
+                model = init_params(arch, derive_subkey(master, j, i, TAG_INIT))
+            else:
+                model = params[len(channels)]
+            channels.append(ChannelSpec(j, i, pre, arch, model))
     return SystemSpec(master, mode, groups, branches, size, colors, arch,
                       tuple(channels), reject_threshold)
+
+
+def first_branches(system: SystemSpec, branches: int) -> SystemSpec:
+    """The sub-grid of channels (j, i) with i < `branches`, in grid order.
+
+    Every channel depends only on the master key and its own lineage, so
+    this equals building and training the smaller grid directly.
+    """
+    if not 1 <= branches <= system.branches:
+        raise ValueError(f"cannot take {branches} branches from a grid of "
+                         f"{system.branches}")
+    return replace(system, branches=branches, channels=tuple(
+        c for c in system.channels if c.i < branches))
 
 
 def train_system(system: SystemSpec, trainset: LabeledSet, hyper: Hyper,

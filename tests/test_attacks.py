@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from rdiv.attacks import (
+    _TANH_CLIP,
     AdvSet,
     AttackConfig,
+    _attack_succeeded,
+    _margin_and_seed,
     cw_l2_batch,
     craft_adv_set,
     fgsm_batch,
@@ -12,7 +15,7 @@ from rdiv.attacks import (
     transfer_eval,
 )
 from rdiv.dataio import LabeledSet
-from rdiv.nn import Hyper, forward, logits_and_cache, mlp_arch
+from rdiv.nn import Hyper, backward_from_logits, forward, logits_and_cache, mlp_arch
 from rdiv.rng import MasterKey
 from rdiv.system import build_system, train_system
 
@@ -165,6 +168,55 @@ def test_cw_kappa_enforces_margin(surrogate, probes):
     margin = keep.max(axis=1) - logits[rows, labels]
     moved = np.any(adv != images, axis=(1, 2, 3))
     assert np.all(margin[moved] > kappa)
+
+
+def reference_cw_l2(params, images, labels, config):
+    """CW-l2 with a separate forward pass to score every iterate."""
+    batch = images.shape[0]
+    x = images.reshape(batch, -1).astype(np.float64)
+    w = np.arctanh((2.0 * x - 1.0) * _TANH_CLIP)
+    work = params.astype(np.float64)
+    best_norm2 = np.full(batch, np.inf)
+    best = x.copy()
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+
+    def consider(candidate):
+        logits, _ = logits_and_cache(work, candidate)
+        ok = _attack_succeeded(logits, labels, config)
+        norm2 = np.sum((candidate - x) ** 2, axis=1)
+        better = ok & (norm2 < best_norm2)
+        best_norm2[better] = norm2[better]
+        best[better] = candidate[better]
+
+    consider(x)
+    for it in range(1, config.iterations + 1):
+        tanh_w = np.tanh(w)
+        adv = (tanh_w + 1.0) / 2.0
+        logits, cache = logits_and_cache(work, adv)
+        _, seed = _margin_and_seed(logits, labels, config.kappa,
+                                   config.targeted, config.target)
+        _, _, dadv = backward_from_logits(work, cache, config.c * seed)
+        dw = (dadv + 2.0 * (adv - x)) * (1.0 - tanh_w ** 2) / 2.0
+        m = 0.9 * m + 0.1 * dw
+        v = 0.999 * v + 0.001 * dw ** 2
+        m_hat = m / (1.0 - 0.9 ** it)
+        v_hat = v / (1.0 - 0.999 ** it)
+        w = w - config.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
+        consider((np.tanh(w) + 1.0) / 2.0)
+    return best.reshape(images.shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("config", [
+    cw_config(iterations=25),
+    cw_config(iterations=1),
+    cw_config(iterations=25, kappa=1.0),
+    cw_config(iterations=25, targeted=True, target=2, c=0.5),
+], ids=["untargeted", "one-iteration", "kappa", "targeted"])
+def test_cw_equals_two_forward_reference(surrogate, probes, config):
+    images, labels = probes
+    got = cw_l2_batch(surrogate, images, labels, config)
+    assert np.array_equal(got, reference_cw_l2(surrogate, images, labels, config))
 
 
 def test_craft_adv_set_fields(surrogate):

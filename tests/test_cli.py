@@ -4,7 +4,10 @@ import yaml
 
 from rdiv import cli
 from rdiv.cli import ConfigError, _pct, parse_config
-from rdiv.serialize import read_adv_set, read_system
+from rdiv.dataio import load_idx
+from rdiv.nn import mlp_arch
+from rdiv.serialize import read_adv_set, read_system, save_system
+from rdiv.system import build_system, train_system
 
 from _synth import make_dataset, write_idx
 
@@ -110,6 +113,8 @@ def test_parse_config_validates_values(data_dir, tmp_path):
         parses(master_key="xyz")
     with pytest.raises(ConfigError, match="branches"):
         parses(branches=[])
+    with pytest.raises(ConfigError, match="branches"):
+        parses(branches=[2, 0])
     bad = yaml.safe_load(yaml.safe_dump(good))
     bad["attacks"].append({"name": "fgsm0", "kind": "fgsm"})
     with pytest.raises(ConfigError, match="duplicate"):
@@ -118,6 +123,26 @@ def test_parse_config_validates_values(data_dir, tmp_path):
     bad["attacks"][1]["eps"] = -1
     with pytest.raises(ConfigError, match="attacks"):
         parse_config(yaml.safe_dump(bad))
+
+
+def test_parse_config_rejects_per_color_outside_direct_permutation(data_dir, tmp_path):
+    config = config_dict(data_dir, tmp_path)
+    for mode in ("dct-sign-flip-3band", "dct-hard-threshold-3band", "identity"):
+        config["system"].update(mode=mode, per_color=True)
+        with pytest.raises(ConfigError, match="per_color"):
+            parse_config(yaml.safe_dump(config))
+    config["system"].update(mode="direct-permutation")
+    assert parse_config(yaml.safe_dump(config)).per_color
+
+
+def test_parse_config_rejects_reject_threshold_outside_unit_interval(data_dir, tmp_path):
+    config = config_dict(data_dir, tmp_path)
+    for threshold in (-0.5, 1.5, float("nan")):
+        config["system"]["reject_threshold"] = threshold
+        with pytest.raises(ConfigError, match="reject_threshold"):
+            parse_config(yaml.safe_dump(config))
+    config["system"]["reject_threshold"] = 1.0
+    assert parse_config(yaml.safe_dump(config)).reject_threshold == 1.0
 
 
 def test_pct_rounds_half_up_exactly():
@@ -205,6 +230,28 @@ def test_train_is_byte_identical_across_runs(pipeline, data_dir, tmp_path):
     for name in ("system-i1.rdiv", "system-i2.rdiv"):
         assert (tmp_path / "run2" / name).read_bytes() == \
             (first_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize("mode, groups", [("direct-permutation", 1),
+                                          ("dct-sign-flip-3band", 3)])
+def test_train_grid_matches_separately_trained_systems(data_dir, tmp_path, mode, groups):
+    # `rdiv train` trains the largest grid once and writes the smaller ones
+    # from its first branches; the bytes must equal one build per grid value.
+    out_dir = tmp_path / "run"
+    config_path = write_config(tmp_path / "c.yaml", data_dir, out_dir, system={
+        "mode": mode, "branches": [1, 3], "master_key": KEY})
+    assert run("train", "--config", config_path) == 0
+
+    parsed = parse_config((tmp_path / "c.yaml").read_text())
+    trainset = load_idx(data_dir / "train-images.idx", data_dir / "train-labels.idx")
+    arch = mlp_arch(trainset.size * trainset.size * trainset.colors, parsed.hidden, 10)
+    for branches in (1, 3):
+        system = build_system(mode, parsed.master, groups, branches, arch,
+                              trainset.size, trainset.colors)
+        expected = tmp_path / f"expected-i{branches}.rdiv"
+        save_system(expected, train_system(system, trainset, parsed.hyper))
+        assert (out_dir / f"system-i{branches}.rdiv").read_bytes() == \
+            expected.read_bytes()
 
 
 def test_channels_override(pipeline, data_dir, tmp_path):

@@ -7,13 +7,15 @@ from rdiv.nn import (
     ArchSpec,
     Hyper,
     ModelParams,
+    _keyed_order,
+    batch_loss_and_grads,
     forward,
     init_params,
     loss_and_grads,
     mlp_arch,
     train,
 )
-from rdiv.rng import SubKey
+from rdiv.rng import RngState, SubKey, skip
 
 KEY = SubKey(0x1234, 0, 0, 1)
 
@@ -258,6 +260,66 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(params, (np.zeros((0, 4), dtype=np.float32), np.zeros(0, dtype=int)),
                   Hyper(), KEY)
+
+
+def reference_train(params, x, y, hyper, key):
+    """Straightforward training loop: full backward pass with the input
+    gradient, and the optimizer formulas written out-of-place."""
+    dtype = params.dtype
+    weights = [w.copy() for w in params.weights]
+    biases = [b.copy() for b in params.biases]
+    m = [np.zeros_like(t) for t in weights + biases]
+    v = [np.zeros_like(t) for t in weights + biases]
+    lr, wd = dtype.type(hyper.learning_rate), dtype.type(hyper.weight_decay)
+    b1, b2, eps = dtype.type(hyper.beta1), dtype.type(hyper.beta2), dtype.type(hyper.eps)
+    state = RngState(key.value)
+    step = 0
+    for _ in range(hyper.epochs):
+        order = _keyed_order(state, len(x))
+        state = skip(state, len(x) - 1)
+        for start in range(0, len(x), hyper.batch_size):
+            idx = order[start:start + hyper.batch_size]
+            current = ModelParams(params.arch, tuple(weights), tuple(biases))
+            _, dw, db, dx = batch_loss_and_grads(current, x[idx], y[idx])
+            assert dx.shape == (len(idx), params.arch.input_dim)
+            if hyper.weight_decay:
+                dw = [g + wd * w for g, w in zip(dw, weights)]
+            step += 1
+            c1 = dtype.type(1.0 - hyper.beta1 ** step)
+            c2 = dtype.type(1.0 - hyper.beta2 ** step)
+            for k, (value, g) in enumerate(zip(weights + biases, dw + db)):
+                if hyper.optimizer == "sgd":
+                    value -= lr * g
+                    continue
+                m[k] = b1 * m[k] + (1 - b1) * g
+                v[k] = b2 * v[k] + (1 - b2) * g * g
+                value -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+    return ModelParams(params.arch, tuple(weights), tuple(biases))
+
+
+class TestTrainMatchesReference:
+    """`train` skips the input gradient and updates in place; neither may
+    change a single bit of the result."""
+
+    @pytest.mark.parametrize("hyper", [
+        Hyper(learning_rate=0.01, batch_size=16, epochs=3),
+        Hyper(learning_rate=0.05, batch_size=16, epochs=3, optimizer="sgd"),
+        Hyper(learning_rate=0.01, batch_size=16, epochs=3, weight_decay=0.01),
+        Hyper(learning_rate=0.05, batch_size=16, epochs=2, optimizer="sgd",
+              weight_decay=0.01),
+    ], ids=["adam", "sgd", "adam-decay", "sgd-decay"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal(self, hyper, dtype):
+        rng = np.random.default_rng(3)
+        x = rng.random((70, 12), dtype=np.float32)  # 70 = four full batches + 6
+        y = rng.integers(0, 4, size=70)
+        params = init_params(mlp_arch(12, (10, 8), 4), KEY).astype(dtype)
+        shuffle = SubKey(21, 0, 0, 2)
+        got = train(params, (x, y), hyper, shuffle)
+        want = reference_train(params, x.astype(dtype), y, hyper, shuffle)
+        assert got.dtype == dtype
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
 
 
 class TestHyper:

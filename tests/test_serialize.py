@@ -104,6 +104,24 @@ def test_system_round_trip(trained_system):
                           classify_batch(trained_system, images))
 
 
+def test_system_load_draws_no_weight_init(trained_system, monkeypatch):
+    import rdiv.system
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("load_system drew a weight init it would discard")
+
+    monkeypatch.setattr(rdiv.system, "init_params", no_init)
+    loaded = load_system(dump_system(trained_system))
+    for field in ("master", "mode", "groups", "branches", "size", "colors",
+                  "arch", "reject_threshold"):
+        assert getattr(loaded, field) == getattr(trained_system, field)
+    for a, b in zip(loaded.channels, trained_system.channels, strict=True):
+        assert (a.j, a.i, a.arch) == (b.j, b.i, b.arch)
+        assert a.params.equal(b.params)
+        assert a.preprocessor.key == b.preprocessor.key
+        assert a.preprocessor.payload_equal(b.preprocessor)
+
+
 def test_system_dump_is_deterministic(trained_system):
     assert dump_system(trained_system) == dump_system(trained_system)
 

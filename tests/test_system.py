@@ -12,6 +12,7 @@ from rdiv.system import (
     classify,
     classify_batch,
     evaluate,
+    first_branches,
     predict,
     predict_batch,
     rebuild_preprocessors,
@@ -71,6 +72,43 @@ def test_wrong_group_count_rejected():
         build_system("no-such-mode", MASTER, 1, 2, arch, SIZE, COLORS)
     with pytest.raises(ValueError):
         build_system("identity", MASTER, 1, 0, arch, SIZE, COLORS)
+
+
+def test_per_color_rejected_outside_direct_permutation():
+    arch = toy_arch()
+    for mode in ("identity", "dct-sign-flip-3band", "dct-hard-threshold-3band"):
+        groups = 3 if mode.endswith("3band") else 1
+        with pytest.raises(ValueError, match="per_color"):
+            build_system(mode, MASTER, groups, 1, arch, SIZE, COLORS, per_color=True)
+
+
+def test_reject_threshold_outside_unit_interval_rejected():
+    for threshold in (-0.01, 1.01, float("nan")):
+        with pytest.raises(ValueError, match="reject threshold"):
+            build_system("identity", MASTER, 1, 1, toy_arch(), SIZE, COLORS,
+                         reject_threshold=threshold)
+    for threshold in (0.0, 1.0):
+        build_system("identity", MASTER, 1, 1, toy_arch(), SIZE, COLORS,
+                     reject_threshold=threshold)
+
+
+@pytest.mark.parametrize("mode, groups", [("direct-permutation", 1),
+                                          ("dct-hard-threshold-3band", 3)])
+def test_first_branches_equals_training_the_smaller_grid(mode, groups):
+    hyper = Hyper(learning_rate=5e-3, batch_size=16, epochs=1)
+    full = train_system(build_system(mode, MASTER, groups, 3, toy_arch(), SIZE, COLORS),
+                        toy_set(), hyper)
+    small = train_system(build_system(mode, MASTER, groups, 2, toy_arch(), SIZE, COLORS),
+                         toy_set(), hyper)
+    taken = first_branches(full, 2)
+    assert (taken.groups, taken.branches) == (groups, 2)
+    assert [(c.j, c.i) for c in taken.channels] == [(c.j, c.i) for c in small.channels]
+    for a, b in zip(taken.channels, small.channels):
+        assert a.params.equal(b.params)
+        assert a.preprocessor.payload_equal(b.preprocessor)
+    for bad in (0, 4):
+        with pytest.raises(ValueError):
+            first_branches(full, bad)
 
 
 def test_arch_must_match_image_shape():
