@@ -20,7 +20,6 @@ from .attacks import (
     AttackConfig,
     craft_adv_set,
     cw_l2_batch,
-    defended_error_pct,
     fgsm_batch,
     pgd_linf_batch,
     rescore_adv_set,
@@ -55,7 +54,8 @@ from .system import (
     SystemSpec,
     build_system,
     classify_batch,
-    evaluate,
+    error_count,
+    mode_groups,
     predict_batch,
     rebuild_preprocessors,
     train_system,
@@ -98,9 +98,8 @@ __all__ = [
     "craft_adv_set",
     "cw_l2_batch",
     "dct2",
-    "defended_error_pct",
     "derive_subkey",
-    "evaluate",
+    "error_count",
     "fgsm_batch",
     "finite_difference_max_error",
     "forward",
@@ -110,6 +109,7 @@ __all__ = [
     "load_idx",
     "make_preprocessor",
     "mlp_arch",
+    "mode_groups",
     "pgd_linf_batch",
     "predict_batch",
     "preprocess",

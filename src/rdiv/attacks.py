@@ -33,7 +33,7 @@ from .nn import (
     train,
 )
 from .rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
-from .system import SystemSpec, classify_batch
+from .system import SystemSpec, error_count
 
 logger = logging.getLogger(__name__)
 
@@ -280,13 +280,6 @@ def craft_adv_set(params: ModelParams, dataset: LabeledSet,
                   preds_after.astype(np.int64))
 
 
-def defended_error_pct(system: SystemSpec, images: np.ndarray,
-                       labels: np.ndarray) -> float:
-    """Percent of samples the keyed system gets wrong (rejects included)."""
-    decisions = classify_batch(system, images)
-    return float(np.mean(decisions != labels) * 100.0)
-
-
 def transfer_eval(system: SystemSpec, surrogate: ModelParams,
                   testset: LabeledSet, config: AttackConfig, limit: int,
                   adv: AdvSet | None = None) -> tuple[float, float, float, AdvSet]:
@@ -301,6 +294,8 @@ def transfer_eval(system: SystemSpec, surrogate: ModelParams,
         adv = craft_adv_set(surrogate, subset, config)
     elif len(adv) != limit:
         raise ValueError(f"adversarial set has {len(adv)} samples, need {limit}")
-    clean = defended_error_pct(system, subset.images, subset.labels)
-    attacked = defended_error_pct(system, adv.adversarials, adv.labels)
+    # errors / limit * 100.0, in this order, equals the mean of the error
+    # indicator times 100 bit for bit; 100.0 * errors / limit does not.
+    clean = error_count(system, subset.images, subset.labels) / limit * 100.0
+    attacked = error_count(system, adv.adversarials, adv.labels) / limit * 100.0
     return clean, attacked, adv.surrogate_success_pct, adv

@@ -47,10 +47,10 @@ from .serialize import (
 )
 from .system import (
     MODES,
-    SystemSpec,
     build_system,
-    classify_batch,
+    error_count,
     first_branches,
+    mode_groups,
     train_system,
 )
 
@@ -74,7 +74,6 @@ class RunConfig:
     test_paths: tuple[Path, ...]
     classes: int
     mode: str
-    groups: int
     branch_grid: tuple[int, ...]
     master: MasterKey | None
     per_color: bool
@@ -174,23 +173,16 @@ def parse_config(text: str) -> RunConfig:
     name, fmt, train_paths, test_paths, classes = _parse_dataset(raw)
 
     system = _section(raw, "system")
-    _require_keys(system, {"mode", "groups", "branches", "master_key",
-                           "per_color", "reject_threshold"}, "system")
+    _require_keys(system, {"mode", "branches", "master_key", "per_color",
+                           "reject_threshold"}, "system")
     mode = system.get("mode", "direct-permutation")
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
-    expected_groups = 3 if mode.endswith("3band") else 1
-    groups = int(system.get("groups", expected_groups))
-    if groups != expected_groups:
-        raise ConfigError(f"mode {mode!r} requires groups={expected_groups}, "
-                          f"got {groups}")
     branches = system.get("branches", 1)
-    if isinstance(branches, int):
-        grid = (branches,)
-    elif isinstance(branches, list) and branches and all(
-            isinstance(b, int) for b in branches):
-        grid = tuple(branches)
-    else:
+    grid = tuple(branches) if isinstance(branches, list) else (branches,)
+    # bool is an int subclass, so `branches: true` must be ruled out by name.
+    if not grid or not all(isinstance(b, int) and not isinstance(b, bool)
+                           for b in grid):
         raise ConfigError("branches must be an int or a non-empty list of ints")
     if min(grid) < 1:
         raise ConfigError("branches must be positive")
@@ -200,7 +192,9 @@ def parse_config(text: str) -> RunConfig:
             master = MasterKey.from_hex(str(system["master_key"]))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    per_color = bool(system.get("per_color", False))
+    per_color = system.get("per_color", False)
+    if not isinstance(per_color, bool):
+        raise ConfigError(f"per_color must be true or false, got {per_color!r}")
     if per_color and mode != "direct-permutation":
         raise ConfigError(f"per_color applies to direct-permutation only, "
                           f"not mode {mode!r}")
@@ -233,7 +227,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("workers must be positive")
 
     return RunConfig(name, fmt, train_paths, test_paths, classes, mode,
-                     groups, grid, master, per_color, reject, hidden, hyper,
+                     grid, master, per_color, reject, hidden, hyper,
                      _parse_attacks(raw), limit,
                      Path(out_dir) if out_dir else None, workers)
 
@@ -254,8 +248,7 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
     if args.mode is not None:
         if args.mode not in MODES:
             raise ConfigError(f"unknown mode {args.mode!r}")
-        groups = 3 if args.mode.endswith("3band") else 1
-        config = replace(config, mode=args.mode, groups=groups)
+        config = replace(config, mode=args.mode)
     return config
 
 
@@ -307,11 +300,6 @@ def _pct(errors: int, limit: int) -> str:
     return str(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def _error_count(system: SystemSpec, images: np.ndarray,
-                 labels: np.ndarray) -> int:
-    return int((classify_batch(system, images) != labels).sum())
-
-
 def _load_adv_for(config: RunConfig, name: str, slice_: LabeledSet) -> AdvSet:
     path = _adv_path(config, name)
     if not path.is_file():
@@ -337,7 +325,7 @@ def cmd_train(config: RunConfig) -> int:
     slice_ = take_first(testset, config.limit)
     # Channel (j, i) depends only on the master key and its lineage, so the
     # largest grid holds every smaller one: train each lineage once.
-    full = build_system(config.mode, config.master, config.groups,
+    full = build_system(config.mode, config.master, mode_groups(config.mode),
                         max(config.branch_grid), arch, trainset.size,
                         trainset.colors,
                         reject_threshold=config.reject_threshold,
@@ -347,7 +335,7 @@ def cmd_train(config: RunConfig) -> int:
         system = first_branches(full, branches)
         path = _system_path(config, branches)
         save_system(path, system)
-        errors = _error_count(system, slice_.images, slice_.labels)
+        errors = error_count(system, slice_.images, slice_.labels)
         print(f"system-i{branches}: clean error "
               f"{_pct(errors, config.limit)}% on {config.limit} samples -> {path}")
     return 0
@@ -411,7 +399,7 @@ def _evaluate_rows(config: RunConfig) -> list[dict]:
         if (system.size, system.colors) != (slice_.size, slice_.colors):
             raise ConfigError(f"{path} was trained on differently shaped "
                               f"images than dataset {config.dataset_name!r}")
-        clean = _pct(_error_count(system, slice_.images, slice_.labels),
+        clean = _pct(error_count(system, slice_.images, slice_.labels),
                      config.limit)
         base = {"dataset": config.dataset_name, "mode": system.mode,
                 "J": system.groups, "I": system.branches,
@@ -419,7 +407,7 @@ def _evaluate_rows(config: RunConfig) -> list[dict]:
         rows.append(base | {"attack": "none", "clean_error_pct": clean,
                             "adv_error_pct": clean})
         for name, adv in advsets:
-            errors = _error_count(system, adv.adversarials, adv.labels)
+            errors = error_count(system, adv.adversarials, adv.labels)
             rows.append(base | {"attack": name, "clean_error_pct": clean,
                                 "adv_error_pct": _pct(errors, config.limit)})
     return rows
@@ -500,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EMPTY_CONFIG = RunConfig("", "", (), (), 10, "direct-permutation", 1, (1,),
+_EMPTY_CONFIG = RunConfig("", "", (), (), 10, "direct-permutation", (1,),
                           None, False, None, DEFAULT_HIDDEN, Hyper(), (),
                           DEFAULT_LIMIT, None, 1)
 

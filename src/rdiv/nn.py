@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngState, SubKey, keyed_permutation, skip, u64_stream, uniform_floats
+from .rng import RngState, SubKey, fisher_yates, skip, uniform_floats
 
 logger = logging.getLogger(__name__)
 
@@ -164,23 +164,12 @@ def init_params(arch: ArchSpec, key: SubKey) -> ModelParams:
     return ModelParams(arch, tuple(weights), tuple(biases))
 
 
-def _as_batch(arch: ArchSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Flatten input(s) to (B, input_dim); returns (batch, was_single)."""
+def _as_batch(arch: ArchSpec, x: np.ndarray) -> np.ndarray:
+    """Check that `x` is a (B, input_dim) batch; callers flatten images."""
     x = np.asarray(x)
-    if x.ndim == 1 or x.ndim == 3:
-        flat = x.reshape(1, -1)
-        single = True
-    elif x.ndim == 2 and x.shape[1] == arch.input_dim:
-        flat, single = x, False
-    elif x.ndim in (2, 4):
-        flat = x.reshape(x.shape[0], -1)
-        single = False
-    else:
-        raise ValueError(f"cannot interpret input of shape {x.shape}")
-    if flat.shape[1] != arch.input_dim:
-        raise ValueError(f"input size {flat.shape[1]} does not match "
-                         f"arch input_dim {arch.input_dim}")
-    return flat, single
+    if x.ndim != 2 or x.shape[1] != arch.input_dim:
+        raise ValueError(f"expected a (B, {arch.input_dim}) batch, got shape {x.shape}")
+    return x
 
 
 def _raise_non_finite(params: ModelParams, x2d: np.ndarray):
@@ -203,7 +192,7 @@ def _raise_non_finite(params: ModelParams, x2d: np.ndarray):
 
 def logits_and_cache(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list]:
     """Pre-softmax scores for a (B, input_dim) batch plus backward cache."""
-    x2d, _ = _as_batch(params.arch, x)
+    x2d = _as_batch(params.arch, x)
     h = x2d.astype(params.dtype, copy=False)
     cache = []
     dense_idx = 0
@@ -255,11 +244,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Soft-score vector(s): softmax over the logits, entries summing to 1."""
-    x2d, single = _as_batch(params.arch, x)
-    z, _ = logits_and_cache(params, x2d)
-    probs = _softmax(z)
-    return probs[0] if single else probs
+    """Soft scores for a (B, input_dim) batch: per-row softmax of the logits."""
+    z, _ = logits_and_cache(params, x)
+    return _softmax(z)
 
 
 def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray,
@@ -267,10 +254,10 @@ def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray,
     """Mean cross-entropy over a batch, with parameter and input gradients.
 
     Returns (loss, weight grads, bias grads, input grads). Input grads come
-    back per sample in the batch's flattened shape, or as None when
+    back per sample in the batch's (B, input_dim) shape, or as None when
     `input_grad` is False.
     """
-    x2d, _ = _as_batch(params.arch, x)
+    x2d = _as_batch(params.arch, x)
     labels = np.asarray(labels)
     classes = params.arch.classes
     if labels.ndim != 1 or labels.shape[0] != x2d.shape[0]:
@@ -289,19 +276,6 @@ def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray,
     dz /= batch
     dweights, dbiases, dx = backward_from_logits(params, cache, dz, input_grad)
     return loss, dweights, dbiases, dx
-
-
-def loss_and_grads(params: ModelParams, x: np.ndarray, label: int):
-    """Cross-entropy loss and gradients for a single input.
-
-    Returns (loss, ModelParams-shaped gradients, input gradient with the
-    shape of x).
-    """
-    x = np.asarray(x)
-    loss, dweights, dbiases, dx = batch_loss_and_grads(
-        params, x.reshape(1, -1), np.asarray([label]))
-    grads = ModelParams(params.arch, tuple(dweights), tuple(dbiases))
-    return loss, grads, dx.reshape(x.shape)
 
 
 @dataclass
@@ -347,7 +321,7 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
     if hyper.epochs == 0:
         return params
 
-    x2d, _ = _as_batch(params.arch, images.reshape(count, -1))
+    x2d = _as_batch(params.arch, images.reshape(count, -1))
     x2d = x2d.astype(params.dtype, copy=False)
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
@@ -378,12 +352,8 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
 
 
 def _keyed_order(state: RngState, count: int) -> np.ndarray:
-    order = list(range(count))
-    draws = u64_stream(state, max(count - 1, 0))
-    for k, i in enumerate(range(count - 1, 0, -1)):
-        j = int(draws[k]) % (i + 1)
-        order[i], order[j] = order[j], order[i]
-    return np.asarray(order)
+    """One epoch's visit order: the Fisher-Yates shuffle of the stream at `state`."""
+    return fisher_yates(state, count)
 
 
 def _scratch_like(buffer: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -449,12 +419,12 @@ def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int,
     every input entry.
     """
     p64 = params.astype(np.float64)
-    x64 = np.asarray(x, dtype=np.float64)
-    _, grads, dx = loss_and_grads(p64, x64, label)
+    x64 = np.array(x, dtype=np.float64).reshape(1, -1)
+    labels = np.asarray([label])
+    _, dweights, dbiases, dx = batch_loss_and_grads(p64, x64, labels)
 
     def loss_at(p, xv):
-        value, _, _ = loss_and_grads(p, xv, label)
-        return value
+        return batch_loss_and_grads(p, xv, labels, input_grad=False)[0]
 
     worst = 0.0
 
@@ -462,8 +432,8 @@ def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int,
         return abs(a - b) / max(1e-8, abs(a) + abs(b))
 
     for k in range(len(p64.weights)):
-        for tensor, analytic in ((p64.weights[k], grads.weights[k]),
-                                 (p64.biases[k], grads.biases[k])):
+        for tensor, analytic in ((p64.weights[k], dweights[k]),
+                                 (p64.biases[k], dbiases[k])):
             it = np.nditer(tensor, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -474,7 +444,7 @@ def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int,
                 down = loss_at(p64, x64)
                 tensor[idx] = orig
                 worst = max(worst, rel((up - down) / (2 * step), analytic[idx]))
-    flat = x64.reshape(-1)
+    flat = x64[0]
     for pos in range(flat.size):
         orig = flat[pos]
         flat[pos] = orig + step
@@ -482,5 +452,5 @@ def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int,
         flat[pos] = orig - step
         down = loss_at(p64, x64)
         flat[pos] = orig
-        worst = max(worst, rel((up - down) / (2 * step), dx.reshape(-1)[pos]))
+        worst = max(worst, rel((up - down) / (2 * step), dx[0, pos]))
     return worst

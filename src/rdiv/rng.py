@@ -1,10 +1,10 @@
 """Deterministic keyed randomness.
 
-Every random artifact in the system (permutations, sign masks, coefficient
-subsets, weight init, shuffle order) is derived from a single 64-bit master
-key through the functions in this module. The generator is SplitMix64, chosen
-because it is trivially portable and bit-exact: the same key must yield the
-same transforms at training and test time, on any platform. The exact
+Every random artifact in the system (permutations, sign masks, weight init,
+shuffle order) is derived from a single 64-bit master key through the
+functions in this module. The generator is SplitMix64, chosen because it is
+trivially portable and bit-exact: the same key must yield the same
+transforms at training and test time, on any platform. The exact
 recurrence, the sub-key derivation constants, and the modulo rule used in the
 shuffle are part of the wire-level contract; saved models are only valid as
 long as these stay fixed.
@@ -144,21 +144,27 @@ def uniform_floats(key: SubKey, count: int) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-def keyed_permutation(key: SubKey, n: int) -> np.ndarray:
-    """Keyed bijection of [0..n-1] as an int64 array.
+def fisher_yates(state: RngState, n: int) -> np.ndarray:
+    """Keyed shuffle of [0..n-1] as an int64 array, drawn from `state`.
 
-    Descending Fisher-Yates over the key's stream with swap index
-    draw mod (i+1). Modulo (not rejection) sampling: the bias is negligible
-    for n <= 4096 and the output is fully pinned down by the key.
+    Descending Fisher-Yates over the next n-1 outputs of the stream with
+    swap index draw mod (i+1). Modulo (not rejection) sampling: the bias is
+    below n / 2**64 per swap and the output is fully pinned down by the
+    state.
     """
-    if n < 1:
-        raise ValueError("permutation length must be at least 1")
     perm = list(range(n))
-    draws = u64_stream(RngState(key.value), n - 1)
+    draws = u64_stream(state, max(n - 1, 0)).tolist()
     for k, i in enumerate(range(n - 1, 0, -1)):
-        j = int(draws[k]) % (i + 1)
+        j = draws[k] % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return np.asarray(perm, dtype=np.int64)
+
+
+def keyed_permutation(key: SubKey, n: int) -> np.ndarray:
+    """Keyed bijection of [0..n-1]: fisher_yates over the key's stream."""
+    if n < 1:
+        raise ValueError("permutation length must be at least 1")
+    return fisher_yates(RngState(key.value), n)
 
 
 def keyed_sign_mask(key: SubKey, shape: tuple[int, int],
@@ -182,12 +188,3 @@ def keyed_sign_mask(key: SubKey, shape: tuple[int, int],
     mask[r0:r1, c0:c1] = block.reshape(r1 - r0, c1 - c0)
     return mask
 
-
-def keyed_subset(key: SubKey, n: int, l: int) -> np.ndarray:
-    """`l` distinct keyed indices of [0..n-1], sorted ascending.
-
-    The first l entries of keyed_permutation(key, n).
-    """
-    if not 1 <= l <= n:
-        raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
-    return np.sort(keyed_permutation(key, n)[:l])

@@ -11,13 +11,16 @@ Model blob:
 System file:
     "RDIV" ver | mode byte | J I M N m | master key hex | J*I channels in
     (j, i) order, each a preprocessor descriptor followed by a model blob.
-    Keyed payloads (permutations, sign masks) are not stored; they are
-    rebuilt from the master key on load and cross-checked against the
-    stored subkeys.
+    J must be the mode's group count. A descriptor is kind code, j, i,
+    sub-band byte, a reserved u32 that must be 0, and the preprocessor
+    subkey hex. Keyed payloads (permutations, sign masks) are not stored;
+    they are rebuilt from the master key on load and cross-checked against
+    the stored subkeys.
 
 Adversarial set:
-    "RADV" ver | attack kind byte | config fields | count N m | per
-    sample: index, label, original pixels, adversarial pixels.
+    "RADV" ver | attack kind byte | config fields | count N m | count
+    packed records: u32 index, u32 label, original pixels, adversarial
+    pixels.
 
 All writes go through a temp file in the target directory plus an atomic
 rename, so readers never observe a partial file.
@@ -42,6 +45,7 @@ from .system import (
     SystemSpec,
     _channel_kind,
     build_system,
+    mode_groups,
 )
 from .transforms import SUBBAND_IDS
 
@@ -55,7 +59,7 @@ _LAYER_NAMES = {v: k for k, v in _LAYER_CODES.items()}
 # Descriptor codes for preprocessor kinds; 5 marks the per-color variant of
 # direct-permutation, which is the same in-memory kind with a flag.
 _KIND_CODES = {"identity": 0, "direct-permutation": 1, "dct-sign-flip": 2,
-               "dct-hard-threshold": 3, "dct-subsample": 4}
+               "dct-hard-threshold": 3}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 _PER_COLOR_CODE = 5
 
@@ -135,6 +139,17 @@ class _Reader:
         if version != FORMAT_VERSION:
             raise BlobFormatError(f"{self.label}: unsupported version {version}")
 
+    def records(self, dtype: np.dtype, count: int) -> np.ndarray:
+        """`count` packed records, checked against the remaining length first."""
+        need = count * dtype.itemsize
+        left = len(self.blob) - self.pos
+        if need > left:
+            raise BlobFormatError(f"{self.label}: truncated at byte {self.pos}, "
+                                  f"{count} records need {need} bytes")
+        out = np.frombuffer(self.blob, dtype=dtype, count=count, offset=self.pos)
+        self.pos += need
+        return out
+
     def expect_end(self) -> None:
         if self.pos != len(self.blob):
             raise BlobFormatError(
@@ -211,7 +226,7 @@ def _dump_descriptor(channel: ChannelSpec) -> bytes:
     else:
         code = _KIND_CODES[pre.kind]
     band = _BAND_CODES[pre.subband.id] if pre.subband is not None else _NO_BAND
-    out = struct.pack("<BIIBI", code, channel.j, channel.i, band, pre.l)
+    out = struct.pack("<BIIBI", code, channel.j, channel.i, band, 0)
     return out + f"{pre.key.value:016x}".encode("ascii")
 
 
@@ -248,6 +263,9 @@ def load_system(blob: bytes) -> SystemSpec:
         raise BlobFormatError(f"system: unknown mode byte {mode_code}")
     mode = _MODE_NAMES[mode_code]
     groups, branches, classes, size, colors = (reader.u32() for _ in range(5))
+    if groups != mode_groups(mode):
+        raise BlobFormatError(f"system: mode {mode!r} has {mode_groups(mode)} "
+                              f"group(s), header says {groups}")
     master = MasterKey(reader.key_hex())
 
     channels = []
@@ -255,13 +273,17 @@ def load_system(blob: bytes) -> SystemSpec:
     per_color = False
     for j in range(groups):
         for i in range(branches):
-            code, got_j, got_i, band_code, l = struct.unpack(
+            code, got_j, got_i, band_code, reserved = struct.unpack(
                 "<BIIBI", reader.take(14))
             pre_key_value = reader.key_hex()
             if (got_j, got_i) != (j, i):
                 raise BlobFormatError(
                     f"system: channel ({got_j}, {got_i}) out of order, "
                     f"expected ({j}, {i})")
+            if reserved != 0:
+                raise BlobFormatError(
+                    f"system: channel ({j}, {i}) reserved field is {reserved}, "
+                    f"expected 0")
             if code == _PER_COLOR_CODE:
                 kind, chan_per_color = "direct-permutation", True
             elif code in _KIND_NAMES:
@@ -287,7 +309,7 @@ def load_system(blob: bytes) -> SystemSpec:
                 arch = params.arch
             elif params.arch != arch:
                 raise BlobFormatError("system: channels disagree on architecture")
-            channels.append((params, pre_key_value, model_key_value, l))
+            channels.append((params, pre_key_value, model_key_value))
 
     reader.expect_end()
     if arch is None:
@@ -297,8 +319,8 @@ def load_system(blob: bytes) -> SystemSpec:
 
     system = build_system(mode, master, groups, branches, arch, size, colors,
                           per_color=per_color,
-                          params=[model for model, _, _, _ in channels])
-    for channel, (_, pre_key_value, model_key_value, _) in zip(
+                          params=[model for model, _, _ in channels])
+    for channel, (_, pre_key_value, model_key_value) in zip(
             system.channels, channels):
         if channel.preprocessor.key.value != pre_key_value:
             raise BlobFormatError(
@@ -312,6 +334,12 @@ def load_system(blob: bytes) -> SystemSpec:
     return system
 
 
+def _adv_record_dtype(size: int, colors: int) -> np.dtype:
+    image = ("<f4", (size, size, colors))
+    return np.dtype([("index", "<u4"), ("label", "<u4"),
+                     ("original",) + image, ("adversarial",) + image])
+
+
 def dump_adv_set(adv: AdvSet) -> bytes:
     """Encode an adversarial set. Surrogate predictions are not persisted."""
     config = adv.config
@@ -319,6 +347,15 @@ def dump_adv_set(adv: AdvSet) -> bytes:
     if adv.originals.ndim != 4:
         raise ValueError("adversarial set images must be (B, N, N, m)")
     size, colors = adv.originals.shape[1], adv.originals.shape[3]
+    for name in ("indices", "labels"):
+        values = np.asarray(getattr(adv, name))
+        if count and not (0 <= values.min() and values.max() < 1 << 32):
+            raise ValueError(f"adversarial set {name} do not fit in u32")
+    records = np.empty(count, dtype=_adv_record_dtype(size, colors))
+    records["index"] = adv.indices
+    records["label"] = adv.labels
+    records["original"] = adv.originals
+    records["adversarial"] = adv.adversarials
     out = bytearray()
     out += ADV_MAGIC
     out += struct.pack("<B", FORMAT_VERSION)
@@ -327,11 +364,9 @@ def dump_adv_set(adv: AdvSet) -> bytes:
                        config.c, config.iterations, config.step_size,
                        config.kappa, int(config.targeted), config.target)
     out += struct.pack("<III", count, size, colors)
-    for pos in range(count):
-        out += struct.pack("<II", int(adv.indices[pos]), int(adv.labels[pos]))
-        out += _pack_f32(adv.originals[pos])
-        out += _pack_f32(adv.adversarials[pos])
-    return bytes(out)
+    # One copy of the records into the result; bytearray growth plus bytes()
+    # would copy them twice.
+    return b"".join((out, records.data))
 
 
 def load_adv_set(blob: bytes) -> AdvSet:
@@ -356,16 +391,15 @@ def load_adv_set(blob: bytes) -> AdvSet:
     except ValueError as exc:
         raise BlobFormatError(f"advset: {exc}") from None
     count, size, colors = reader.u32(), reader.u32(), reader.u32()
-    indices = np.empty(count, dtype=np.int64)
-    labels = np.empty(count, dtype=np.int64)
-    originals = np.empty((count, size, size, colors), dtype=np.float32)
-    adversarials = np.empty_like(originals)
-    for pos in range(count):
-        indices[pos], labels[pos] = struct.unpack("<II", reader.take(8))
-        originals[pos] = reader.f32_array((size, size, colors))
-        adversarials[pos] = reader.f32_array((size, size, colors))
+    # No dense layer takes more inputs, so no model could read a larger image.
+    if size * size * colors > _MAX_LAYER_DIM:
+        raise BlobFormatError(f"advset: image dims {size}x{size}x{colors} out of range")
+    records = reader.records(_adv_record_dtype(size, colors), count)
     reader.expect_end()
-    return AdvSet(config, indices, labels, originals, adversarials)
+    return AdvSet(config, records["index"].astype(np.int64),
+                  records["label"].astype(np.int64),
+                  records["original"].astype(np.float32),
+                  records["adversarial"].astype(np.float32))
 
 
 def save_params(path: str | Path, params: ModelParams, key: SubKey) -> None:

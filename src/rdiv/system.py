@@ -1,4 +1,4 @@
-"""Multi-channel keyed classifier: build, train, predict, evaluate.
+"""Multi-channel keyed classifier: build, train, classify, count errors.
 
 A system is a grid of J transform groups x I branches. Every channel owns a
 keyed preprocessor and its own classifier trained on preprocessed inputs;
@@ -35,7 +35,8 @@ GROUP_BANDS = ("V", "H", "D")
 REJECT = -1
 
 
-def _mode_groups(mode: str) -> int:
+def mode_groups(mode: str) -> int:
+    """J, the number of transform groups a mode's grid has."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     return 3 if mode.endswith("3band") else 1
@@ -57,7 +58,6 @@ class ChannelSpec:
     j: int
     i: int
     preprocessor: Preprocessor
-    arch: ArchSpec
     params: ModelParams | None = None
 
     @property
@@ -71,13 +71,16 @@ class SystemSpec:
 
     master: MasterKey
     mode: str
-    groups: int
     branches: int
     size: int
     colors: int
     arch: ArchSpec
     channels: tuple[ChannelSpec, ...]
     reject_threshold: float | None = None
+
+    @property
+    def groups(self) -> int:
+        return mode_groups(self.mode)
 
     @property
     def classes(self) -> int:
@@ -95,14 +98,13 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
                  params: Sequence[ModelParams] | None = None) -> SystemSpec:
     """Create the J x I channel grid with keyed preprocessors and init params.
 
-    `groups` must match the mode (1 for identity/direct-permutation, 3 for
-    the sub-band modes). Channel (j, i) derives its preprocessor, its weight
-    init, and later its shuffle order from lineage (j, i) under the master
-    key. `per_color` applies to direct-permutation only. `params`, when
-    given, supplies every channel's weights in grid order instead of the
-    keyed init; loading a saved system uses it.
+    `groups` must equal `mode_groups(mode)`. Channel (j, i) derives its
+    preprocessor, its weight init, and later its shuffle order from lineage
+    (j, i) under the master key. `per_color` applies to direct-permutation
+    only. `params`, when given, supplies every channel's weights in grid
+    order instead of the keyed init; loading a saved system uses it.
     """
-    expected_groups = _mode_groups(mode)
+    expected_groups = mode_groups(mode)
     if groups != expected_groups:
         raise ValueError(f"mode {mode!r} requires {expected_groups} group(s), got {groups}")
     if branches < 1:
@@ -128,8 +130,8 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
                 model = init_params(arch, derive_subkey(master, j, i, TAG_INIT))
             else:
                 model = params[len(channels)]
-            channels.append(ChannelSpec(j, i, pre, arch, model))
-    return SystemSpec(master, mode, groups, branches, size, colors, arch,
+            channels.append(ChannelSpec(j, i, pre, model))
+    return SystemSpec(master, mode, branches, size, colors, arch,
                       tuple(channels), reject_threshold)
 
 
@@ -189,11 +191,6 @@ def predict_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
     return total
 
 
-def predict(system: SystemSpec, x: np.ndarray) -> np.ndarray:
-    """Aggregate score vector for one image. Entries sum to the channel count."""
-    return predict_batch(system, np.asarray(x)[np.newaxis])[0]
-
-
 def classify_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
     """Class decisions for a batch; REJECT where the threshold says so.
 
@@ -208,24 +205,15 @@ def classify_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
     return decisions
 
 
-def classify(system: SystemSpec, x: np.ndarray) -> int:
-    """Class index for one image, or REJECT."""
-    return int(classify_batch(system, np.asarray(x)[np.newaxis])[0])
-
-
-def evaluate(system: SystemSpec, testset: LabeledSet, limit: int) -> float:
-    """Error rate in percent over the first `limit` samples (file order).
+def error_count(system: SystemSpec, images: np.ndarray, labels: np.ndarray) -> int:
+    """How many of the (B, N, N, m) `images` the system gets wrong.
 
     Rejected samples count as errors.
     """
-    if len(testset) == 0:
-        raise ValueError("test set is empty")
-    if limit > len(testset):
-        raise ValueError(f"limit {limit} exceeds test set size {len(testset)}")
-    images = testset.images[:limit]
-    labels = testset.labels[:limit]
-    decisions = classify_batch(system, images)
-    return float(np.mean(decisions != labels) * 100.0)
+    labels = np.asarray(labels)
+    if labels.shape != (len(images),):
+        raise ValueError(f"expected {len(images)} labels, got shape {labels.shape}")
+    return int((classify_batch(system, images) != labels).sum())
 
 
 def rebuild_preprocessors(system: SystemSpec, master: MasterKey) -> SystemSpec:
@@ -239,7 +227,6 @@ def rebuild_preprocessors(system: SystemSpec, master: MasterKey) -> SystemSpec:
         old = channel.preprocessor
         pre = make_preprocessor(old.kind, master, channel.j, channel.i,
                                 old.size, old.colors, subband=old.subband,
-                                l=old.l if old.kind == "dct-subsample" else None,
                                 per_color=old.per_color)
         channels.append(replace(channel, preprocessor=pre))
     return replace(system, master=master, channels=tuple(channels))

@@ -12,8 +12,6 @@ Supported operator kinds:
 * ``dct-sign-flip``        - keyed sign flips of DCT coefficients inside one
                              sub-band (or the whole plane), an involution.
 * ``dct-hard-threshold``   - zero the DCT coefficients of one sub-band.
-* ``dct-subsample``        - keep a keyed subset of DCT coefficients, zero
-                             the rest.
 
 The 2D DCT is computed by explicit basis-matrix multiplication. Images here
 are small (N <= 32), and the matrix form keeps the operator algebra obvious:
@@ -34,11 +32,9 @@ from .rng import (
     derive_subkey,
     keyed_permutation,
     keyed_sign_mask,
-    keyed_subset,
 )
 
-KINDS = ("identity", "direct-permutation", "dct-sign-flip",
-         "dct-hard-threshold", "dct-subsample")
+KINDS = ("identity", "direct-permutation", "dct-sign-flip", "dct-hard-threshold")
 
 SUBBAND_IDS = ("LOW", "V", "H", "D")
 
@@ -122,7 +118,6 @@ class Preprocessor:
                             per_color is set
       dct-sign-flip       - sign_mask: (N, N) in {-1, +1}, plus subband
       dct-hard-threshold  - subband to zero
-      dct-subsample       - retained: sorted flat indices into the N*N plane
     """
 
     kind: str
@@ -133,19 +128,16 @@ class Preprocessor:
     per_color: bool = False
     sign_mask: np.ndarray | None = None
     subband: Subband | None = None
-    retained: np.ndarray | None = None
-    l: int = 0
 
     def payload_equal(self, other: "Preprocessor") -> bool:
         """Structural equality of the materialized payloads."""
-        if (self.kind, self.size, self.colors, self.per_color, self.l) != \
-                (other.kind, other.size, other.colors, other.per_color, other.l):
+        if (self.kind, self.size, self.colors, self.per_color) != \
+                (other.kind, other.size, other.colors, other.per_color):
             return False
         if self.subband != other.subband:
             return False
         for mine, theirs in ((self.permutation, other.permutation),
-                             (self.sign_mask, other.sign_mask),
-                             (self.retained, other.retained)):
+                             (self.sign_mask, other.sign_mask)):
             if (mine is None) != (theirs is None):
                 return False
             if mine is not None and not np.array_equal(mine, theirs):
@@ -156,12 +148,10 @@ class Preprocessor:
 def make_preprocessor(kind: str, master: MasterKey, j: int, i: int,
                       size: int, colors: int,
                       subband: Subband | None = None,
-                      l: int | None = None,
                       per_color: bool = False) -> Preprocessor:
     """Derive the (j, i) sub-key and materialize the keyed payload.
 
-    dct-sign-flip and dct-hard-threshold require `subband`; dct-subsample
-    requires `l` (coefficients retained out of N*N). `per_color` gives
+    dct-sign-flip and dct-hard-threshold require `subband`. `per_color` gives
     direct-permutation an independent permutation per color channel instead
     of the default shared one.
     """
@@ -187,15 +177,10 @@ def make_preprocessor(kind: str, master: MasterKey, j: int, i: int,
         mask = keyed_sign_mask(key, (size, size), subband.rect)
         return Preprocessor(kind, key, size, colors,
                             sign_mask=mask, subband=subband)
-    if kind == "dct-hard-threshold":
-        if subband is None:
-            raise ValueError("dct-hard-threshold requires a sub-band")
-        return Preprocessor(kind, key, size, colors, subband=subband)
-    # dct-subsample
-    if l is None:
-        raise ValueError("dct-subsample requires a retained-coefficient count")
-    retained = keyed_subset(key, size * size, l)
-    return Preprocessor(kind, key, size, colors, retained=retained, l=l)
+    # dct-hard-threshold
+    if subband is None:
+        raise ValueError("dct-hard-threshold requires a sub-band")
+    return Preprocessor(kind, key, size, colors, subband=subband)
 
 
 def preprocess(p: Preprocessor, x: np.ndarray) -> np.ndarray:
@@ -231,7 +216,7 @@ def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
             out = flat[:, p.permutation, :]
         return out.reshape(images.shape)
 
-    # Remaining kinds operate on DCT coefficients, per color channel.
+    # The DCT kinds operate on coefficients, per color channel.
     basis = DctPlan.create(p.size).basis
     # (B, N, N, m) -> (B, m, N, N) so matmul broadcasts over batch and color.
     work = np.moveaxis(images, 3, 1).astype(np.float64)
@@ -239,13 +224,9 @@ def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
 
     if p.kind == "dct-sign-flip":
         coeffs *= p.sign_mask
-    elif p.kind == "dct-hard-threshold":
+    else:  # dct-hard-threshold
         r0, r1, c0, c1 = p.subband.rect
         coeffs[:, :, r0:r1, c0:c1] = 0.0
-    else:  # dct-subsample
-        keep = np.zeros(p.size * p.size, dtype=bool)
-        keep[p.retained] = True
-        coeffs *= keep.reshape(p.size, p.size)
 
     out = basis.T @ coeffs @ basis
     return np.moveaxis(out, 1, 3).astype(images.dtype, copy=False)

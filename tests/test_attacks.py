@@ -17,7 +17,7 @@ from rdiv.attacks import (
 from rdiv.dataio import LabeledSet
 from rdiv.nn import Hyper, backward_from_logits, forward, logits_and_cache, mlp_arch
 from rdiv.rng import MasterKey
-from rdiv.system import build_system, train_system
+from rdiv.system import build_system, classify_batch, train_system
 
 SIZE = 8
 COLORS = 1
@@ -263,6 +263,29 @@ def test_transfer_eval_zero_eps_equals_clean(surrogate):
     clean, attacked, _, _ = transfer_eval(
         system, surrogate, data, AttackConfig(kind="fgsm", eps=0.0), 30)
     assert clean == attacked
+
+
+def test_transfer_eval_percentages_equal_mean_indicator(surrogate):
+    # Reports compare these numbers with ==, so the integer error count must
+    # give exactly the float the mean of the error indicator gave.
+    data = toy_set(count=30, seed=21)
+    system = train_system(
+        build_system("direct-permutation", MASTER, 1, 1, toy_arch(), SIZE, COLORS),
+        toy_set(), Hyper(learning_rate=5e-3, batch_size=16, epochs=1))
+    config = AttackConfig(kind="fgsm", eps=0.2)
+    for limit in (7, 29, 30):
+        clean, attacked, _, adv = transfer_eval(system, surrogate, data, config, limit)
+        head = data.images[:limit], data.labels[:limit]
+        assert clean == float(np.mean(classify_batch(system, head[0]) != head[1]) * 100.0)
+        assert attacked == float(
+            np.mean(classify_batch(system, adv.adversarials) != adv.labels) * 100.0)
+
+
+@pytest.mark.parametrize("count", [7, 999, 1000])
+def test_error_percentage_arithmetic_is_exact(count):
+    for errors in range(count + 1):
+        indicator = np.arange(count) < errors
+        assert errors / count * 100.0 == float(np.mean(indicator) * 100.0)
 
 
 def test_attack_config_validation():

@@ -105,7 +105,8 @@ def test_parse_config_validates_values(data_dir, tmp_path):
         bad["system"].update(system_overrides)
         return parse_config(yaml.safe_dump(bad))
 
-    with pytest.raises(ConfigError, match="groups"):
+    # J follows from the mode; there is no groups key to disagree with it.
+    with pytest.raises(ConfigError, match="unknown key.*groups"):
         parses(groups=3)
     with pytest.raises(ConfigError, match="mode"):
         parses(mode="rot13")
@@ -115,6 +116,16 @@ def test_parse_config_validates_values(data_dir, tmp_path):
         parses(branches=[])
     with pytest.raises(ConfigError, match="branches"):
         parses(branches=[2, 0])
+    # YAML booleans are Python ints; they must not become a grid of True.
+    with pytest.raises(ConfigError, match="branches"):
+        parses(branches=True)
+    with pytest.raises(ConfigError, match="branches"):
+        parses(branches=[1, False])
+    # A quoted 'false' is a non-empty string, which bool() would call true.
+    with pytest.raises(ConfigError, match="per_color"):
+        parses(per_color="false")
+    with pytest.raises(ConfigError, match="per_color"):
+        parses(per_color=1)
     bad = yaml.safe_load(yaml.safe_dump(good))
     bad["attacks"].append({"name": "fgsm0", "kind": "fgsm"})
     with pytest.raises(ConfigError, match="duplicate"):
@@ -260,6 +271,14 @@ def test_channels_override(pipeline, data_dir, tmp_path):
     run_dir = tmp_path / "run3"
     assert (run_dir / "system-i3.rdiv").is_file()
     assert not (run_dir / "system-i1.rdiv").is_file()
+
+
+def test_mode_override_takes_groups_from_the_mode(data_dir, tmp_path):
+    config = write_config(tmp_path / "c.yaml", data_dir, tmp_path / "run5")
+    assert run("train", "--config", config, "--mode", "dct-sign-flip-3band",
+               "--channels", "1") == 0
+    system = read_system(tmp_path / "run5" / "system-i1.rdiv")
+    assert (system.mode, system.groups, system.branches) == ("dct-sign-flip-3band", 3, 1)
 
 
 def test_key_override_changes_artifacts(pipeline, data_dir, tmp_path):

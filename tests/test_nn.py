@@ -11,7 +11,6 @@ from rdiv.nn import (
     batch_loss_and_grads,
     forward,
     init_params,
-    loss_and_grads,
     mlp_arch,
     train,
 )
@@ -31,8 +30,8 @@ def random_params(arch, seed):
 def ce_loss_via_forward(params, x, label):
     """Independent loss evaluation: forward probabilities only, no backward."""
     p64 = params.astype(np.float64)
-    probs = forward(p64, np.asarray(x, dtype=np.float64))
-    return -math.log(probs[label])
+    probs = forward(p64, np.asarray(x, dtype=np.float64).reshape(1, -1))
+    return -math.log(probs[0, label])
 
 
 def fd_gradients(params, x, label, step=1e-3):
@@ -120,7 +119,7 @@ class TestForward:
         params = random_params(tiny_arch(), 9)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            y = forward(params, rng.random(4))
+            y = forward(params, rng.random((1, 4)))[0]
             assert y.shape == (3,)
             assert np.all(y > 0)
             assert abs(y.sum() - 1.0) < 1e-6
@@ -130,7 +129,7 @@ class TestForward:
         zero = ModelParams(arch,
                            tuple(np.zeros_like(w) for w in random_params(arch, 0).weights),
                            tuple(np.zeros_like(b) for b in random_params(arch, 0).biases))
-        y = forward(zero, np.ones(4, dtype=np.float32))
+        y = forward(zero, np.ones((1, 4), dtype=np.float32))
         assert np.allclose(y, 1.0 / 3.0, atol=1e-7)
 
     def test_hand_computed_2x2(self):
@@ -140,7 +139,7 @@ class TestForward:
             (np.array([[1.0, -1.0], [0.5, 2.0]], dtype=np.float32),),
             (np.array([0.1, -0.1], dtype=np.float32),),
         )
-        y = forward(params, np.array([1.0, 2.0], dtype=np.float32))
+        y = forward(params, np.array([[1.0, 2.0]], dtype=np.float32))[0]
         e0, e1 = math.exp(2.1), math.exp(2.9)
         assert y[0] == pytest.approx(e0 / (e0 + e1), abs=1e-6)
         assert y[1] == pytest.approx(e1 / (e0 + e1), abs=1e-6)
@@ -150,12 +149,15 @@ class TestForward:
         batch = np.random.default_rng(1).random((6, 4)).astype(np.float32)
         ys = forward(params, batch)
         for k in range(6):
-            assert np.allclose(ys[k], forward(params, batch[k]), atol=1e-7)
+            assert np.allclose(ys[k], forward(params, batch[k:k + 1])[0], atol=1e-7)
 
     def test_shape_mismatch(self):
         params = random_params(tiny_arch(), 3)
-        with pytest.raises(ValueError):
-            forward(params, np.zeros(5))
+        # Only a (B, input_dim) batch is accepted: no single images, no
+        # unflattened image batches.
+        for bad in (np.zeros((1, 5)), np.zeros(4), np.zeros((1, 2, 2, 1))):
+            with pytest.raises(ValueError, match=r"\(B, 4\) batch"):
+                forward(params, bad)
 
 
 class TestLossAndGrads:
@@ -166,9 +168,10 @@ class TestLossAndGrads:
             (np.zeros((2, 2), dtype=np.float32),),
             (np.array([25.0, 0.0], dtype=np.float32),),
         )
-        loss, grads, dx = loss_and_grads(params, np.array([0.3, 0.4]), 0)
+        loss, dw, db, dx = batch_loss_and_grads(params, np.array([[0.3, 0.4]]),
+                                                np.array([0]))
         assert loss < 1e-3
-        for g in grads.weights + grads.biases:
+        for g in dw + db:
             assert np.max(np.abs(g)) < 1e-3
         assert np.max(np.abs(dx)) < 1e-3
 
@@ -177,30 +180,34 @@ class TestLossAndGrads:
         rng = np.random.default_rng(2)
         x = rng.random(4)
         label = 2
-        _, grads, dx = loss_and_grads(params.astype(np.float64),
-                                      x.astype(np.float64), label)
+        _, dw, db, dx = batch_loss_and_grads(params.astype(np.float64),
+                                             x.astype(np.float64).reshape(1, -1),
+                                             np.array([label]))
         fd_w, fd_b, fd_x = fd_gradients(params, x, label)
         for k in range(len(fd_w)):
-            assert max_rel_err(grads.weights[k], fd_w[k]) < 1e-4
-            assert max_rel_err(grads.biases[k], fd_b[k]) < 1e-4
-        assert max_rel_err(dx, fd_x) < 1e-4
+            assert max_rel_err(dw[k], fd_w[k]) < 1e-4
+            assert max_rel_err(db[k], fd_b[k]) < 1e-4
+        assert max_rel_err(dx[0], fd_x) < 1e-4
 
     def test_input_grad_shape(self):
         params = random_params(mlp_arch(16, (6,), 3), 4)
-        x = np.random.default_rng(3).random((4, 4, 1)).astype(np.float32)
-        _, _, dx = loss_and_grads(params, x, 1)
-        assert dx.shape == x.shape
+        x = np.random.default_rng(3).random((2, 4, 4, 1)).astype(np.float32)
+        labels = np.array([1, 2])
+        _, _, _, dx = batch_loss_and_grads(params, x.reshape(2, -1), labels)
+        assert dx.shape == (2, 16)
+        with pytest.raises(ValueError):
+            batch_loss_and_grads(params, x, labels)
 
     def test_invalid_label(self):
         params = random_params(tiny_arch(), 5)
         with pytest.raises(ValueError):
-            loss_and_grads(params, np.zeros(4), 3)
+            batch_loss_and_grads(params, np.zeros((1, 4)), np.array([3]))
 
     def test_non_finite_input_reported(self):
         params = random_params(tiny_arch(), 6)
-        bad = np.array([1.0, np.inf, 0.0, 0.0])
+        bad = np.array([[1.0, np.inf, 0.0, 0.0]])
         with pytest.raises(FloatingPointError):
-            loss_and_grads(params, bad, 0)
+            batch_loss_and_grads(params, bad, np.array([0]))
 
 
 class TestTrain:
@@ -260,6 +267,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(params, (np.zeros((0, 4), dtype=np.float32), np.zeros(0, dtype=int)),
                   Hyper(), KEY)
+
+
+def test_keyed_order_is_the_shared_fisher_yates():
+    assert _keyed_order(RngState(5), 10).tolist() == [3, 6, 0, 4, 5, 1, 2, 9, 7, 8]
 
 
 def reference_train(params, x, y, hyper, key):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,9 @@ from rdiv.rng import (
     RngState,
     SubKey,
     derive_subkey,
+    fisher_yates,
     keyed_permutation,
     keyed_sign_mask,
-    keyed_subset,
     next_u64,
     skip,
     u64_stream,
@@ -123,6 +125,23 @@ def test_keyed_permutation_is_bijection(key, n):
     assert sorted(perm.tolist()) == list(range(n))
 
 
+def test_fisher_yates_golden():
+    # Byte-identical retraining (the shuffle in `nn._keyed_order`) and the
+    # permutations a saved system rebuilds on load both need these fixed.
+    order = fisher_yates(RngState(0x0123456789ABCDEF), 1000)
+    assert hashlib.sha256(order.tobytes()).hexdigest() == (
+        "83920312d1df76d1d561fce9766344eb2a1b9367e98ced9e53871fb9f23a776e")
+    assert fisher_yates(RngState(5), 10).tolist() == [3, 6, 0, 4, 5, 1, 2, 9, 7, 8]
+    perm = keyed_permutation(SubKey(0xFEEDFACE, 0, 0, 0), 784)
+    assert hashlib.sha256(perm.tobytes()).hexdigest() == (
+        "7890732eac2406675c76661bb73433e008fb5dba59f486b59339a3c0dd038100")
+
+
+def test_fisher_yates_empty_and_dtype():
+    assert fisher_yates(RngState(5), 0).shape == (0,)
+    assert fisher_yates(RngState(5), 3).dtype == np.int64
+
+
 def test_keyed_permutation_100_sorted():
     perm = keyed_permutation(SubKey(99, 0, 0, 0), 100)
     assert np.array_equal(np.sort(perm), np.arange(100))
@@ -159,31 +178,6 @@ def test_sign_mask_is_involution():
 def test_sign_mask_region_out_of_bounds():
     with pytest.raises(ValueError):
         keyed_sign_mask(SubKey(1, 0, 0, 0), (8, 8), (0, 9, 0, 8))
-
-
-def test_keyed_subset_full_sample():
-    assert keyed_subset(SubKey(42, 0, 0, 0), 6, 6).tolist() == [0, 1, 2, 3, 4, 5]
-
-
-def test_keyed_subset_first_of_permutation():
-    first = keyed_permutation(SubKey(42, 0, 0, 0), 4)[0]
-    assert keyed_subset(SubKey(42, 0, 0, 0), 4, 1).tolist() == [int(first)]
-
-
-def test_keyed_subset_rejects_oversize():
-    with pytest.raises(ValueError):
-        keyed_subset(SubKey(1, 0, 0, 0), 4, 5)
-
-
-@given(st.integers(min_value=0, max_value=(1 << 64) - 1),
-       st.integers(min_value=1, max_value=100))
-@settings(max_examples=40)
-def test_keyed_subset_distinct_in_range(key, n):
-    l = 1 + key % n
-    subset = keyed_subset(SubKey(key, 0, 0, 0), n, l)
-    assert len(set(subset.tolist())) == l
-    assert subset.min() >= 0 and subset.max() < n
-    assert np.array_equal(subset, np.sort(subset))
 
 
 def test_uniform_floats_range_and_determinism():

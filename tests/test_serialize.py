@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -116,7 +119,7 @@ def test_system_load_draws_no_weight_init(trained_system, monkeypatch):
                   "arch", "reject_threshold"):
         assert getattr(loaded, field) == getattr(trained_system, field)
     for a, b in zip(loaded.channels, trained_system.channels, strict=True):
-        assert (a.j, a.i, a.arch) == (b.j, b.i, b.arch)
+        assert (a.j, a.i, a.params.arch) == (b.j, b.i, b.params.arch)
         assert a.params.equal(b.params)
         assert a.preprocessor.key == b.preprocessor.key
         assert a.preprocessor.payload_equal(b.preprocessor)
@@ -124,6 +127,71 @@ def test_system_load_draws_no_weight_init(trained_system, monkeypatch):
 
 def test_system_dump_is_deterministic(trained_system):
     assert dump_system(trained_system) == dump_system(trained_system)
+
+
+# SHA-256 of toy artifacts: they pin the file formats, so a change that
+# alters the bytes must update them on purpose. The trained systems' weights
+# come from float32 BLAS arithmetic, so a BLAS build or CPU that rounds
+# differently changes their digests without any format change; the
+# untrained grid and the adversarial set involve no BLAS call.
+GOLDEN_SYSTEM_SHA256 = {
+    "direct-permutation": "ad9624d3bcb73b00f13d86ce8ba87fe928355d769363692d46f7d8890282d96c",
+    "dct-sign-flip-3band": "482dd4aca0cc0c68e190aa6a1c61187d4942eea2eaa10a507d969c47179aeba5",
+}
+GOLDEN_PER_COLOR_SHA256 = "174dfd1b47de5297e22670ac31b8b52f3441102db4459016997c3a47d429cc83"
+GOLDEN_UNTRAINED_SHA256 = "66901294e6e7d41c9d4beffeb23b18b064a724a39d310f6d846171841a6065c7"
+GOLDEN_ADV_SET_SHA256 = "7ad2e87422a24daadb0e31aabe8c4ea6d8dc2173d8d1aa5340c257da61a952a9"
+
+
+def sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def per_color_system():
+    """Two per-color permutation channels on 4x4 RGB images."""
+    rng = np.random.default_rng(6)
+    labels = rng.integers(0, CLASSES, size=30).astype(np.int64)
+    images = rng.random((30, 4, 4, 3), dtype=np.float32) * 0.4
+    for c in range(CLASSES):
+        images[labels == c, c, :, c] += 0.5
+    data = LabeledSet(images, labels, name="rgb", paths=(), num_classes=CLASSES)
+    system = build_system("direct-permutation", MASTER, 1, 2, mlp_arch(48, (8,), CLASSES),
+                          4, 3, per_color=True)
+    return train_system(system, data, quick_hyper(epochs=1))
+
+
+def handmade_adv_set():
+    """An adversarial set built without any model, so no BLAS is involved."""
+    rng = np.random.default_rng(4)
+    originals = rng.random((5, 3, 3, 2), dtype=np.float32)
+    adversarials = np.clip(originals + np.float32(0.125), 0.0, 1.0)
+    config = AttackConfig(kind="cw-l2", c=2.5, iterations=17, step_size=0.03,
+                          kappa=0.25, targeted=True, target=2)
+    return AdvSet(config, np.array([4, 0, 9, 2, 7]), np.array([1, 0, 2, 2, 1]),
+                  originals, adversarials)
+
+
+def test_system_bytes_golden(trained_system):
+    assert sha256(dump_system(trained_system)) == GOLDEN_SYSTEM_SHA256[trained_system.mode]
+
+
+def test_per_color_system_bytes_golden():
+    assert sha256(dump_system(per_color_system())) == GOLDEN_PER_COLOR_SHA256
+
+
+def test_untrained_system_bytes_golden():
+    system = build_system("dct-hard-threshold-3band", MASTER, 3, 2, toy_arch(), SIZE, COLORS)
+    assert sha256(dump_system(system)) == GOLDEN_UNTRAINED_SHA256
+
+
+def test_adv_set_bytes_golden():
+    blob = dump_adv_set(handmade_adv_set())
+    assert sha256(blob) == GOLDEN_ADV_SET_SHA256
+    assert dump_adv_set(load_adv_set(blob)) == blob
+    from dataclasses import replace
+    negative = replace(handmade_adv_set(), labels=np.array([1, 0, 2, 2, -1]))
+    with pytest.raises(ValueError, match="u32"):
+        dump_adv_set(negative)
 
 
 def test_system_missing_params_refused():
@@ -143,6 +211,29 @@ def test_system_master_key_tamper_detected(trained_system):
     assert blob[offset:offset + 16] == trained_system.master.to_hex().encode()
     blob[offset:offset + 16] = MasterKey(0xABCD).to_hex().encode()
     with pytest.raises(BlobFormatError, match="subkey"):
+        load_system(bytes(blob))
+
+
+# Byte offsets in a system file: magic, version and mode byte come first,
+# then J; the first descriptor follows the five header u32s and the master
+# key, and its reserved u32 sits after the kind code, j, i and band byte.
+_HEADER_J = 4 + 1 + 1
+_FIRST_RESERVED = _HEADER_J + 20 + 16 + 1 + 4 + 4 + 1
+
+
+def test_system_reserved_descriptor_field_must_be_zero(trained_system):
+    blob = bytearray(dump_system(trained_system))
+    assert blob[_FIRST_RESERVED:_FIRST_RESERVED + 4] == bytes(4)
+    blob[_FIRST_RESERVED:_FIRST_RESERVED + 4] = struct.pack("<I", 0xDEADBEEF)
+    with pytest.raises(BlobFormatError, match="reserved"):
+        load_system(bytes(blob))
+
+
+def test_system_header_groups_must_match_mode(trained_system):
+    blob = bytearray(dump_system(trained_system))
+    assert struct.unpack_from("<I", blob, _HEADER_J)[0] == trained_system.groups
+    struct.pack_into("<I", blob, _HEADER_J, 4 - trained_system.groups)
+    with pytest.raises(BlobFormatError, match="group"):
         load_system(bytes(blob))
 
 
@@ -189,6 +280,26 @@ def test_adv_set_corruption_detected():
     mangled[5] = 77  # attack kind byte
     with pytest.raises(BlobFormatError, match="attack code"):
         load_adv_set(bytes(mangled))
+
+
+# The record count and image dims follow magic, version, kind byte and the
+# packed attack config.
+_ADV_COUNT = 4 + 1 + 1 + struct.calcsize("<ddIdIddBI")
+
+
+def test_adv_set_corrupt_count_raises_before_allocating():
+    blob = bytearray(dump_adv_set(handmade_adv_set()))
+    assert struct.unpack_from("<III", blob, _ADV_COUNT) == (5, 3, 2)
+    # 2**32 - 1 records of two 3x3x2 float32 images would need 300+ GB.
+    struct.pack_into("<I", blob, _ADV_COUNT, 0xFFFFFFFF)
+    with pytest.raises(BlobFormatError, match="truncated"):
+        load_adv_set(bytes(blob))
+    struct.pack_into("<III", blob, _ADV_COUNT, 5, 0xFFFF, 2)
+    with pytest.raises(BlobFormatError, match="dims"):
+        load_adv_set(bytes(blob))
+    struct.pack_into("<III", blob, _ADV_COUNT, 4, 3, 2)
+    with pytest.raises(BlobFormatError, match="trailing"):
+        load_adv_set(bytes(blob))
 
 
 def test_file_round_trip_and_atomicity(tmp_path, trained_system):

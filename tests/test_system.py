@@ -9,11 +9,10 @@ from rdiv.system import (
     MODES,
     REJECT,
     build_system,
-    classify,
     classify_batch,
-    evaluate,
+    error_count,
     first_branches,
-    predict,
+    mode_groups,
     predict_batch,
     rebuild_preprocessors,
     train_system,
@@ -60,6 +59,14 @@ def test_mode_group_counts():
         assert [(c.j, c.i) for c in system.channels] == [
             (j, i) for j in range(groups) for i in range(2)
         ]
+
+
+def test_mode_groups_derives_j():
+    assert [mode_groups(mode) for mode in MODES] == [1, 1, 3, 3]
+    with pytest.raises(ValueError):
+        mode_groups("no-such-mode")
+    system = build_system("dct-hard-threshold-3band", MASTER, 3, 1, toy_arch(), SIZE, COLORS)
+    assert system.groups == 3
 
 
 def test_wrong_group_count_rejected():
@@ -155,8 +162,9 @@ def test_identity_system_equals_plain_classifier():
     params = train(params, (flat, data.labels), toy_hyper(),
                    derive_subkey(MASTER, 0, 0, TAG_SHUFFLE))
     assert system.channels[0].params.equal(params)
-    x = data.images[0]
-    assert np.allclose(predict(system, x), forward(params, x.reshape(-1)), atol=1e-6)
+    x = data.images[:1]
+    assert np.allclose(predict_batch(system, x), forward(params, x.reshape(1, -1)),
+                       atol=1e-6)
 
 
 def test_scores_sum_to_channel_count(trained_perm_system):
@@ -174,7 +182,7 @@ def test_untrained_predict_names_channel():
     broken = replace(system, channels=(
         system.channels[0], replace(system.channels[1], params=None)))
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        predict(broken, toy_set(count=1).images[0])
+        predict_batch(broken, toy_set(count=1).images)
 
 
 def zero_net_system(reject_threshold=None):
@@ -191,39 +199,41 @@ def zero_net_system(reject_threshold=None):
 def test_tie_breaks_to_smallest_class():
     # A zero network scores every class 1/M; the tie must resolve to class 0.
     system = zero_net_system()
-    assert classify(system, toy_set(count=1).images[0]) == 0
+    assert classify_batch(system, toy_set(count=1).images).tolist() == [0]
 
 
 def test_reject_threshold_boundary():
-    x = toy_set(count=1).images[0]
+    x = toy_set(count=1).images
     uniform = 1.0 / CLASSES
     rejecting = zero_net_system(reject_threshold=uniform + 1e-3)
     accepting = zero_net_system(reject_threshold=uniform - 1e-3)
-    assert classify(rejecting, x) == REJECT
-    assert classify(accepting, x) == 0
+    assert classify_batch(rejecting, x).tolist() == [REJECT]
+    assert classify_batch(accepting, x).tolist() == [0]
 
 
 def test_rejects_count_as_errors():
     data = toy_set(count=10)
     system = zero_net_system(reject_threshold=0.9)
     assert np.all(classify_batch(system, data.images) == REJECT)
-    assert evaluate(system, data, 10) == 100.0
+    assert error_count(system, data.images, data.labels) == 10
 
 
-def test_evaluate_uses_prefix_and_checks_limit(trained_perm_system):
+def test_error_count_counts_wrong_decisions_and_checks_labels(trained_perm_system):
     data = toy_set(count=30, seed=3)
-    full = evaluate(trained_perm_system, data, 30)
-    head = evaluate(trained_perm_system, LabeledSet(
-        data.images[:12], data.labels[:12], name="head", paths=(),
-        num_classes=CLASSES), 12)
-    assert head == evaluate(trained_perm_system, data, 12)
-    assert 0.0 <= full <= 100.0
-    with pytest.raises(ValueError):
-        evaluate(trained_perm_system, data, 31)
+    decisions = classify_batch(trained_perm_system, data.images)
+    wrong = decisions != data.labels
+    assert error_count(trained_perm_system, data.images, data.labels) == wrong.sum()
+    assert error_count(trained_perm_system, data.images[:12],
+                       data.labels[:12]) == wrong[:12].sum()
+    flipped = np.where(wrong, decisions, (data.labels + 1) % CLASSES)
+    assert error_count(trained_perm_system, data.images, flipped) == 30 - wrong.sum()
+    with pytest.raises(ValueError, match="labels"):
+        error_count(trained_perm_system, data.images, data.labels[:29])
 
 
 def test_trained_system_learns_toy_task(trained_perm_system):
-    assert evaluate(trained_perm_system, toy_set(), 60) < 15.0
+    data = toy_set()
+    assert error_count(trained_perm_system, data.images, data.labels) / 60 * 100.0 < 15.0
 
 
 def test_channel_order_does_not_change_decisions(trained_perm_system):
