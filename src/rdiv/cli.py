@@ -32,11 +32,10 @@ import numpy as np
 import yaml
 
 from .attacks import AdvSet, AttackConfig, craft_adv_set, train_surrogate
-from .dataio import DatasetFormatError, LabeledSet, load_cifar10, load_idx, take_first
+from .dataio import LabeledSet, load_cifar10, load_idx, take_first
 from .nn import ArchSpec, Hyper, finite_difference_max_error, forward, init_params, mlp_arch
 from .rng import TAG_INIT, MasterKey, derive_subkey, uniform_floats
 from .serialize import (
-    BlobFormatError,
     atomic_write_bytes,
     read_adv_set,
     read_params,
@@ -92,6 +91,14 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _count(value, what: str) -> int:
+    """`value` as a positive int; YAML booleans, floats and strings are refused."""
+    # bool is an int subclass, so `true` must be ruled out by name.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{what} must be a positive int, got {value!r}")
+    return value
+
+
 def _section(raw: dict, name: str) -> dict:
     value = raw.get(name) or {}
     if not isinstance(value, dict):
@@ -110,7 +117,7 @@ def _parse_dataset(raw: dict) -> tuple[str, str, tuple[Path, ...], tuple[Path, .
     fmt = section.get("format")
     if not name or fmt not in ("idx", "cifar10"):
         raise ConfigError("dataset needs a name and format: idx or cifar10")
-    classes = int(section.get("classes", 10))
+    classes = _count(section.get("classes", 10), "dataset classes")
     if fmt == "idx":
         missing = [k for k in ("train_images", "train_labels",
                                "test_images", "test_labels") if k not in section]
@@ -180,12 +187,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
     branches = system.get("branches", 1)
     grid = tuple(branches) if isinstance(branches, list) else (branches,)
-    # bool is an int subclass, so `branches: true` must be ruled out by name.
-    if not grid or not all(isinstance(b, int) and not isinstance(b, bool)
-                           for b in grid):
+    if not grid:
         raise ConfigError("branches must be an int or a non-empty list of ints")
-    if min(grid) < 1:
-        raise ConfigError("branches must be positive")
+    grid = tuple(_count(b, "branches") for b in grid)
     master = None
     if "master_key" in system:
         try:
@@ -199,13 +203,19 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"per_color applies to direct-permutation only, "
                           f"not mode {mode!r}")
     reject = system.get("reject_threshold")
+    if reject is not None and (isinstance(reject, bool)
+                               or not isinstance(reject, (int, float))):
+        raise ConfigError(f"reject_threshold must be a number, got {reject!r}")
     reject = None if reject is None else float(reject)
     if reject is not None and not 0.0 <= reject <= 1.0:
         raise ConfigError(f"reject_threshold {reject} is outside [0, 1]")
 
     arch = _section(raw, "arch")
     _require_keys(arch, {"hidden"}, "arch")
-    hidden = tuple(int(h) for h in arch.get("hidden", DEFAULT_HIDDEN))
+    hidden = arch.get("hidden", DEFAULT_HIDDEN)
+    if not isinstance(hidden, (list, tuple)):
+        raise ConfigError(f"hidden must be a list of layer widths, got {hidden!r}")
+    hidden = tuple(_count(h, "hidden layer width") for h in hidden)
 
     train = _section(raw, "train")
     _require_keys(train, {"learning_rate", "batch_size", "epochs", "optimizer",
@@ -217,14 +227,10 @@ def parse_config(text: str) -> RunConfig:
 
     eval_section = _section(raw, "eval")
     _require_keys(eval_section, {"limit"}, "eval")
-    limit = int(eval_section.get("limit", DEFAULT_LIMIT))
-    if limit < 1:
-        raise ConfigError("eval limit must be positive")
+    limit = _count(eval_section.get("limit", DEFAULT_LIMIT), "eval limit")
 
     out_dir = raw.get("out_dir")
-    workers = int(raw.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("workers must be positive")
+    workers = _count(raw.get("workers", 1), "workers")
 
     return RunConfig(name, fmt, train_paths, test_paths, classes, mode,
                      grid, master, per_color, reject, hidden, hyper,
@@ -505,9 +511,7 @@ def main(argv: list[str] | None = None) -> int:
             config = _EMPTY_CONFIG
         config = _apply_overrides(config, args)
         return _COMMANDS[args.command](config)
-    except (ConfigError, BlobFormatError, DatasetFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # ConfigError, BlobFormatError and DatasetFormatError are ValueErrors.
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

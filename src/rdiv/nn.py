@@ -133,8 +133,13 @@ class Hyper:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        # bool is an int subclass, so YAML's `true` must be ruled out by name.
+        if isinstance(self.learning_rate, bool) or self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        for name in ("batch_size", "epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
         if self.epochs < 0:

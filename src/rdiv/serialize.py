@@ -1,26 +1,26 @@
 """Binary persistence for models, keyed systems, and adversarial sets.
 
-Three artifact kinds share conventions: a 4-byte ASCII magic, a format
-version byte, little-endian integers and floats, float32 parameter and
-pixel tensors in row-major order, and keys as 16 lowercase hex digits.
+Every artifact is one frame: a 4-byte ASCII magic, a format version byte,
+the body, and the SHA-256 of everything before it (32 bytes). Readers check
+magic, version and digest before they parse a single field, so any changed
+byte is rejected. Bodies use little-endian integers and floats, float32
+parameter and pixel tensors in row-major order, and keys as 16 lowercase
+hex digits. An arch is a layer count, then per layer a kind byte, plus
+fan_in and fan_out for dense layers.
 
-Model blob:
-    "RDIV" ver | layer count | per layer: kind byte (+ fan_in, fan_out for
-    dense) | per dense layer: weights then biases | model subkey hex.
+Model blob ("RDIV"):
+    arch | per dense layer: weights then biases | model subkey hex.
 
-System file:
-    "RDIV" ver | mode byte | J I M N m | master key hex | J*I channels in
-    (j, i) order, each a preprocessor descriptor followed by a model blob.
-    J must be the mode's group count. A descriptor is kind code, j, i,
-    sub-band byte, a reserved u32 that must be 0, and the preprocessor
-    subkey hex. Keyed payloads (permutations, sign masks) are not stored;
-    they are rebuilt from the master key on load and cross-checked against
-    the stored subkeys.
+System file ("RDIV"):
+    mode byte | per-color byte (0/1) | I N m | master key hex | arch |
+    weights and biases of all J*I channels in (j, i) order.
+    The master key defines every channel's transform, so J, the kinds,
+    bands and keyed payloads are not stored; `build_system` re-derives them
+    on load.
 
-Adversarial set:
-    "RADV" ver | attack kind byte | config fields | count N m | count
-    packed records: u32 index, u32 label, original pixels, adversarial
-    pixels.
+Adversarial set ("RADV"):
+    attack kind byte | config fields | count N m | count packed records:
+    u32 index, u32 label, original pixels, adversarial pixels.
 
 All writes go through a temp file in the target directory plus an atomic
 rename, so readers never observe a partial file.
@@ -28,6 +28,7 @@ rename, so readers never observe a partial file.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 import tempfile
@@ -37,40 +38,23 @@ import numpy as np
 
 from .attacks import AdvSet, AttackConfig
 from .nn import ArchSpec, ModelParams
-from .rng import TAG_INIT, MasterKey, SubKey, derive_subkey
-from .system import (
-    GROUP_BANDS,
-    MODES,
-    ChannelSpec,
-    SystemSpec,
-    _channel_kind,
-    build_system,
-    mode_groups,
-)
-from .transforms import SUBBAND_IDS
+from .rng import MasterKey, SubKey
+from .system import MODES, SystemSpec, build_system, mode_groups
 
 MODEL_MAGIC = b"RDIV"
 ADV_MAGIC = b"RADV"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+
+_DIGEST_SIZE = hashlib.sha256().digest_size
+_HEADER_SIZE = 5  # magic and version byte
 
 _LAYER_CODES = {"dense": 1, "relu": 2, "softmax-output": 3}
 _LAYER_NAMES = {v: k for k, v in _LAYER_CODES.items()}
-
-# Descriptor codes for preprocessor kinds; 5 marks the per-color variant of
-# direct-permutation, which is the same in-memory kind with a flag.
-_KIND_CODES = {"identity": 0, "direct-permutation": 1, "dct-sign-flip": 2,
-               "dct-hard-threshold": 3}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-_PER_COLOR_CODE = 5
 
 _MAX_LAYER_DIM = 1 << 20
 
 _MODE_CODES = {name: code for code, name in enumerate(MODES)}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
-
-_BAND_CODES = {name: code for code, name in enumerate(SUBBAND_IDS)}
-_BAND_NAMES = {v: k for k, v in _BAND_CODES.items()}
-_NO_BAND = 0xFF
 
 _ATTACK_CODES = {"fgsm": 0, "pgd-linf": 1, "cw-l2": 2}
 _ATTACK_NAMES = {v: k for k, v in _ATTACK_CODES.items()}
@@ -94,17 +78,38 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
-class _Reader:
-    """Sequential little-endian decoder with bounds checking."""
+def _seal(magic: bytes, *body: bytes | memoryview) -> bytes:
+    """Frame `body` as magic, version, body, SHA-256 of all that precedes it."""
+    head = magic + struct.pack("<B", FORMAT_VERSION)
+    digest = hashlib.sha256(head)
+    for part in body:
+        digest.update(part)
+    # One copy of the body into the result; bytearray growth plus bytes()
+    # would copy it twice.
+    return b"".join((head, *body, digest.digest()))
 
-    def __init__(self, blob: bytes, label: str):
-        self.blob = blob
-        self.pos = 0
+
+class _Reader:
+    """Sequential little-endian decoder over a verified frame's body."""
+
+    def __init__(self, blob: bytes, magic: bytes, label: str):
         self.label = label
+        found = blob[:4]
+        if found != magic:
+            raise BlobFormatError(f"{label}: bad magic {found!r}")
+        if len(blob) < _HEADER_SIZE + _DIGEST_SIZE:
+            raise BlobFormatError(f"{label}: truncated at byte {len(blob)}")
+        if blob[4] != FORMAT_VERSION:
+            raise BlobFormatError(f"{label}: unsupported version {blob[4]}")
+        self.end = len(blob) - _DIGEST_SIZE
+        if hashlib.sha256(memoryview(blob)[:self.end]).digest() != blob[self.end:]:
+            raise BlobFormatError(f"{label}: SHA-256 checksum mismatch")
+        self.blob = blob
+        self.pos = _HEADER_SIZE
 
     def take(self, count: int) -> bytes:
         end = self.pos + count
-        if end > len(self.blob):
+        if end > self.end:
             raise BlobFormatError(f"{self.label}: truncated at byte {self.pos}")
         chunk = self.blob[self.pos:end]
         self.pos = end
@@ -127,22 +132,13 @@ class _Reader:
             raise BlobFormatError(f"{self.label}: bad key hex {text!r}") from None
 
     def f32_array(self, shape: tuple[int, ...]) -> np.ndarray:
-        count = int(np.prod(shape))
-        raw = self.take(count * 4)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
-
-    def expect_magic(self, magic: bytes) -> None:
-        found = self.take(4)
-        if found != magic:
-            raise BlobFormatError(f"{self.label}: bad magic {found!r}")
-        version = self.u8()
-        if version != FORMAT_VERSION:
-            raise BlobFormatError(f"{self.label}: unsupported version {version}")
+        flat = self.records(np.dtype("<f4"), int(np.prod(shape)))
+        return flat.reshape(shape).astype(np.float32)
 
     def records(self, dtype: np.dtype, count: int) -> np.ndarray:
         """`count` packed records, checked against the remaining length first."""
         need = count * dtype.itemsize
-        left = len(self.blob) - self.pos
+        left = self.end - self.pos
         if need > left:
             raise BlobFormatError(f"{self.label}: truncated at byte {self.pos}, "
                                   f"{count} records need {need} bytes")
@@ -151,33 +147,26 @@ class _Reader:
         return out
 
     def expect_end(self) -> None:
-        if self.pos != len(self.blob):
-            raise BlobFormatError(
-                f"{self.label}: {len(self.blob) - self.pos} trailing bytes")
+        if self.pos != self.end:
+            raise BlobFormatError(f"{self.label}: {self.end - self.pos} trailing bytes")
 
 
-def _pack_f32(array: np.ndarray) -> bytes:
-    return np.ascontiguousarray(array, dtype="<f4").tobytes()
+def _tensors(params: ModelParams) -> list[memoryview]:
+    """Each layer's weights then biases as little-endian float32 buffers."""
+    return [np.ascontiguousarray(t, dtype="<f4").data
+            for pair in zip(params.weights, params.biases) for t in pair]
 
 
-def dump_params(params: ModelParams, key: SubKey) -> bytes:
-    """Encode one trained model plus the subkey its init came from."""
-    out = bytearray()
-    out += MODEL_MAGIC
-    out += struct.pack("<B", FORMAT_VERSION)
-    out += struct.pack("<I", len(params.arch.layers))
-    for kind, dims in params.arch.layers:
+def _dump_arch(arch: ArchSpec) -> bytes:
+    out = bytearray(struct.pack("<I", len(arch.layers)))
+    for kind, dims in arch.layers:
         out += struct.pack("<B", _LAYER_CODES[kind])
         if kind == "dense":
             out += struct.pack("<II", *dims)
-    for w, b in zip(params.weights, params.biases):
-        out += _pack_f32(w)
-        out += _pack_f32(b)
-    out += f"{key.value:016x}".encode("ascii")
     return bytes(out)
 
 
-def _read_params(reader: _Reader) -> tuple[ModelParams, int]:
+def _read_arch(reader: _Reader) -> ArchSpec:
     layer_count = reader.u32()
     if layer_count < 1 or layer_count > 1000:
         raise BlobFormatError(f"{reader.label}: layer count {layer_count} out of range")
@@ -195,143 +184,76 @@ def _read_params(reader: _Reader) -> tuple[ModelParams, int]:
             layers.append((kind, (fan_in, fan_out)))
         else:
             layers.append((kind, ()))
-    if not layers or layers[0][0] != "dense":
+    if layers[0][0] != "dense":
         raise BlobFormatError(f"{reader.label}: arch must start with a dense layer")
     try:
-        arch = ArchSpec(layers[0][1][0], tuple(layers))
+        return ArchSpec(layers[0][1][0], tuple(layers))
     except ValueError as exc:
         raise BlobFormatError(f"{reader.label}: {exc}") from None
+
+
+def _read_tensors(reader: _Reader, arch: ArchSpec) -> ModelParams:
     weights = []
     biases = []
     for fan_in, fan_out in arch.dense_shapes:
         weights.append(reader.f32_array((fan_in, fan_out)))
         biases.append(reader.f32_array((fan_out,)))
-    key_value = reader.key_hex()
-    return ModelParams(arch, tuple(weights), tuple(biases)), key_value
+    return ModelParams(arch, tuple(weights), tuple(biases))
+
+
+def dump_params(params: ModelParams, key: SubKey) -> bytes:
+    """Encode one trained model plus the subkey its init came from."""
+    return _seal(MODEL_MAGIC, _dump_arch(params.arch), *_tensors(params),
+                 f"{key.value:016x}".encode("ascii"))
 
 
 def load_params(blob: bytes, label: str = "model") -> tuple[ModelParams, int]:
     """Decode a model blob. Returns the params and the stored subkey value."""
-    reader = _Reader(blob, label)
-    reader.expect_magic(MODEL_MAGIC)
-    params, key_value = _read_params(reader)
+    reader = _Reader(blob, MODEL_MAGIC, label)
+    params = _read_tensors(reader, _read_arch(reader))
+    key_value = reader.key_hex()
     reader.expect_end()
     return params, key_value
 
 
-def _dump_descriptor(channel: ChannelSpec) -> bytes:
-    pre = channel.preprocessor
-    if pre.kind == "direct-permutation" and pre.per_color:
-        code = _PER_COLOR_CODE
-    else:
-        code = _KIND_CODES[pre.kind]
-    band = _BAND_CODES[pre.subband.id] if pre.subband is not None else _NO_BAND
-    out = struct.pack("<BIIBI", code, channel.j, channel.i, band, 0)
-    return out + f"{pre.key.value:016x}".encode("ascii")
-
-
 def dump_system(system: SystemSpec) -> bytes:
-    """Encode a trained system: header, then every channel in grid order."""
+    """Encode a trained system: header, the arch once, then all weights."""
     if not system.trained:
         raise ValueError("refusing to serialize an untrained system")
-    out = bytearray()
-    out += MODEL_MAGIC
-    out += struct.pack("<B", FORMAT_VERSION)
-    out += struct.pack("<B", _MODE_CODES[system.mode])
-    out += struct.pack("<IIIII", system.groups, system.branches,
-                       system.classes, system.size, system.colors)
-    out += system.master.to_hex().encode("ascii")
-    for channel in system.channels:
-        out += _dump_descriptor(channel)
-        init_key = derive_subkey(system.master, channel.j, channel.i, TAG_INIT)
-        out += dump_params(channel.params, init_key)
-    return bytes(out)
+    header = struct.pack("<BBIII", _MODE_CODES[system.mode],
+                         system.channels[0].preprocessor.per_color,
+                         system.branches, system.size, system.colors)
+    return _seal(MODEL_MAGIC, header, system.master.to_hex().encode("ascii"),
+                 _dump_arch(system.arch),
+                 *(view for channel in system.channels
+                   for view in _tensors(channel.params)))
 
 
 def load_system(blob: bytes) -> SystemSpec:
     """Decode a system file, rebuilding keyed payloads from the master key.
 
-    Stored subkeys must match the ones re-derived from the header's master
-    key; a mismatch means the file is corrupt or was stitched together from
-    different keys. The reject threshold is an evaluation-time setting and
-    is not part of the file.
+    The reject threshold is an evaluation-time setting and is not part of
+    the file.
     """
-    reader = _Reader(blob, "system")
-    reader.expect_magic(MODEL_MAGIC)
+    reader = _Reader(blob, MODEL_MAGIC, "system")
     mode_code = reader.u8()
     if mode_code not in _MODE_NAMES:
         raise BlobFormatError(f"system: unknown mode byte {mode_code}")
     mode = _MODE_NAMES[mode_code]
-    groups, branches, classes, size, colors = (reader.u32() for _ in range(5))
-    if groups != mode_groups(mode):
-        raise BlobFormatError(f"system: mode {mode!r} has {mode_groups(mode)} "
-                              f"group(s), header says {groups}")
+    per_color = reader.u8()
+    if per_color not in (0, 1):
+        raise BlobFormatError(f"system: per-color byte {per_color}, expected 0 or 1")
+    branches, size, colors = reader.u32(), reader.u32(), reader.u32()
     master = MasterKey(reader.key_hex())
-
-    channels = []
-    arch = None
-    per_color = False
-    for j in range(groups):
-        for i in range(branches):
-            code, got_j, got_i, band_code, reserved = struct.unpack(
-                "<BIIBI", reader.take(14))
-            pre_key_value = reader.key_hex()
-            if (got_j, got_i) != (j, i):
-                raise BlobFormatError(
-                    f"system: channel ({got_j}, {got_i}) out of order, "
-                    f"expected ({j}, {i})")
-            if reserved != 0:
-                raise BlobFormatError(
-                    f"system: channel ({j}, {i}) reserved field is {reserved}, "
-                    f"expected 0")
-            if code == _PER_COLOR_CODE:
-                kind, chan_per_color = "direct-permutation", True
-            elif code in _KIND_NAMES:
-                kind, chan_per_color = _KIND_NAMES[code], False
-            else:
-                raise BlobFormatError(f"system: unknown preprocessor code {code}")
-            if kind != _channel_kind(mode):
-                raise BlobFormatError(
-                    f"system: channel kind {kind!r} does not belong to mode {mode!r}")
-            if j == 0 and i == 0:
-                per_color = chan_per_color
-            elif chan_per_color != per_color:
-                raise BlobFormatError("system: mixed per-color flags")
-            expected_band = (_BAND_CODES[GROUP_BANDS[j]]
-                             if kind.startswith("dct") else _NO_BAND)
-            if band_code != expected_band:
-                raise BlobFormatError(
-                    f"system: channel ({j}, {i}) sub-band byte {band_code}, "
-                    f"expected {expected_band}")
-            reader.expect_magic(MODEL_MAGIC)
-            params, model_key_value = _read_params(reader)
-            if arch is None:
-                arch = params.arch
-            elif params.arch != arch:
-                raise BlobFormatError("system: channels disagree on architecture")
-            channels.append((params, pre_key_value, model_key_value))
-
+    arch = _read_arch(reader)
+    groups = mode_groups(mode)
+    params = [_read_tensors(reader, arch) for _ in range(groups * branches)]
     reader.expect_end()
-    if arch is None:
-        raise BlobFormatError("system: no channels")
-    if arch.classes != classes or arch.input_dim != size * size * colors:
-        raise BlobFormatError("system: header dims disagree with the arch")
-
-    system = build_system(mode, master, groups, branches, arch, size, colors,
-                          per_color=per_color,
-                          params=[model for model, _, _ in channels])
-    for channel, (_, pre_key_value, model_key_value) in zip(
-            system.channels, channels):
-        if channel.preprocessor.key.value != pre_key_value:
-            raise BlobFormatError(
-                f"system: channel ({channel.j}, {channel.i}) preprocessor "
-                f"subkey does not derive from the stored master key")
-        expected_init = derive_subkey(master, channel.j, channel.i, TAG_INIT)
-        if expected_init.value != model_key_value:
-            raise BlobFormatError(
-                f"system: channel ({channel.j}, {channel.i}) model subkey "
-                f"does not derive from the stored master key")
-    return system
+    try:
+        return build_system(mode, master, groups, branches, arch, size, colors,
+                            per_color=bool(per_color), params=params)
+    except ValueError as exc:
+        raise BlobFormatError(f"system: {exc}") from None
 
 
 def _adv_record_dtype(size: int, colors: int) -> np.dtype:
@@ -356,23 +278,17 @@ def dump_adv_set(adv: AdvSet) -> bytes:
     records["label"] = adv.labels
     records["original"] = adv.originals
     records["adversarial"] = adv.adversarials
-    out = bytearray()
-    out += ADV_MAGIC
-    out += struct.pack("<B", FORMAT_VERSION)
-    out += struct.pack("<B", _ATTACK_CODES[config.kind])
-    out += struct.pack("<ddIdIddBI", config.eps, config.alpha, config.steps,
-                       config.c, config.iterations, config.step_size,
-                       config.kappa, int(config.targeted), config.target)
-    out += struct.pack("<III", count, size, colors)
-    # One copy of the records into the result; bytearray growth plus bytes()
-    # would copy them twice.
-    return b"".join((out, records.data))
+    header = struct.pack("<B", _ATTACK_CODES[config.kind])
+    header += struct.pack("<ddIdIddBI", config.eps, config.alpha, config.steps,
+                          config.c, config.iterations, config.step_size,
+                          config.kappa, int(config.targeted), config.target)
+    header += struct.pack("<III", count, size, colors)
+    return _seal(ADV_MAGIC, header, records.data)
 
 
 def load_adv_set(blob: bytes) -> AdvSet:
     """Decode an adversarial set; prediction fields come back unset."""
-    reader = _Reader(blob, "advset")
-    reader.expect_magic(ADV_MAGIC)
+    reader = _Reader(blob, ADV_MAGIC, "advset")
     kind_code = reader.u8()
     if kind_code not in _ATTACK_NAMES:
         raise BlobFormatError(f"advset: unknown attack code {kind_code}")

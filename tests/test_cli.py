@@ -100,9 +100,9 @@ def test_parse_config_rejects_unknown_keys(data_dir, tmp_path):
 def test_parse_config_validates_values(data_dir, tmp_path):
     good = config_dict(data_dir, tmp_path)
 
-    def parses(**system_overrides):
+    def parses(section="system", **overrides):
         bad = yaml.safe_load(yaml.safe_dump(good))
-        bad["system"].update(system_overrides)
+        (bad if section is None else bad[section]).update(overrides)
         return parse_config(yaml.safe_dump(bad))
 
     # J follows from the mode; there is no groups key to disagree with it.
@@ -126,6 +126,19 @@ def test_parse_config_validates_values(data_dir, tmp_path):
         parses(per_color="false")
     with pytest.raises(ConfigError, match="per_color"):
         parses(per_color=1)
+    # Every count is a positive int: no bool, float or string stands in.
+    for section, key, value in (
+            ("train", "epochs", True), ("train", "batch_size", True),
+            ("train", "epochs", 1.5), ("train", "learning_rate", True),
+            ("eval", "limit", True), ("eval", "limit", 2.9),
+            ("eval", "limit", "5"), (None, "workers", True),
+            ("arch", "hidden", [True]), ("arch", "hidden", [2.7]),
+            ("arch", "hidden", [0]), ("arch", "hidden", 16),
+            ("dataset", "classes", 0), ("dataset", "classes", True),
+            ("system", "branches", 2.0), ("system", "reject_threshold", True),
+            ("system", "reject_threshold", "0.5")):
+        with pytest.raises(ConfigError, match=key if section != "train" else "train"):
+            parses(section, **{key: value})
     bad = yaml.safe_load(yaml.safe_dump(good))
     bad["attacks"].append({"name": "fgsm0", "kind": "fgsm"})
     with pytest.raises(ConfigError, match="duplicate"):

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdiv.attacks import AdvSet, AttackConfig, craft_adv_set, train_surrogate
 from rdiv.dataio import LabeledSet
@@ -20,7 +22,7 @@ from rdiv.serialize import (
     read_system,
     save_system,
 )
-from rdiv.system import build_system, classify_batch, train_system
+from rdiv.system import build_system, classify_batch, mode_groups, train_system
 
 SIZE = 8
 COLORS = 1
@@ -54,6 +56,16 @@ def trained_system(request):
     return train_system(system, toy_set(), quick_hyper())
 
 
+def _reseal(blob: bytes) -> bytes:
+    """`blob` with its SHA-256 trailer recomputed over all bytes before it.
+
+    This lets a test reach the parser's own checks behind a valid digest.
+    Cutting k bytes off a sealed blob and resealing it cuts k bytes off the
+    body; inserting bytes before the trailer and resealing appends to it.
+    """
+    return blob[:-32] + hashlib.sha256(blob[:-32]).digest()
+
+
 def test_model_blob_round_trip():
     key = derive_subkey(MASTER, 0, 0, TAG_INIT)
     params = init_params(toy_arch(), key)
@@ -78,14 +90,18 @@ def test_model_blob_corruption_detected():
         load_params(b"XXXX" + blob[4:])
     with pytest.raises(BlobFormatError, match="version"):
         load_params(blob[:4] + b"\x09" + blob[5:])
-    with pytest.raises(BlobFormatError, match="truncated"):
+    with pytest.raises(BlobFormatError, match="checksum"):
         load_params(blob[:-3])
+    with pytest.raises(BlobFormatError, match="truncated"):
+        load_params(_reseal(blob[:-3]))
+    with pytest.raises(BlobFormatError, match="truncated"):
+        load_params(blob[:36])
     with pytest.raises(BlobFormatError, match="trailing"):
-        load_params(blob + b"\x00")
+        load_params(_reseal(blob[:-32] + b"\x00" + blob[-32:]))
     mangled = bytearray(blob)
-    mangled[-16:] = b"zz" * 8
+    mangled[-48:-32] = b"zz" * 8
     with pytest.raises(BlobFormatError, match="key hex"):
-        load_params(bytes(mangled))
+        load_params(_reseal(bytes(mangled)))
 
 
 def test_system_round_trip(trained_system):
@@ -135,16 +151,22 @@ def test_system_dump_is_deterministic(trained_system):
 # differently changes their digests without any format change; the
 # untrained grid and the adversarial set involve no BLAS call.
 GOLDEN_SYSTEM_SHA256 = {
-    "direct-permutation": "ad9624d3bcb73b00f13d86ce8ba87fe928355d769363692d46f7d8890282d96c",
-    "dct-sign-flip-3band": "482dd4aca0cc0c68e190aa6a1c61187d4942eea2eaa10a507d969c47179aeba5",
+    "direct-permutation": "ce232637815b4700b4549df0ea67af74e815903c274bfe060cc86d0adb69b389",
+    "dct-sign-flip-3band": "1603024d5716f7d0b122fec689aaa64299742de89685f2fb62efb33f8767191d",
 }
-GOLDEN_PER_COLOR_SHA256 = "174dfd1b47de5297e22670ac31b8b52f3441102db4459016997c3a47d429cc83"
-GOLDEN_UNTRAINED_SHA256 = "66901294e6e7d41c9d4beffeb23b18b064a724a39d310f6d846171841a6065c7"
-GOLDEN_ADV_SET_SHA256 = "7ad2e87422a24daadb0e31aabe8c4ea6d8dc2173d8d1aa5340c257da61a952a9"
+GOLDEN_PER_COLOR_SHA256 = "a1f1a4f8fa4778fcae9c100a5a71ce1dd008d87ab8354dae8cca6045e477c960"
+GOLDEN_UNTRAINED_SHA256 = "8a17c9cfe2d58a9a598e64325fb1930dc47f94b2b364367748f2cbafd58e8fcf"
+GOLDEN_ADV_SET_SHA256 = "94f92950ca6ecc30ab29acee545a13eb4731bb81b872a02014ce35a5b14d6c21"
 
 
 def sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
+
+
+def untrained_system(mode="direct-permutation", branches=2):
+    """A grid with its keyed init weights; dump_system accepts it as is."""
+    return build_system(mode, MASTER, mode_groups(mode), branches, toy_arch(),
+                        SIZE, COLORS)
 
 
 def per_color_system():
@@ -180,7 +202,7 @@ def test_per_color_system_bytes_golden():
 
 
 def test_untrained_system_bytes_golden():
-    system = build_system("dct-hard-threshold-3band", MASTER, 3, 2, toy_arch(), SIZE, COLORS)
+    system = untrained_system("dct-hard-threshold-3band")
     assert sha256(dump_system(system)) == GOLDEN_UNTRAINED_SHA256
 
 
@@ -204,37 +226,67 @@ def test_system_missing_params_refused():
         dump_system(gutted)
 
 
+# Byte offsets in a system file: magic, version and mode byte come first,
+# then the per-color byte, I, N and m, then the master key.
+_PER_COLOR = 4 + 1 + 1
+_BRANCHES = _PER_COLOR + 1
+_MASTER = _BRANCHES + 12
+
+
 def test_system_master_key_tamper_detected(trained_system):
     blob = bytearray(dump_system(trained_system))
-    # Header master key starts right after magic+ver+mode+5 u32 fields.
-    offset = 4 + 1 + 1 + 20
-    assert blob[offset:offset + 16] == trained_system.master.to_hex().encode()
-    blob[offset:offset + 16] = MasterKey(0xABCD).to_hex().encode()
-    with pytest.raises(BlobFormatError, match="subkey"):
+    assert blob[_MASTER:_MASTER + 16] == trained_system.master.to_hex().encode()
+    blob[_MASTER:_MASTER + 16] = MasterKey(0xABCD).to_hex().encode()
+    with pytest.raises(BlobFormatError, match="checksum"):
         load_system(bytes(blob))
 
 
-# Byte offsets in a system file: magic, version and mode byte come first,
-# then J; the first descriptor follows the five header u32s and the master
-# key, and its reserved u32 sits after the kind code, j, i and band byte.
-_HEADER_J = 4 + 1 + 1
-_FIRST_RESERVED = _HEADER_J + 20 + 16 + 1 + 4 + 4 + 1
+def test_v1_blob_rejected_by_version():
+    """A file of the previous format: version byte 1 and no trailer."""
+    key = derive_subkey(MASTER, 0, 0, TAG_INIT)
+    v1 = bytearray(dump_params(init_params(toy_arch(), key), key)[:-32])
+    v1[4] = 1
+    with pytest.raises(BlobFormatError, match="unsupported version 1"):
+        load_params(bytes(v1))
 
 
-def test_system_reserved_descriptor_field_must_be_zero(trained_system):
-    blob = bytearray(dump_system(trained_system))
-    assert blob[_FIRST_RESERVED:_FIRST_RESERVED + 4] == bytes(4)
-    blob[_FIRST_RESERVED:_FIRST_RESERVED + 4] = struct.pack("<I", 0xDEADBEEF)
-    with pytest.raises(BlobFormatError, match="reserved"):
-        load_system(bytes(blob))
+def test_system_header_rejected_by_build_system_is_a_format_error():
+    blob = dump_system(untrained_system("dct-sign-flip-3band"))
+    assert blob[_PER_COLOR] == 0
+    per_color = bytearray(blob)
+    per_color[_PER_COLOR] = 1
+    with pytest.raises(BlobFormatError, match="per_color"):
+        load_system(_reseal(bytes(per_color)))
+    per_color[_PER_COLOR] = 2
+    with pytest.raises(BlobFormatError, match="per-color byte 2"):
+        load_system(_reseal(bytes(per_color)))
+    # I = 0 with the channel tensors cut off, so the body parses to its end.
+    no_branches = bytearray(blob)
+    assert struct.unpack_from("<I", no_branches, _BRANCHES)[0] == 2
+    struct.pack_into("<I", no_branches, _BRANCHES, 0)
+    tensor_bytes = 3 * 2 * 4 * sum(fi * fo + fo for fi, fo in toy_arch().dense_shapes)
+    cut = bytes(no_branches[:-32 - tensor_bytes]) + blob[-32:]
+    with pytest.raises(BlobFormatError, match="branch"):
+        load_system(_reseal(cut))
 
 
-def test_system_header_groups_must_match_mode(trained_system):
-    blob = bytearray(dump_system(trained_system))
-    assert struct.unpack_from("<I", blob, _HEADER_J)[0] == trained_system.groups
-    struct.pack_into("<I", blob, _HEADER_J, 4 - trained_system.groups)
-    with pytest.raises(BlobFormatError, match="group"):
-        load_system(bytes(blob))
+def _flip_one_byte(blob: bytes, data) -> bytes:
+    pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+    mask = data.draw(st.integers(1, 255), label="mask")
+    flipped = bytearray(blob)
+    flipped[pos] ^= mask
+    return bytes(flipped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_any_single_byte_flip_is_rejected(data):
+    key = derive_subkey(MASTER, 0, 0, TAG_INIT)
+    for blob, load in ((dump_system(untrained_system(branches=1)), load_system),
+                       (dump_params(init_params(toy_arch(), key), key), load_params),
+                       (dump_adv_set(handmade_adv_set()), load_adv_set)):
+        with pytest.raises(BlobFormatError):
+            load(_flip_one_byte(blob, data))
 
 
 def test_system_per_color_round_trip():
@@ -275,11 +327,13 @@ def test_adv_set_corruption_detected():
     with pytest.raises(BlobFormatError, match="magic"):
         load_adv_set(b"RDIV" + blob[4:])
     with pytest.raises(BlobFormatError, match="truncated"):
-        load_adv_set(blob[:-5])
+        load_adv_set(_reseal(blob[:-5]))
     mangled = bytearray(blob)
     mangled[5] = 77  # attack kind byte
-    with pytest.raises(BlobFormatError, match="attack code"):
+    with pytest.raises(BlobFormatError, match="checksum"):
         load_adv_set(bytes(mangled))
+    with pytest.raises(BlobFormatError, match="attack code"):
+        load_adv_set(_reseal(bytes(mangled)))
 
 
 # The record count and image dims follow magic, version, kind byte and the
@@ -293,13 +347,13 @@ def test_adv_set_corrupt_count_raises_before_allocating():
     # 2**32 - 1 records of two 3x3x2 float32 images would need 300+ GB.
     struct.pack_into("<I", blob, _ADV_COUNT, 0xFFFFFFFF)
     with pytest.raises(BlobFormatError, match="truncated"):
-        load_adv_set(bytes(blob))
+        load_adv_set(_reseal(bytes(blob)))
     struct.pack_into("<III", blob, _ADV_COUNT, 5, 0xFFFF, 2)
     with pytest.raises(BlobFormatError, match="dims"):
-        load_adv_set(bytes(blob))
+        load_adv_set(_reseal(bytes(blob)))
     struct.pack_into("<III", blob, _ADV_COUNT, 4, 3, 2)
     with pytest.raises(BlobFormatError, match="trailing"):
-        load_adv_set(bytes(blob))
+        load_adv_set(_reseal(bytes(blob)))
 
 
 def test_file_round_trip_and_atomicity(tmp_path, trained_system):
