@@ -65,6 +65,7 @@ from .transforms import (
     Preprocessor,
     Subband,
     dct2,
+    fold_into_weights,
     idct2,
     make_preprocessor,
     preprocess,
@@ -102,6 +103,7 @@ __all__ = [
     "error_count",
     "fgsm_batch",
     "finite_difference_max_error",
+    "fold_into_weights",
     "forward",
     "idct2",
     "init_params",

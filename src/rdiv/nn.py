@@ -32,7 +32,9 @@ class ArchSpec:
 
     `layers` entries are (kind, dims): dense carries (fan_in, fan_out), the
     other kinds carry no dims. The stack must start with a dense layer, end
-    with softmax-output, and chain dimensions in between.
+    with softmax-output, and chain dimensions in between. The dense start is
+    what lets `system.predict_batch` fold each channel's linear keyed
+    transform into the first weights.
     """
 
     input_dim: int
@@ -56,6 +58,8 @@ class ArchSpec:
                 raise ValueError(f"layer {pos}: {kind} takes no dims")
             if kind == "softmax-output" and pos != len(self.layers) - 1:
                 raise ValueError("softmax-output must be the final layer")
+        if self.layers[0][0] != "dense":
+            raise ValueError("arch must start with a dense layer")
 
     @property
     def classes(self) -> int:

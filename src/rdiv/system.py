@@ -2,9 +2,12 @@
 
 A system is a grid of J transform groups x I branches. Every channel owns a
 keyed preprocessor and its own classifier trained on preprocessed inputs;
-inference sums the per-channel softmax vectors and takes the argmax. All
-keys derive from the system's master key, so the whole system is a
-deterministic function of (mode, master key, arch, data, hyper).
+inference sums the per-channel softmax vectors and takes the argmax. At
+classify time each keyed transform is applied to the channel's first-layer
+weights, not to the images: the transforms are linear and every arch starts
+with a dense layer, so the two give the same scores. All keys derive from the
+system's master key, so the whole system is a deterministic function of
+(mode, master key, arch, data, hyper).
 
 Modes:
   identity                  - J=1, passthrough channels (keyless baseline)
@@ -24,7 +27,13 @@ import numpy as np
 from .dataio import LabeledSet
 from .nn import ArchSpec, Hyper, ModelParams, forward, init_params, train
 from .rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
-from .transforms import Preprocessor, make_preprocessor, preprocess_batch, subband_rect
+from .transforms import (
+    Preprocessor,
+    fold_into_weights,
+    make_preprocessor,
+    preprocess_batch,
+    subband_rect,
+)
 
 MODES = ("identity", "direct-permutation", "dct-sign-flip-3band",
          "dct-hard-threshold-3band")
@@ -178,15 +187,27 @@ def train_system(system: SystemSpec, trainset: LabeledSet, hyper: Hyper,
 
 
 def predict_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
-    """Aggregate score vectors for a (B, N, N, m) batch: sum of channel softmaxes."""
+    """Aggregate score vectors for a (B, N, N, m) batch: sum of channel softmaxes.
+
+    The images are flattened once and never transformed: each channel runs
+    its classifier with the keyed transform folded into its first-layer
+    weights (`fold_into_weights`).
+    """
     for channel in system.channels:
         if not channel.trained:
             raise ValueError(f"channel ({channel.j}, {channel.i}) is untrained")
+    images = np.asarray(images)
+    expected = (system.size, system.size, system.colors)
+    if images.ndim != 4 or images.shape[1:] != expected:
+        raise ValueError(f"expected batch of shape (B, {system.size}, {system.size}, "
+                         f"{system.colors}), got {images.shape}")
+    flat = images.reshape(len(images), system.arch.input_dim)
     total = None
-    batch = images.shape[0]
     for channel in system.channels:
-        transformed = preprocess_batch(channel.preprocessor, images)
-        scores = forward(channel.params, transformed.reshape(batch, -1))
+        params = channel.params
+        w1 = fold_into_weights(channel.preprocessor, params.weights[0])
+        folded = ModelParams(params.arch, (w1,) + params.weights[1:], params.biases)
+        scores = forward(folded, flat)
         total = scores if total is None else total + scores
     return total
 

@@ -3,6 +3,9 @@
 A preprocessor is one channel's composed mapping: map the image into a
 transform domain, apply a key-derived data-independent operator there, and
 map back. The classifier behind it always consumes direct-domain images.
+Every kind is linear, so at classify time `fold_into_weights` moves the
+mapping into the classifier's first-layer weights instead of applying it
+to each image.
 
 Supported operator kinds:
 
@@ -208,8 +211,8 @@ def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
     if p.kind == "direct-permutation":
         batch = images.shape[0]
         flat = images.reshape(batch, p.size * p.size, p.colors)
-        out = np.empty_like(flat)
         if p.per_color:
+            out = np.empty_like(flat)
             for c in range(p.colors):
                 out[:, :, c] = flat[:, p.permutation[c], c]
         else:
@@ -219,8 +222,9 @@ def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
     # The DCT kinds operate on coefficients, per color channel.
     basis = DctPlan.create(p.size).basis
     # (B, N, N, m) -> (B, m, N, N) so matmul broadcasts over batch and color.
-    work = np.moveaxis(images, 3, 1).astype(np.float64)
-    coeffs = basis @ work @ basis.T
+    # No name holds the float64 copy, so it is freed once the first product
+    # has read it.
+    coeffs = basis @ np.moveaxis(images, 3, 1).astype(np.float64) @ basis.T
 
     if p.kind == "dct-sign-flip":
         coeffs *= p.sign_mask
@@ -230,3 +234,36 @@ def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
 
     out = basis.T @ coeffs @ basis
     return np.moveaxis(out, 1, 3).astype(images.dtype, copy=False)
+
+
+def fold_into_weights(p: Preprocessor, w1: np.ndarray) -> np.ndarray:
+    """First-layer weights that act on raw images as `w1` acts on preprocessed ones.
+
+    Every kind is a fixed linear map L on flattened (N, N, m) images, so
+    flat(L x) @ w1 == flat(x) @ (L^T w1). This returns L^T w1, with the
+    shape and dtype of the (N*N*m, H) matrix `w1`:
+
+    * identity: `w1` itself.
+    * direct-permutation: `w1`'s rows scattered to the pixels they read,
+      exact, with no float arithmetic.
+    * the DCT kinds: L = C^T M C with C orthonormal and M diagonal, which
+      is symmetric, so L^T w1 is `preprocess_batch` of `w1`'s columns
+      viewed as images.
+    """
+    w1 = np.asarray(w1)
+    pixels = p.size * p.size
+    if w1.ndim != 2 or w1.shape[0] != pixels * p.colors:
+        raise ValueError(f"expected ({pixels * p.colors}, H) weights, got {w1.shape}")
+    if p.kind == "identity":
+        return w1
+    if p.kind == "direct-permutation":
+        rows = w1.reshape(pixels, p.colors, -1)
+        out = np.empty_like(rows)
+        if p.per_color:
+            for c in range(p.colors):
+                out[p.permutation[c], c] = rows[:, c]
+        else:
+            out[p.permutation] = rows
+        return out.reshape(w1.shape)
+    columns = w1.T.reshape(-1, p.size, p.size, p.colors)
+    return preprocess_batch(p, columns).reshape(len(columns), -1).T

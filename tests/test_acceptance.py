@@ -34,6 +34,7 @@ from rdiv.system import (
     build_system,
     classify_batch,
     error_count,
+    first_branches,
     rebuild_preprocessors,
     train_system,
 )
@@ -48,7 +49,6 @@ TRAIN_CAP = 10000
 SIZE = 28
 HIDDEN = (256, 128)
 HYPER = Hyper()
-WORKERS = 4
 
 _MNIST_NAMES = {
     "train_images": "train-images-idx3-ubyte",
@@ -123,12 +123,12 @@ def surrogate(trainset, test_slice, arch):
 
 @pytest.fixture(scope="session")
 def perm_systems(trainset, arch):
-    systems = {}
-    for branches in (1, 5, 10):
-        system = build_system("direct-permutation", MASTER, 1, branches, arch,
-                              trainset.images.shape[1], trainset.images.shape[3])
-        systems[branches] = train_system(system, trainset, HYPER, workers=WORKERS)
-    return systems
+    # Channel (0, i) depends only on the key and its lineage, so the I=1 and
+    # I=5 grids are the first branches of the I=10 grid, bit for bit.
+    system = build_system("direct-permutation", MASTER, 1, 10, arch,
+                          trainset.images.shape[1], trainset.images.shape[3])
+    full = train_system(system, trainset, HYPER)
+    return {branches: first_branches(full, branches) for branches in (1, 5, 10)}
 
 
 @pytest.fixture(scope="session")
@@ -137,7 +137,7 @@ def band_systems(trainset, arch):
     for mode in ("dct-sign-flip-3band", "dct-hard-threshold-3band"):
         system = build_system(mode, MASTER, 3, 1, arch,
                               trainset.images.shape[1], trainset.images.shape[3])
-        systems[mode] = train_system(system, trainset, HYPER, workers=3)
+        systems[mode] = train_system(system, trainset, HYPER)
     return systems
 
 

@@ -86,6 +86,10 @@ class TestArchSpec:
         with pytest.raises(ValueError):
             ArchSpec(4, (("dense", (4, 3)),))
 
+    def test_must_start_with_dense(self):
+        with pytest.raises(ValueError, match="start with a dense"):
+            ArchSpec(4, (("relu", ()), ("dense", (4, 3)), ("softmax-output", ())))
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ArchSpec(4, (("conv9d", (4, 3)), ("softmax-output", ())))

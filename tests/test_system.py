@@ -17,6 +17,7 @@ from rdiv.system import (
     rebuild_preprocessors,
     train_system,
 )
+from rdiv.transforms import fold_into_weights, preprocess_batch
 
 SIZE = 8
 COLORS = 1
@@ -24,14 +25,14 @@ CLASSES = 3
 MASTER = MasterKey(0x1234ABCD5678EF90)
 
 
-def toy_arch():
-    return mlp_arch(SIZE * SIZE * COLORS, (16,), CLASSES)
+def toy_arch(colors=COLORS):
+    return mlp_arch(SIZE * SIZE * colors, (16,), CLASSES)
 
 
-def toy_set(count=60, seed=0, name="toy"):
+def toy_set(count=60, seed=0, name="toy", colors=COLORS):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, CLASSES, size=count).astype(np.int64)
-    images = rng.random((count, SIZE, SIZE, COLORS)).astype(np.float32) * 0.2
+    images = rng.random((count, SIZE, SIZE, colors)).astype(np.float32) * 0.2
     # Make classes separable: each class brightens its own stripe.
     for c in range(CLASSES):
         rows = labels == c
@@ -174,6 +175,62 @@ def test_scores_sum_to_channel_count(trained_perm_system):
     assert scores.shape == (20, CLASSES)
     assert np.all(scores >= 0)
     assert np.max(np.abs(scores.sum(axis=1) - channels)) < 1e-4
+
+
+def per_channel_scores(system, images):
+    """The reference: transform every image per channel, then classify it."""
+    total = None
+    for channel in system.channels:
+        transformed = preprocess_batch(channel.preprocessor, images)
+        scores = forward(channel.params, transformed.reshape(len(images), -1))
+        total = scores if total is None else total + scores
+    return total
+
+
+@pytest.mark.parametrize("mode, colors, per_color", [
+    ("identity", 1, False),
+    ("direct-permutation", 1, False),
+    ("direct-permutation", 3, True),
+    ("dct-sign-flip-3band", 1, False),
+    ("dct-hard-threshold-3band", 1, False),
+])
+def test_predict_batch_folds_transforms_into_first_layer(mode, colors, per_color):
+    system = train_system(
+        build_system(mode, MASTER, mode_groups(mode), 2, toy_arch(colors), SIZE,
+                     colors, per_color=per_color),
+        toy_set(colors=colors), toy_hyper())
+    images = toy_set(count=40, seed=9, colors=colors).images
+    scores = predict_batch(system, images)
+    expected = per_channel_scores(system, images)
+    assert scores.dtype == expected.dtype
+    assert np.max(np.abs(scores - expected)) <= 1e-5
+    assert np.array_equal(classify_batch(system, images), expected.argmax(axis=1))
+
+    if mode == "direct-permutation":
+        for channel in system.channels:
+            pre, w1 = channel.preprocessor, channel.params.weights[0]
+            rows = w1.reshape(SIZE * SIZE, colors, -1)
+            folded = fold_into_weights(pre, w1).reshape(rows.shape)
+            for c in range(colors):
+                perm = pre.permutation[c] if pre.per_color else pre.permutation
+                assert np.array_equal(folded[perm, c], rows[:, c])
+
+    poisoned = images.copy()
+    poisoned[3, 2, 5, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite values in the input"):
+        predict_batch(system, poisoned)
+    for bad in (images[:, :-1], images[0], images.reshape(40, -1)):
+        with pytest.raises(ValueError, match="expected batch of shape"):
+            predict_batch(system, bad)
+
+
+def test_empty_batch_gives_empty_results(trained_perm_system):
+    empty = np.zeros((0, SIZE, SIZE, COLORS), np.float32)
+    no_labels = np.zeros((0,), np.int64)
+    for system in (trained_perm_system, zero_net_system(reject_threshold=0.5)):
+        assert predict_batch(system, empty).shape == (0, CLASSES)
+        assert classify_batch(system, empty).shape == (0,)
+        assert error_count(system, empty, no_labels) == 0
 
 
 def test_untrained_predict_names_channel():

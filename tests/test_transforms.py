@@ -7,6 +7,7 @@ from rdiv.transforms import (
     Preprocessor,
     Subband,
     dct2,
+    fold_into_weights,
     idct2,
     make_preprocessor,
     preprocess,
@@ -212,3 +213,30 @@ class TestPreprocess:
                               subband=subband_rect("D", 8))
         batch = random_images(2, 8, 1)
         assert preprocess_batch(p, batch).dtype == np.float32
+
+
+class TestFoldIntoWeights:
+    @pytest.mark.parametrize("kind, colors, per_color", [
+        ("identity", 1, False),
+        ("direct-permutation", 3, False),
+        ("direct-permutation", 3, True),
+        ("dct-sign-flip", 3, False),
+        ("dct-hard-threshold", 1, False),
+    ])
+    def test_folded_weights_read_raw_images(self, kind, colors, per_color):
+        band = subband_rect("V", 8) if kind.startswith("dct") else None
+        p = make_preprocessor(kind, MASTER, 0, 0, 8, colors, subband=band,
+                              per_color=per_color)
+        rng = np.random.default_rng(15)
+        w1 = rng.standard_normal((64 * colors, 5))
+        x = random_images(4, 8, colors, seed=16).astype(np.float64)
+        expected = preprocess_batch(p, x).reshape(4, -1) @ w1
+        folded = fold_into_weights(p, w1)
+        assert folded.shape == w1.shape and folded.dtype == w1.dtype
+        assert np.allclose(x.reshape(4, -1) @ folded, expected, rtol=0, atol=1e-12)
+
+    def test_wrong_weight_shape_rejected(self):
+        p = make_preprocessor("direct-permutation", MASTER, 0, 0, 8, 1)
+        for shape in ((63, 5), (64,), (5, 64)):
+            with pytest.raises(ValueError, match="weights"):
+                fold_into_weights(p, np.zeros(shape, np.float32))
