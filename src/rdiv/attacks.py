@@ -27,6 +27,7 @@ from .nn import (
     ModelParams,
     backward_from_logits,
     batch_loss_and_grads,
+    check_labels,
     forward,
     init_params,
     logits_and_cache,
@@ -69,6 +70,10 @@ class AttackConfig:
             raise ValueError("cw needs c > 0, iterations >= 1, step_size > 0")
         if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
+        # bool is an int subclass, so YAML's `true` must be ruled out by name.
+        if isinstance(self.target, bool) or not isinstance(self.target, int) \
+                or self.target < 0:
+            raise ValueError(f"target must be a non-negative int, got {self.target!r}")
 
 
 @dataclass(frozen=True)
@@ -110,9 +115,9 @@ class AdvSet:
 
 def rescore_adv_set(adv: AdvSet, params: ModelParams) -> AdvSet:
     """Fill the surrogate prediction fields by running `params` on the set."""
-    batch = len(adv)
-    before = forward(params, adv.originals.reshape(batch, -1)).argmax(axis=1)
-    after = forward(params, adv.adversarials.reshape(batch, -1)).argmax(axis=1)
+    shape = (len(adv), params.arch.input_dim)
+    before = forward(params, adv.originals.reshape(shape)).argmax(axis=1)
+    after = forward(params, adv.adversarials.reshape(shape)).argmax(axis=1)
     return replace(adv, preds_before=before.astype(np.int64),
                    preds_after=after.astype(np.int64))
 
@@ -125,16 +130,15 @@ def train_surrogate(trainset: LabeledSet, arch: ArchSpec, hyper: Hyper,
     identity-mode system built from the same master key.
     """
     params = init_params(arch, derive_subkey(master, 0, 0, TAG_INIT))
-    flat = trainset.images.reshape(len(trainset), -1)
+    flat = trainset.images.reshape(len(trainset), arch.input_dim)
     return train(params, (flat, trainset.labels), hyper,
                  derive_subkey(master, 0, 0, TAG_SHUFFLE))
 
 
 def _input_grads(params: ModelParams, images: np.ndarray,
                  labels: np.ndarray) -> np.ndarray:
-    batch = images.shape[0]
-    flat = images.reshape(batch, -1)
-    _, _, _, dx = batch_loss_and_grads(params, flat, labels)
+    flat = images.reshape(len(images), params.arch.input_dim)
+    _, _, _, dx = batch_loss_and_grads(params, flat, labels, wrt="input")
     return dx.reshape(images.shape)
 
 
@@ -209,50 +213,77 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     Keeps the successful iterate with the smallest perturbation norm per
     sample; samples that never cross the margin come back unchanged. An
     input that already satisfies the margin is its own best answer (norm 0).
+    Labels, and the target of a targeted run, must be classes of `params`.
     """
     batch = images.shape[0]
-    flat_dim = int(np.prod(images.shape[1:]))
+    flat_dim = params.arch.input_dim
+    classes = params.arch.classes
+    labels = check_labels(labels, batch, classes)
+    if config.targeted and config.target >= classes:
+        raise ValueError(f"target {config.target} is not in [0, {classes})")
     x = images.reshape(batch, flat_dim).astype(np.float64)
     w = np.arctanh((2.0 * x - 1.0) * _TANH_CLIP)
     work = params.astype(np.float64)
 
     best_norm2 = np.full(batch, np.inf)
-    best = images.reshape(batch, flat_dim).astype(np.float64).copy()
+    best = x.copy()
 
     m = np.zeros_like(w)
     v = np.zeros_like(w)
-    rows = np.arange(batch)
+    # Each iterate is written into these; `tmp` and `step` hold temporaries.
+    tanh_w, adv, delta, dw, tmp, step = (np.empty_like(w) for _ in range(6))
 
-    def consider(candidate: np.ndarray, logits: np.ndarray) -> None:
+    def consider(candidate: np.ndarray, diff: np.ndarray, logits: np.ndarray) -> None:
+        """Keep `candidate` (= x + diff) where it succeeds with a smaller norm."""
         ok = _attack_succeeded(logits, labels, config)
-        norm2 = np.sum((candidate - x) ** 2, axis=1)
+        norm2 = np.sum(diff ** 2, axis=1)
         better = ok & (norm2 < best_norm2)
         best_norm2[better] = norm2[better]
         best[better] = candidate[better]
 
-    consider(x, logits_and_cache(work, x)[0])
-    for it in range(1, config.iterations + 1):
-        tanh_w = np.tanh(w)
-        adv = (tanh_w + 1.0) / 2.0
+    delta.fill(0.0)
+    consider(x, delta, logits_and_cache(work, x)[0])
+    # Pass `iterations + 1` only scores the last iterate: each pass scores
+    # the iterate the previous one produced, with the logits its gradient
+    # step needs anyway, so no iterate runs its forward pass twice.
+    for it in range(1, config.iterations + 2):
+        # adv = (tanh(w) + 1) / 2; delta = adv - x
+        np.tanh(w, out=tanh_w)
+        np.add(tanh_w, 1.0, out=adv)
+        adv /= 2.0
+        np.subtract(adv, x, out=delta)
         logits, cache = logits_and_cache(work, adv)
         if it > 1:
-            # adv is the iterate the previous step produced; score it here
-            # rather than running its forward pass twice.
-            consider(adv, logits)
-        margin, seed = _margin_and_seed(logits, labels, config.kappa,
-                                        config.targeted, config.target)
-        _, _, dadv = backward_from_logits(work, cache, config.c * seed)
-        dadv = dadv + 2.0 * (adv - x)
-        dw = dadv * (1.0 - tanh_w ** 2) / 2.0
-
-        m = 0.9 * m + 0.1 * dw
-        v = 0.999 * v + 0.001 * dw ** 2
-        m_hat = m / (1.0 - 0.9 ** it)
-        v_hat = v / (1.0 - 0.999 ** it)
-        w = w - config.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
-
-    adv = (np.tanh(w) + 1.0) / 2.0
-    consider(adv, logits_and_cache(work, adv)[0])
+            consider(adv, delta, logits)
+        if it > config.iterations:
+            break
+        _, seed = _margin_and_seed(logits, labels, config.kappa,
+                                   config.targeted, config.target)
+        _, _, dadv = backward_from_logits(work, cache, config.c * seed, wrt="input")
+        # dw = (dadv + 2 * delta) * (1 - tanh_w ** 2) / 2
+        np.multiply(2.0, delta, out=tmp)
+        dadv += tmp
+        np.square(tanh_w, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(dadv, tmp, out=dw)
+        dw /= 2.0
+        # m = 0.9 * m + 0.1 * dw
+        m *= 0.9
+        np.multiply(0.1, dw, out=tmp)
+        m += tmp
+        # v = 0.999 * v + 0.001 * dw ** 2
+        v *= 0.999
+        np.square(dw, out=tmp)
+        tmp *= 0.001
+        v += tmp
+        # w -= step_size * (m / (1 - 0.9 ** it)) / (sqrt(v / (1 - 0.999 ** it)) + 1e-8)
+        np.divide(v, 1.0 - 0.999 ** it, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += 1e-8
+        np.divide(m, 1.0 - 0.9 ** it, out=step)
+        step *= config.step_size
+        step /= tmp
+        w -= step
 
     found = np.isfinite(best_norm2)
     logger.debug("cw-l2: %d/%d samples attacked successfully",
@@ -263,7 +294,7 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
 def craft_adv_set(params: ModelParams, dataset: LabeledSet,
                   config: AttackConfig) -> AdvSet:
     """Run the configured attack over a whole dataset against `params`."""
-    images = dataset.images.astype(np.float32)
+    images = dataset.images
     labels = dataset.labels
     if config.kind == "fgsm":
         adv = fgsm_batch(params, images, labels, config.eps)
@@ -273,8 +304,9 @@ def craft_adv_set(params: ModelParams, dataset: LabeledSet,
     else:
         adv = cw_l2_batch(params, images, labels, config)
     batch = len(dataset)
-    preds_before = forward(params, images.reshape(batch, -1)).argmax(axis=1)
-    preds_after = forward(params, adv.reshape(batch, -1)).argmax(axis=1)
+    flat = (batch, params.arch.input_dim)
+    preds_before = forward(params, images.reshape(flat)).argmax(axis=1)
+    preds_after = forward(params, adv.reshape(flat)).argmax(axis=1)
     return AdvSet(config, np.arange(batch, dtype=np.int64), labels.copy(),
                   images.copy(), adv, preds_before.astype(np.int64),
                   preds_after.astype(np.int64))

@@ -22,9 +22,20 @@ class DatasetFormatError(ValueError):
     """Raised when a dataset file does not match its binary format."""
 
 
+def _describe(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype} array of shape {value.shape}"
+    return type(value).__name__
+
+
 @dataclass(frozen=True)
 class LabeledSet:
-    """Images (count, N, N, m) in [0, 1] with integer class labels."""
+    """Images (count, N, N, m) in [0, 1] with integer class labels.
+
+    Images must be float32 and labels a 1-D integer array; anything else is
+    rejected here, where input enters, rather than being cast (and integer
+    pixels truncated) by the transforms later.
+    """
 
     images: np.ndarray
     labels: np.ndarray
@@ -33,7 +44,15 @@ class LabeledSet:
     num_classes: int = 10
 
     def __post_init__(self):
-        if self.images.shape[0] != self.labels.shape[0]:
+        images, labels = self.images, self.labels
+        if not (isinstance(images, np.ndarray) and images.ndim == 4
+                and images.dtype == np.float32):
+            raise ValueError("images must be a (count, N, N, m) float32 array, "
+                             f"got {_describe(images)}")
+        if not (isinstance(labels, np.ndarray) and labels.ndim == 1
+                and np.issubdtype(labels.dtype, np.integer)):
+            raise ValueError(f"labels must be a 1-D integer array, got {_describe(labels)}")
+        if images.shape[0] != labels.shape[0]:
             raise ValueError("image count does not match label count")
 
     def __len__(self) -> int:

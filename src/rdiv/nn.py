@@ -220,15 +220,25 @@ def logits_and_cache(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, li
     return h, cache
 
 
+_GRAD_TARGETS = ("params", "input", "both")
+
+
 def backward_from_logits(params: ModelParams, cache: list, dlogits: np.ndarray,
-                         input_grad: bool = True) -> tuple[list, list, np.ndarray | None]:
+                         wrt: str = "both") -> tuple[list, list, np.ndarray | None]:
     """Reverse-mode pass from a gradient seed at the logits.
 
     Returns per-layer weight gradients, bias gradients, and the gradient
-    with respect to the flattened input batch. With `input_grad=False` the
-    pass stops at the first dense layer's parameter gradients and the input
-    gradient comes back as None; training needs no more than that.
+    with respect to the flattened input batch. `wrt` names the gradients
+    the caller uses, and the pass computes only those:
+      "params" - weight and bias gradients (training); the pass stops at
+                 the first dense layer and the input gradient is None.
+      "input"  - the input gradient (attacks); no `saved.T @ dh` or bias
+                 sum is formed, and every weight and bias slot is None.
+      "both"   - all of them (gradient checks).
+    Whatever is computed is bitwise the same under every `wrt`.
     """
+    if wrt not in _GRAD_TARGETS:
+        raise ValueError(f"wrt must be one of {_GRAD_TARGETS}, got {wrt!r}")
     dh = dlogits
     dweights = [None] * len(params.weights)
     dbiases = [None] * len(params.biases)
@@ -236,9 +246,10 @@ def backward_from_logits(params: ModelParams, cache: list, dlogits: np.ndarray,
     for kind, saved in reversed(cache):
         if kind == "dense":
             dense_idx -= 1
-            dweights[dense_idx] = saved.T @ dh
-            dbiases[dense_idx] = dh.sum(axis=0)
-            if dense_idx == 0 and not input_grad:
+            if wrt != "input":
+                dweights[dense_idx] = saved.T @ dh
+                dbiases[dense_idx] = dh.sum(axis=0)
+            if dense_idx == 0 and wrt == "params":
                 return dweights, dbiases, None
             dh = dh @ params.weights[dense_idx].T
         else:  # relu
@@ -258,32 +269,40 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return _softmax(z)
 
 
-def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray,
-                         input_grad: bool = True):
-    """Mean cross-entropy over a batch, with parameter and input gradients.
+def check_labels(labels, count: int, classes: int) -> np.ndarray:
+    """`labels` as an array of `count` class indices in [0, classes)."""
+    labels = np.asarray(labels)
+    if labels.shape != (count,) or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"expected {count} integer class labels, got "
+                         f"{labels.dtype} labels of shape {labels.shape}")
+    if np.any((labels < 0) | (labels >= classes)):
+        raise ValueError(f"labels must be in [0, {classes})")
+    return labels
 
-    Returns (loss, weight grads, bias grads, input grads). Input grads come
-    back per sample in the batch's (B, input_dim) shape, or as None when
-    `input_grad` is False.
+
+def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray,
+                         wrt: str = "both"):
+    """Mean cross-entropy over a batch, with the gradients `wrt` names.
+
+    Returns (loss, weight grads, bias grads, input grads), with None in the
+    slots `wrt` skips (see `backward_from_logits`). Input grads come back
+    per sample in the batch's (B, input_dim) shape. An empty batch has
+    loss 0 and empty gradients.
     """
     x2d = _as_batch(params.arch, x)
-    labels = np.asarray(labels)
-    classes = params.arch.classes
-    if labels.ndim != 1 or labels.shape[0] != x2d.shape[0]:
-        raise ValueError("labels must be one class index per sample")
-    if labels.min() < 0 or labels.max() >= classes:
-        raise ValueError(f"labels must be in [0, {classes})")
+    batch = x2d.shape[0]
+    labels = check_labels(labels, batch, params.arch.classes)
 
     z, cache = logits_and_cache(params, x2d)
     probs = _softmax(z)
-    batch = x2d.shape[0]
     picked = probs[np.arange(batch), labels]
-    loss = float(-np.log(np.maximum(picked, np.finfo(probs.dtype).tiny)).mean())
+    nll = -np.log(np.maximum(picked, np.finfo(probs.dtype).tiny))
+    loss = float(nll.mean()) if batch else 0.0
 
     dz = probs.copy()
     dz[np.arange(batch), labels] -= 1.0
     dz /= batch
-    dweights, dbiases, dx = backward_from_logits(params, cache, dz, input_grad)
+    dweights, dbiases, dx = backward_from_logits(params, cache, dz, wrt)
     return loss, dweights, dbiases, dx
 
 
@@ -347,7 +366,7 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
             idx = order[start:start + hyper.batch_size]
             current = ModelParams(params.arch, tuple(weights), tuple(biases))
             loss, dw, db, _ = batch_loss_and_grads(current, x2d[idx], labels[idx],
-                                                   input_grad=False)
+                                                   wrt="params")
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training diverged at epoch {epoch}: loss={loss}")
             epoch_loss += loss * len(idx)
@@ -433,7 +452,7 @@ def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int,
     _, dweights, dbiases, dx = batch_loss_and_grads(p64, x64, labels)
 
     def loss_at(p, xv):
-        return batch_loss_and_grads(p, xv, labels, input_grad=False)[0]
+        return batch_loss_and_grads(p, xv, labels, wrt="params")[0]
 
     worst = 0.0
 

@@ -11,11 +11,19 @@ from rdiv.attacks import (
     craft_adv_set,
     fgsm_batch,
     pgd_linf_batch,
+    rescore_adv_set,
     train_surrogate,
     transfer_eval,
 )
 from rdiv.dataio import LabeledSet
-from rdiv.nn import Hyper, backward_from_logits, forward, logits_and_cache, mlp_arch
+from rdiv.nn import (
+    Hyper,
+    backward_from_logits,
+    batch_loss_and_grads,
+    forward,
+    logits_and_cache,
+    mlp_arch,
+)
 from rdiv.rng import MasterKey
 from rdiv.system import build_system, classify_batch, train_system
 
@@ -110,6 +118,32 @@ def test_pgd_at_least_as_strong_as_fgsm(surrogate, probes):
         surrogate, pgd_linf_batch(surrogate, images, labels, eps, 0.02, 20),
         labels)
     assert pgd_err >= fgsm_err - 1e-9
+
+
+def reference_input_grads(params, images, labels):
+    """Input gradient taken from the full backward pass, weight gradients and all."""
+    _, _, _, dx = batch_loss_and_grads(params, images.reshape(len(images), -1),
+                                       labels, wrt="both")
+    return dx.reshape(images.shape)
+
+
+def reference_pgd(params, images, labels, eps, alpha, steps):
+    low = np.maximum(images - eps, 0.0)
+    high = np.minimum(images + eps, 1.0)
+    adv = images.copy()
+    for _ in range(steps):
+        grads = reference_input_grads(params, adv, labels)
+        adv = np.clip(adv + alpha * np.sign(grads), low, high)
+    return adv.astype(np.float32)
+
+
+def test_fgsm_and_pgd_equal_full_backward_reference(surrogate, probes):
+    images, labels = probes
+    grads = reference_input_grads(surrogate, images, labels)
+    expected = np.clip(images + 0.1 * np.sign(grads), 0.0, 1.0).astype(np.float32)
+    assert np.array_equal(fgsm_batch(surrogate, images, labels, 0.1), expected)
+    assert np.array_equal(pgd_linf_batch(surrogate, images, labels, 0.1, 0.02, 12),
+                          reference_pgd(surrogate, images, labels, 0.1, 0.02, 12))
 
 
 def cw_config(**kw):
@@ -219,6 +253,45 @@ def test_cw_equals_two_forward_reference(surrogate, probes, config):
     assert np.array_equal(got, reference_cw_l2(surrogate, images, labels, config))
 
 
+def test_cw_iterates_equal_textbook_formulas_in_float64(surrogate, probes, monkeypatch):
+    # The float32 output hides last-bit differences in the float64 iterates,
+    # so compare every point cw_l2_batch runs a forward pass on.
+    images, labels = probes
+    config = cw_config(iterations=25, kappa=0.5)
+    seen = []
+
+    def recording(params, x):
+        seen.append(np.array(x, copy=True))
+        return logits_and_cache(params, x)
+
+    monkeypatch.setattr("rdiv.attacks.logits_and_cache", recording)
+    cw_l2_batch(surrogate, images, labels, config)
+
+    x = images.reshape(len(images), -1).astype(np.float64)
+    w = np.arctanh((2.0 * x - 1.0) * _TANH_CLIP)
+    work = surrogate.astype(np.float64)
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    expected = [x]
+    for it in range(1, config.iterations + 1):
+        tanh_w = np.tanh(w)
+        adv = (tanh_w + 1.0) / 2.0
+        expected.append(adv)
+        logits, cache = logits_and_cache(work, adv)
+        _, seed = _margin_and_seed(logits, labels, config.kappa, False, 0)
+        _, _, dadv = backward_from_logits(work, cache, config.c * seed)
+        dw = (dadv + 2.0 * (adv - x)) * (1.0 - tanh_w ** 2) / 2.0
+        m = 0.9 * m + 0.1 * dw
+        v = 0.999 * v + 0.001 * dw ** 2
+        m_hat = m / (1.0 - 0.9 ** it)
+        v_hat = v / (1.0 - 0.999 ** it)
+        w = w - config.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
+    expected.append((np.tanh(w) + 1.0) / 2.0)
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        assert np.array_equal(got, want)
+
+
 def test_craft_adv_set_fields(surrogate):
     data = toy_set(count=10, seed=3)
     adv = craft_adv_set(surrogate, data, AttackConfig(kind="fgsm", eps=0.1))
@@ -232,6 +305,36 @@ def test_craft_adv_set_fields(surrogate):
     assert np.array_equal(adv.preds_after, expected_after)
     assert adv.surrogate_success_pct == pytest.approx(
         100.0 * np.mean(adv.preds_after != data.labels))
+
+
+@pytest.mark.parametrize("config", [
+    AttackConfig(kind="fgsm", eps=0.1),
+    AttackConfig(kind="pgd-linf", eps=0.1, steps=3),
+    AttackConfig(kind="cw-l2", iterations=3),
+], ids=["fgsm", "pgd", "cw"])
+def test_craft_adv_set_on_empty_set(surrogate, config):
+    empty = LabeledSet(np.zeros((0, SIZE, SIZE, COLORS), np.float32),
+                       np.zeros(0, np.int64), name="empty", paths=(),
+                       num_classes=CLASSES)
+    adv = craft_adv_set(surrogate, empty, config)
+    assert len(adv) == 0
+    assert adv.adversarials.shape == adv.originals.shape == (0, SIZE, SIZE, COLORS)
+    assert adv.adversarials.dtype == np.float32
+    assert adv.preds_before.shape == adv.preds_after.shape == (0,)
+    assert rescore_adv_set(adv, surrogate).preds_after.shape == (0,)
+
+
+def test_cw_rejects_labels_and_targets_outside_the_classes(surrogate, probes):
+    images, labels = probes
+    for bad in (np.full(len(labels), CLASSES), np.full(len(labels), -1),
+                labels[:-1], labels.astype(np.float64)):
+        with pytest.raises(ValueError, match="labels"):
+            cw_l2_batch(surrogate, images, bad, cw_config(iterations=1))
+    with pytest.raises(ValueError, match="target"):
+        cw_l2_batch(surrogate, images, labels,
+                    cw_config(iterations=1, targeted=True, target=CLASSES))
+    # An untargeted run ignores the target field, as it does every unused one.
+    cw_l2_batch(surrogate, images, labels, cw_config(iterations=1, target=CLASSES))
 
 
 def test_transfer_eval_identity_system_matches_surrogate(surrogate):
@@ -299,6 +402,9 @@ def test_attack_config_validation():
         AttackConfig(kind="cw-l2", c=0.0)
     with pytest.raises(ValueError):
         AttackConfig(kind="cw-l2", kappa=-1.0)
+    for target in (-1, True, 1.0, "2", None):
+        with pytest.raises(ValueError, match="target"):
+            AttackConfig(kind="cw-l2", targeted=True, target=target)
 
 
 def test_adv_set_length_validation():

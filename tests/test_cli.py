@@ -147,6 +147,12 @@ def test_parse_config_validates_values(data_dir, tmp_path):
     bad["attacks"][1]["eps"] = -1
     with pytest.raises(ConfigError, match="attacks"):
         parse_config(yaml.safe_dump(bad))
+    # A negative target would index the last class instead of failing.
+    for target in (-1, True, 1.0, "2"):
+        bad = yaml.safe_load(yaml.safe_dump(good))
+        bad["attacks"][1].update(targeted=True, target=target)
+        with pytest.raises(ConfigError, match="target"):
+            parse_config(yaml.safe_dump(bad))
 
 
 def test_parse_config_rejects_per_color_outside_direct_permutation(data_dir, tmp_path):

@@ -151,6 +151,24 @@ def test_labeled_set_count_mismatch_rejected():
                    name="x", paths=())
 
 
+def test_labeled_set_rejects_wrong_dtypes_and_shapes():
+    images = np.zeros((3, 2, 2, 1), np.float32)
+    labels = np.zeros(3, np.int64)
+    for bad, match in ((images.astype(np.uint8), "uint8"),
+                       (images.astype(np.float64), "float64"),
+                       (images.reshape(3, 4), r"shape \(3, 4\)"),
+                       (images.tolist(), "list")):
+        with pytest.raises(ValueError, match=match):
+            LabeledSet(bad, labels, name="x", paths=())
+    for bad, match in ((labels.astype(np.float32), "float32"),
+                       (labels.astype(bool), "bool"),
+                       (labels.reshape(3, 1), r"shape \(3, 1\)"),
+                       ([0, 0, 0], "list")):
+        with pytest.raises(ValueError, match=match):
+            LabeledSet(images, bad, name="x", paths=())
+    assert len(LabeledSet(images, labels.astype(np.uint8), name="x", paths=())) == 3
+
+
 def test_take_first(tmp_path):
     data = load_idx(*write_idx_pair(tmp_path, sample_pixels(), [5, 4, 3, 2, 1]))
     head = take_first(data, 2)

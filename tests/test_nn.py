@@ -8,9 +8,11 @@ from rdiv.nn import (
     Hyper,
     ModelParams,
     _keyed_order,
+    backward_from_logits,
     batch_loss_and_grads,
     forward,
     init_params,
+    logits_and_cache,
     mlp_arch,
     train,
 )
@@ -204,14 +206,74 @@ class TestLossAndGrads:
 
     def test_invalid_label(self):
         params = random_params(tiny_arch(), 5)
-        with pytest.raises(ValueError):
-            batch_loss_and_grads(params, np.zeros((1, 4)), np.array([3]))
+        for bad in (np.array([3]), np.array([-1]), np.array([0.0]),
+                    np.array([[0]]), np.array([0, 1])):
+            with pytest.raises(ValueError):
+                batch_loss_and_grads(params, np.zeros((1, 4)), bad)
 
     def test_non_finite_input_reported(self):
         params = random_params(tiny_arch(), 6)
         bad = np.array([[1.0, np.inf, 0.0, 0.0]])
         with pytest.raises(FloatingPointError):
             batch_loss_and_grads(params, bad, np.array([0]))
+
+
+class TestGradTargets:
+    """`wrt` skips gradients; whatever it computes equals the full pass bitwise."""
+
+    ARCH = mlp_arch(6, (5, 4), 3)  # two hidden ReLU layers: three dense layers
+
+    def batch(self, dtype):
+        rng = np.random.default_rng(8)
+        params = random_params(self.ARCH, 21).astype(dtype)
+        x = rng.standard_normal((7, 6)).astype(dtype)
+        return params, x, rng.integers(0, 3, size=7)
+
+    @staticmethod
+    def assert_same(got, full, skipped: bool):
+        if skipped:
+            assert got is None
+        else:
+            assert got.dtype == full.dtype and np.array_equal(got, full)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("wrt", ["params", "input", "both"])
+    def test_batch_loss_and_grads(self, wrt, dtype):
+        params, x, labels = self.batch(dtype)
+        loss, dw, db, dx = batch_loss_and_grads(params, x, labels, wrt=wrt)
+        full = batch_loss_and_grads(params, x, labels, wrt="both")
+        assert loss == full[0]
+        for k in range(3):
+            self.assert_same(dw[k], full[1][k], wrt == "input")
+            self.assert_same(db[k], full[2][k], wrt == "input")
+        self.assert_same(dx, full[3], wrt == "params")
+
+    @pytest.mark.parametrize("wrt", ["params", "input", "both"])
+    def test_backward_from_logits(self, wrt):
+        params, x, _ = self.batch(np.float64)
+        _, cache = logits_and_cache(params, x)
+        seed = np.random.default_rng(9).standard_normal((7, 3))
+        dw, db, dx = backward_from_logits(params, cache, seed, wrt)
+        full = backward_from_logits(params, cache, seed)
+        for k in range(3):
+            self.assert_same(dw[k], full[0][k], wrt == "input")
+            self.assert_same(db[k], full[1][k], wrt == "input")
+        self.assert_same(dx, full[2], wrt == "params")
+
+    def test_unknown_target_rejected(self):
+        params, x, labels = self.batch(np.float32)
+        for wrt in ("weights", "", None, True):
+            with pytest.raises(ValueError, match="wrt"):
+                batch_loss_and_grads(params, x, labels, wrt=wrt)
+
+    def test_empty_batch(self):
+        params, _, _ = self.batch(np.float32)
+        loss, dw, db, dx = batch_loss_and_grads(
+            params, np.zeros((0, 6), np.float32), np.zeros(0, np.int64))
+        assert loss == 0.0
+        assert dx.shape == (0, 6)
+        assert [g.shape for g in dw] == [(6, 5), (5, 4), (4, 3)]
+        assert all(not g.any() for g in dw + db)
 
 
 class TestTrain:
