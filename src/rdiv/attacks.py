@@ -106,10 +106,15 @@ class AdvSet:
 
     @property
     def surrogate_success_pct(self) -> float:
-        """Share of samples the surrogate now misclassifies, in percent."""
+        """Share of samples the surrogate now misclassifies, in percent.
+
+        An empty set has none, so it reads 0.0.
+        """
         if self.preds_after is None:
             raise ValueError("adversarial set has no surrogate predictions; "
                              "rescore it against a model first")
+        if len(self) == 0:
+            return 0.0
         return float(np.mean(self.preds_after != self.labels) * 100.0)
 
 

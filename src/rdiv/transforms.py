@@ -197,7 +197,8 @@ def preprocess(p: Preprocessor, x: np.ndarray) -> np.ndarray:
 def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
     """Apply the keyed mapping to a (B, N, N, m) batch.
 
-    Output dtype and shape match the input. DCT arithmetic runs in float64
+    Output dtype and shape match the input, and the output is C-contiguous,
+    so each image is one row once flattened. DCT arithmetic runs in float64
     and is cast back, keeping round trips well inside 1e-5 per entry.
     """
     images = np.asarray(images)
@@ -212,11 +213,13 @@ def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
         batch = images.shape[0]
         flat = images.reshape(batch, p.size * p.size, p.colors)
         if p.per_color:
-            out = np.empty_like(flat)
+            out = np.empty(flat.shape, flat.dtype)
             for c in range(p.colors):
                 out[:, :, c] = flat[:, p.permutation[c], c]
         else:
-            out = flat[:, p.permutation, :]
+            # `take` writes image-major rows; `flat[:, perm, :]` would come
+            # back pixel-major.
+            out = np.take(flat, p.permutation, axis=1)
         return out.reshape(images.shape)
 
     # The DCT kinds operate on coefficients, per color channel.
@@ -233,7 +236,7 @@ def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
         coeffs[:, :, r0:r1, c0:c1] = 0.0
 
     out = basis.T @ coeffs @ basis
-    return np.moveaxis(out, 1, 3).astype(images.dtype, copy=False)
+    return np.ascontiguousarray(np.moveaxis(out, 1, 3), dtype=images.dtype)
 
 
 def fold_into_weights(p: Preprocessor, w1: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from rdiv.nn import (
     ArchSpec,
     Hyper,
     ModelParams,
+    _BLOCK,
     _keyed_order,
     backward_from_logits,
     batch_loss_and_grads,
@@ -334,6 +335,18 @@ class TestTrain:
             train(params, (np.zeros((0, 4), dtype=np.float32), np.zeros(0, dtype=int)),
                   Hyper(), KEY)
 
+    def test_more_labels_than_images_rejected(self):
+        params = random_params(tiny_arch(), 1)
+        x = np.zeros((20, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="expected 20 integer class labels"):
+            train(params, (x, np.zeros(25, dtype=int)), Hyper(epochs=1), KEY)
+
+    def test_fewer_labels_than_images_rejected_before_training(self):
+        params = random_params(tiny_arch(), 1)
+        x = np.zeros((20, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="expected 20 integer class labels"):
+            train(params, (x, np.zeros(15, dtype=int)), Hyper(epochs=1), KEY)
+
 
 def test_keyed_order_is_the_shared_fisher_yates():
     assert _keyed_order(RngState(5), 10).tolist() == [3, 6, 0, 4, 5, 1, 2, 9, 7, 8]
@@ -374,29 +387,51 @@ def reference_train(params, x, y, hyper, key):
     return ModelParams(params.arch, tuple(weights), tuple(biases))
 
 
-class TestTrainMatchesReference:
-    """`train` skips the input gradient and updates in place; neither may
-    change a single bit of the result."""
+REFERENCE_HYPERS = pytest.mark.parametrize("hyper", [
+    Hyper(learning_rate=0.01, batch_size=16, epochs=3),
+    Hyper(learning_rate=0.05, batch_size=16, epochs=3, optimizer="sgd"),
+    Hyper(learning_rate=0.01, batch_size=16, epochs=3, weight_decay=0.01),
+    Hyper(learning_rate=0.05, batch_size=16, epochs=2, optimizer="sgd",
+          weight_decay=0.01),
+], ids=["adam", "sgd", "adam-decay", "sgd-decay"])
 
-    @pytest.mark.parametrize("hyper", [
-        Hyper(learning_rate=0.01, batch_size=16, epochs=3),
-        Hyper(learning_rate=0.05, batch_size=16, epochs=3, optimizer="sgd"),
-        Hyper(learning_rate=0.01, batch_size=16, epochs=3, weight_decay=0.01),
-        Hyper(learning_rate=0.05, batch_size=16, epochs=2, optimizer="sgd",
-              weight_decay=0.01),
-    ], ids=["adam", "sgd", "adam-decay", "sgd-decay"])
+
+class TestTrainMatchesReference:
+    """`train` skips the input gradient, updates in place in cache-sized
+    blocks and gathers batches from a row-major copy; none of it may change
+    a single bit of the result."""
+
+    def check(self, arch, x, y, hyper, dtype):
+        params = init_params(arch, KEY).astype(dtype)
+        shuffle = SubKey(21, 0, 0, 2)
+        got = train(params, (x, y), hyper, shuffle)
+        want = reference_train(params, np.array(x, dtype=dtype), y, hyper, shuffle)
+        assert got.dtype == dtype
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+
+    @REFERENCE_HYPERS
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bitwise_equal(self, hyper, dtype):
         rng = np.random.default_rng(3)
         x = rng.random((70, 12), dtype=np.float32)  # 70 = four full batches + 6
         y = rng.integers(0, 4, size=70)
-        params = init_params(mlp_arch(12, (10, 8), 4), KEY).astype(dtype)
-        shuffle = SubKey(21, 0, 0, 2)
-        got = train(params, (x, y), hyper, shuffle)
-        want = reference_train(params, x.astype(dtype), y, hyper, shuffle)
-        assert got.dtype == dtype
-        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
-            assert np.array_equal(a, b)
+        self.check(mlp_arch(12, (10, 8), 4), x, y, hyper, dtype)
+
+    @REFERENCE_HYPERS
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["several-blocks", "column-major"])
+    def test_bitwise_equal_beyond_one_block_and_layout(self, case, hyper, dtype):
+        rng = np.random.default_rng(5)
+        if case == "several-blocks":
+            arch = mlp_arch(300, (250,), 4)
+            assert arch.dense_shapes[0][0] * arch.dense_shapes[0][1] > _BLOCK
+            x = rng.random((70, 300), dtype=np.float32)
+        else:
+            arch = mlp_arch(12, (10, 8), 4)
+            x = np.asfortranarray(rng.random((70, 12), dtype=np.float32))
+        y = rng.integers(0, 4, size=70)
+        self.check(arch, x, y, hyper, dtype)
 
 
 class TestHyper:

@@ -214,6 +214,34 @@ class TestPreprocess:
         batch = random_images(2, 8, 1)
         assert preprocess_batch(p, batch).dtype == np.float32
 
+    @pytest.mark.parametrize("colors", [1, 3])
+    @pytest.mark.parametrize("kind, per_color", [
+        ("identity", False),
+        ("direct-permutation", False),
+        ("direct-permutation", True),
+        ("dct-sign-flip", False),
+        ("dct-hard-threshold", False),
+    ])
+    def test_batch_is_row_major(self, kind, per_color, colors):
+        # Training gathers each batch as whole rows of the flattened output.
+        band = subband_rect("V", 8) if kind.startswith("dct") else None
+        p = make_preprocessor(kind, MASTER, 0, 0, 8, colors, subband=band,
+                              per_color=per_color)
+        batch = random_images(6, 8, colors, seed=16)
+        out = preprocess_batch(p, batch)
+        assert out.flags.c_contiguous
+        flat = batch.reshape(6, 64, colors)
+        if kind == "identity":
+            want = flat
+        elif kind == "direct-permutation" and per_color:
+            want = np.stack([flat[:, p.permutation[c], c] for c in range(colors)], axis=2)
+        elif kind == "direct-permutation":
+            want = flat[:, p.permutation, :]
+        else:
+            # The DCT kinds gather nothing: compare with the per-image operator.
+            want = np.stack([preprocess(p, image) for image in batch])
+        assert np.array_equal(out, want.reshape(batch.shape))
+
 
 class TestFoldIntoWeights:
     @pytest.mark.parametrize("kind, colors, per_color", [
