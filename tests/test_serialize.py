@@ -48,11 +48,11 @@ def quick_hyper(epochs=2):
     return Hyper(learning_rate=5e-3, batch_size=16, epochs=epochs)
 
 
-@pytest.fixture(scope="module", params=["direct-permutation", "dct-sign-flip-3band"])
+@pytest.fixture(scope="module", params=["direct-permutation", "dct-sign-flip-3band",
+                                        "dct-hard-threshold-3band"])
 def trained_system(request):
     mode = request.param
-    groups = 1 if mode == "direct-permutation" else 3
-    system = build_system(mode, MASTER, groups, 2, toy_arch(), SIZE, COLORS)
+    system = build_system(mode, MASTER, mode_groups(mode), 2, toy_arch(), SIZE, COLORS)
     return train_system(system, toy_set(), quick_hyper())
 
 
@@ -153,6 +153,7 @@ def test_system_dump_is_deterministic(trained_system):
 GOLDEN_SYSTEM_SHA256 = {
     "direct-permutation": "ce232637815b4700b4549df0ea67af74e815903c274bfe060cc86d0adb69b389",
     "dct-sign-flip-3band": "1603024d5716f7d0b122fec689aaa64299742de89685f2fb62efb33f8767191d",
+    "dct-hard-threshold-3band": "5a0fe9d0b3d30fc1b558933ce7ace8e364a9a0c76f6853b4946cfdc4f57039b4",
 }
 GOLDEN_PER_COLOR_SHA256 = "a1f1a4f8fa4778fcae9c100a5a71ce1dd008d87ab8354dae8cca6045e477c960"
 GOLDEN_UNTRAINED_SHA256 = "8a17c9cfe2d58a9a598e64325fb1930dc47f94b2b364367748f2cbafd58e8fcf"
