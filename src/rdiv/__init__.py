@@ -61,14 +61,9 @@ from .system import (
     train_system,
 )
 from .transforms import (
-    DctPlan,
     Preprocessor,
-    Subband,
-    dct2,
     fold_into_weights,
-    idct2,
     make_preprocessor,
-    preprocess,
     preprocess_batch,
     subband_rect,
 )
@@ -82,7 +77,6 @@ __all__ = [
     "AttackConfig",
     "BlobFormatError",
     "DatasetFormatError",
-    "DctPlan",
     "GROUP_BANDS",
     "Hyper",
     "LabeledSet",
@@ -91,21 +85,18 @@ __all__ = [
     "ModelParams",
     "Preprocessor",
     "REJECT",
-    "Subband",
     "SubKey",
     "SystemSpec",
     "build_system",
     "classify_batch",
     "craft_adv_set",
     "cw_l2_batch",
-    "dct2",
     "derive_subkey",
     "error_count",
     "fgsm_batch",
     "finite_difference_max_error",
     "fold_into_weights",
     "forward",
-    "idct2",
     "init_params",
     "load_cifar10",
     "load_idx",
@@ -114,7 +105,6 @@ __all__ = [
     "mode_groups",
     "pgd_linf_batch",
     "predict_batch",
-    "preprocess",
     "preprocess_batch",
     "read_adv_set",
     "read_params",

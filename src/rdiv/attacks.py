@@ -150,6 +150,7 @@ def _input_grads(params: ModelParams, images: np.ndarray,
 def fgsm_batch(params: ModelParams, images: np.ndarray,
                labels: np.ndarray, eps: float) -> np.ndarray:
     """One signed loss-gradient step per image, clamped to [0, 1]."""
+    labels = check_labels(labels, len(images), params.arch.classes)
     grads = _input_grads(params, images, labels)
     return np.clip(images + eps * np.sign(grads), 0.0, 1.0).astype(np.float32)
 
@@ -160,6 +161,7 @@ def pgd_linf_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
 
     Starts at the clean image, so steps=1 with alpha=eps reproduces fgsm.
     """
+    labels = check_labels(labels, len(images), params.arch.classes)
     low = np.maximum(images - eps, 0.0)
     high = np.minimum(images + eps, 1.0)
     adv = images.copy()
@@ -171,11 +173,12 @@ def pgd_linf_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
 
 def _margin_and_seed(logits: np.ndarray, labels: np.ndarray, kappa: float,
                      targeted: bool, target: int):
-    """Margin value per sample plus the logit-space gradient seed.
+    """Raw margin per sample plus the logit-space gradient seed.
 
-    Untargeted: margin = max(Z_y - max_{t != y} Z_t + kappa, 0); driving it
-    to zero pushes some wrong class above the true one by kappa. Targeted
-    swaps the roles so the chosen class must win by kappa.
+    Untargeted: margin = Z_y - max_{t != y} Z_t + kappa; it is negative once
+    some wrong class beats the true one by more than kappa, which is success.
+    Targeted swaps the roles so the chosen class must win by more than kappa.
+    The loss is max(margin, 0), so only positive margins seed a gradient.
     """
     batch, classes = logits.shape
     rows = np.arange(batch)
@@ -191,24 +194,11 @@ def _margin_and_seed(logits: np.ndarray, labels: np.ndarray, kappa: float,
         rival = keep.argmax(axis=1)
         raw = logits[rows, labels] - keep[rows, rival] + kappa
         up, down = labels, rival
-    margin = np.maximum(raw, 0.0)
     seed = np.zeros_like(logits)
     active = raw > 0
     seed[rows[active], np.broadcast_to(up, (batch,))[active]] = 1.0
     seed[rows[active], np.broadcast_to(down, (batch,))[active]] = -1.0
-    return margin, seed
-
-
-def _attack_succeeded(logits: np.ndarray, labels: np.ndarray,
-                      config: AttackConfig) -> np.ndarray:
-    batch = logits.shape[0]
-    rows = np.arange(batch)
-    keep = logits.copy()
-    if config.targeted:
-        keep[rows, config.target] = -np.inf
-        return logits[:, config.target] - keep.max(axis=1) > config.kappa
-    keep[rows, labels] = -np.inf
-    return keep.max(axis=1) - logits[rows, labels] > config.kappa
+    return raw, seed
 
 
 def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
@@ -238,16 +228,17 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     # Each iterate is written into these; `tmp` and `step` hold temporaries.
     tanh_w, adv, delta, dw, tmp, step = (np.empty_like(w) for _ in range(6))
 
-    def consider(candidate: np.ndarray, diff: np.ndarray, logits: np.ndarray) -> None:
-        """Keep `candidate` (= x + diff) where it succeeds with a smaller norm."""
-        ok = _attack_succeeded(logits, labels, config)
+    def consider(candidate: np.ndarray, diff: np.ndarray, margin: np.ndarray) -> None:
+        """Keep `candidate` (= x + diff) where its margin is negative and its norm smaller."""
         norm2 = np.sum(diff ** 2, axis=1)
-        better = ok & (norm2 < best_norm2)
+        better = (margin < 0) & (norm2 < best_norm2)
         best_norm2[better] = norm2[better]
         best[better] = candidate[better]
 
     delta.fill(0.0)
-    consider(x, delta, logits_and_cache(work, x)[0])
+    margin, _ = _margin_and_seed(logits_and_cache(work, x)[0], labels, config.kappa,
+                                 config.targeted, config.target)
+    consider(x, delta, margin)
     # Pass `iterations + 1` only scores the last iterate: each pass scores
     # the iterate the previous one produced, with the logits its gradient
     # step needs anyway, so no iterate runs its forward pass twice.
@@ -258,12 +249,12 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
         adv /= 2.0
         np.subtract(adv, x, out=delta)
         logits, cache = logits_and_cache(work, adv)
+        margin, seed = _margin_and_seed(logits, labels, config.kappa,
+                                        config.targeted, config.target)
         if it > 1:
-            consider(adv, delta, logits)
+            consider(adv, delta, margin)
         if it > config.iterations:
             break
-        _, seed = _margin_and_seed(logits, labels, config.kappa,
-                                   config.targeted, config.target)
         _, _, dadv = backward_from_logits(work, cache, config.c * seed, wrt="input")
         # dw = (dadv + 2 * delta) * (1 - tanh_w ** 2) / 2
         np.multiply(2.0, delta, out=tmp)
@@ -308,13 +299,8 @@ def craft_adv_set(params: ModelParams, dataset: LabeledSet,
                              config.alpha, config.steps)
     else:
         adv = cw_l2_batch(params, images, labels, config)
-    batch = len(dataset)
-    flat = (batch, params.arch.input_dim)
-    preds_before = forward(params, images.reshape(flat)).argmax(axis=1)
-    preds_after = forward(params, adv.reshape(flat)).argmax(axis=1)
-    return AdvSet(config, np.arange(batch, dtype=np.int64), labels.copy(),
-                  images.copy(), adv, preds_before.astype(np.int64),
-                  preds_after.astype(np.int64))
+    return rescore_adv_set(AdvSet(config, np.arange(len(dataset), dtype=np.int64),
+                                  labels.copy(), images.copy(), adv), params)
 
 
 def transfer_eval(system: SystemSpec, surrogate: ModelParams,

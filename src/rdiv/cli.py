@@ -494,11 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EMPTY_CONFIG = RunConfig("", "", (), (), 10, "direct-permutation", (1,),
-                          None, False, None, DEFAULT_HIDDEN, Hyper(), (),
-                          DEFAULT_LIMIT, None, 1)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -508,7 +503,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"config file not found: {config_path}")
             config = parse_config(config_path.read_text())
         else:
-            config = _EMPTY_CONFIG
+            config = parse_config("")
         config = _apply_overrides(config, args)
         return _COMMANDS[args.command](config)
     # ConfigError, BlobFormatError and DatasetFormatError are ValueErrors.

@@ -287,11 +287,11 @@ def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray,
     Returns (loss, weight grads, bias grads, input grads), with None in the
     slots `wrt` skips (see `backward_from_logits`). Input grads come back
     per sample in the batch's (B, input_dim) shape. An empty batch has
-    loss 0 and empty gradients.
+    loss 0 and empty gradients. `labels` are not checked here: every entry
+    point that reaches this checks them once with `check_labels`.
     """
     x2d = _as_batch(params.arch, x)
     batch = x2d.shape[0]
-    labels = check_labels(labels, batch, params.arch.classes)
 
     z, cache = logits_and_cache(params, x2d)
     probs = _softmax(z)
@@ -466,7 +466,7 @@ def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int,
     """
     p64 = params.astype(np.float64)
     x64 = np.array(x, dtype=np.float64).reshape(1, -1)
-    labels = np.asarray([label])
+    labels = check_labels([label], 1, params.arch.classes)
     _, dweights, dbiases, dx = batch_loss_and_grads(p64, x64, labels)
 
     def loss_at(p, xv):

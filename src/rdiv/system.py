@@ -243,11 +243,8 @@ def rebuild_preprocessors(system: SystemSpec, master: MasterKey) -> SystemSpec:
     Channel parameters are kept. This models an evaluator holding the wrong
     secret key; with keyed modes the decisions should collapse to chance.
     """
-    channels = []
-    for channel in system.channels:
-        old = channel.preprocessor
-        pre = make_preprocessor(old.kind, master, channel.j, channel.i,
-                                old.size, old.colors, subband=old.subband,
-                                per_color=old.per_color)
-        channels.append(replace(channel, preprocessor=pre))
-    return replace(system, master=master, channels=tuple(channels))
+    return build_system(system.mode, master, system.groups, system.branches,
+                        system.arch, system.size, system.colors,
+                        system.reject_threshold,
+                        per_color=system.channels[0].preprocessor.per_color,
+                        params=[c.params for c in system.channels])

@@ -16,9 +16,10 @@ Supported operator kinds:
                              sub-band (or the whole plane), an involution.
 * ``dct-hard-threshold``   - zero the DCT coefficients of one sub-band.
 
-The 2D DCT is computed by explicit basis-matrix multiplication. Images here
-are small (N <= 32), and the matrix form keeps the operator algebra obvious:
-forward is C x C^T, inverse is C^T X C, with C orthonormal.
+Both DCT kinds multiply the coefficients by one (N, N) mask. The 2D DCT is
+computed by explicit basis-matrix multiplication. Images here are small
+(N <= 32), and the matrix form keeps the operator algebra obvious: forward
+is C x C^T, inverse is C^T X C, with C orthonormal.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .rng import (
     TAG_PER_COLOR_BASE,
     TAG_PREPROCESS,
     MasterKey,
-    SubKey,
     derive_subkey,
     keyed_permutation,
     keyed_sign_mask,
@@ -42,57 +42,33 @@ KINDS = ("identity", "direct-permutation", "dct-sign-flip", "dct-hard-threshold"
 SUBBAND_IDS = ("LOW", "V", "H", "D")
 
 
-@dataclass(frozen=True)
-class DctPlan:
-    """Orthonormal DCT-II basis for N x N images."""
-
-    size: int
-    basis: np.ndarray
-
-    @classmethod
-    def create(cls, size: int) -> "DctPlan":
-        if size < 1:
-            raise ValueError("plan size must be positive")
-        n = np.arange(size)
-        u = n.reshape(-1, 1)
-        basis = np.sqrt(2.0 / size) * np.cos(np.pi * (2 * n + 1) * u / (2 * size))
-        basis[0, :] = np.sqrt(1.0 / size)
-        return cls(size, basis)
+def dct_basis(size: int) -> np.ndarray:
+    """Orthonormal DCT-II basis C for N x N images, float64 (N, N)."""
+    if size < 1:
+        raise ValueError("basis size must be positive")
+    n = np.arange(size)
+    u = n.reshape(-1, 1)
+    basis = np.sqrt(2.0 / size) * np.cos(np.pi * (2 * n + 1) * u / (2 * size))
+    basis[0, :] = np.sqrt(1.0 / size)
+    return basis
 
 
-def dct2(plan: DctPlan, x: np.ndarray) -> np.ndarray:
-    """2D DCT coefficients of an N x N matrix: C x C^T."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (plan.size, plan.size):
-        raise ValueError(f"expected {plan.size}x{plan.size} input, got {x.shape}")
-    return plan.basis @ x @ plan.basis.T
+def dct2(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """2D DCT of the trailing N x N axes of `x`, in float64: C x C^T.
+
+    The float64 copy of `x` has no name, so it is freed once the first
+    product has read it.
+    """
+    return basis @ x.astype(np.float64) @ basis.T
 
 
-def idct2(plan: DctPlan, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of dct2: C^T X C."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (plan.size, plan.size):
-        raise ValueError(f"expected {plan.size}x{plan.size} coefficients, got {coeffs.shape}")
-    return plan.basis.T @ coeffs @ plan.basis
+def idct2(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of dct2 over the trailing N x N axes: C^T X C."""
+    return basis.T @ coeffs @ basis
 
 
-@dataclass(frozen=True)
-class Subband:
-    """One quadrant of the N x N DCT plane, half-open row/col ranges."""
-
-    id: str
-    row0: int
-    row1: int
-    col0: int
-    col1: int
-
-    @property
-    def rect(self) -> tuple[int, int, int, int]:
-        return (self.row0, self.row1, self.col0, self.col1)
-
-
-def subband_rect(band_id: str, size: int) -> Subband:
-    """The fixed equal-quadrant split of the DCT plane.
+def subband_rect(band_id: str, size: int) -> tuple[int, int, int, int]:
+    """One quadrant of the N x N DCT plane as half-open (r0, r1, c0, c1).
 
     LOW is the top-left quadrant (low frequencies, DC included), V top-right,
     H bottom-left, D bottom-right. Requires even N.
@@ -102,67 +78,59 @@ def subband_rect(band_id: str, size: int) -> Subband:
     if band_id not in SUBBAND_IDS:
         raise ValueError(f"unknown sub-band {band_id!r}")
     half = size // 2
-    ranges = {
+    return {
         "LOW": (0, half, 0, half),
         "V": (0, half, half, size),
         "H": (half, size, 0, half),
         "D": (half, size, half, size),
-    }
-    return Subband(band_id, *ranges[band_id])
+    }[band_id]
 
 
 @dataclass(frozen=True)
 class Preprocessor:
     """One channel's keyed mapping, immutable after construction.
 
-    Payload semantics by kind:
-      identity            - no payload
-      direct-permutation  - permutation: (n*n,) indices, or (m, n*n) when
+    Payload by kind:
+      identity            - none
+      direct-permutation  - permutation: (N*N,) indices, or (m, N*N) when
                             per_color is set
-      dct-sign-flip       - sign_mask: (N, N) in {-1, +1}, plus subband
-      dct-hard-threshold  - subband to zero
+      the DCT kinds       - mask: float64 (N, N) factors for the DCT
+                            coefficients of every color channel; keyed +-1
+                            inside the sub-band for dct-sign-flip, 0 inside
+                            it for dct-hard-threshold, 1 outside it
     """
 
     kind: str
-    key: SubKey
     size: int
     colors: int
     permutation: np.ndarray | None = None
     per_color: bool = False
-    sign_mask: np.ndarray | None = None
-    subband: Subband | None = None
+    mask: np.ndarray | None = None
 
     def payload_equal(self, other: "Preprocessor") -> bool:
         """Structural equality of the materialized payloads."""
-        if (self.kind, self.size, self.colors, self.per_color) != \
-                (other.kind, other.size, other.colors, other.per_color):
-            return False
-        if self.subband != other.subband:
-            return False
-        for mine, theirs in ((self.permutation, other.permutation),
-                             (self.sign_mask, other.sign_mask)):
-            if (mine is None) != (theirs is None):
-                return False
-            if mine is not None and not np.array_equal(mine, theirs):
-                return False
-        return True
+        return ((self.kind, self.size, self.colors, self.per_color)
+                == (other.kind, other.size, other.colors, other.per_color)
+                and np.array_equal(self.permutation, other.permutation)
+                and np.array_equal(self.mask, other.mask))
 
 
 def make_preprocessor(kind: str, master: MasterKey, j: int, i: int,
                       size: int, colors: int,
-                      subband: Subband | None = None,
+                      subband: tuple[int, int, int, int] | None = None,
                       per_color: bool = False) -> Preprocessor:
     """Derive the (j, i) sub-key and materialize the keyed payload.
 
-    dct-sign-flip and dct-hard-threshold require `subband`. `per_color` gives
-    direct-permutation an independent permutation per color channel instead
-    of the default shared one.
+    The DCT kinds require `subband`, the half-open (r0, r1, c0, c1)
+    rectangle of the coefficient plane they act on (see `subband_rect`).
+    `per_color` gives direct-permutation an independent permutation per
+    color channel instead of the default shared one.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown preprocessor kind {kind!r}")
     key = derive_subkey(master, j, i, TAG_PREPROCESS)
     if kind == "identity":
-        return Preprocessor(kind, key, size, colors)
+        return Preprocessor(kind, size, colors)
     if kind == "direct-permutation":
         n = size * size
         if per_color:
@@ -170,28 +138,17 @@ def make_preprocessor(kind: str, master: MasterKey, j: int, i: int,
                 keyed_permutation(derive_subkey(master, j, i, TAG_PER_COLOR_BASE + c), n)
                 for c in range(colors)
             ])
-            return Preprocessor(kind, key, size, colors,
-                                permutation=perms, per_color=True)
-        return Preprocessor(kind, key, size, colors,
-                            permutation=keyed_permutation(key, n))
-    if kind == "dct-sign-flip":
-        if subband is None:
-            raise ValueError("dct-sign-flip requires a sub-band")
-        mask = keyed_sign_mask(key, (size, size), subband.rect)
-        return Preprocessor(kind, key, size, colors,
-                            sign_mask=mask, subband=subband)
-    # dct-hard-threshold
+            return Preprocessor(kind, size, colors, permutation=perms, per_color=True)
+        return Preprocessor(kind, size, colors, permutation=keyed_permutation(key, n))
     if subband is None:
-        raise ValueError("dct-hard-threshold requires a sub-band")
-    return Preprocessor(kind, key, size, colors, subband=subband)
-
-
-def preprocess(p: Preprocessor, x: np.ndarray) -> np.ndarray:
-    """Apply the keyed mapping to one N x N x m image."""
-    x = np.asarray(x)
-    if x.shape != (p.size, p.size, p.colors):
-        raise ValueError(f"expected shape {(p.size, p.size, p.colors)}, got {x.shape}")
-    return preprocess_batch(p, x[np.newaxis])[0]
+        raise ValueError(f"{kind} requires a sub-band")
+    if kind == "dct-sign-flip":
+        mask = keyed_sign_mask(key, (size, size), subband)
+    else:  # dct-hard-threshold
+        r0, r1, c0, c1 = subband
+        mask = np.ones((size, size))
+        mask[r0:r1, c0:c1] = 0.0
+    return Preprocessor(kind, size, colors, mask=mask)
 
 
 def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
@@ -222,20 +179,12 @@ def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
             out = np.take(flat, p.permutation, axis=1)
         return out.reshape(images.shape)
 
-    # The DCT kinds operate on coefficients, per color channel.
-    basis = DctPlan.create(p.size).basis
+    # The DCT kinds scale coefficients, per color channel.
+    basis = dct_basis(p.size)
     # (B, N, N, m) -> (B, m, N, N) so matmul broadcasts over batch and color.
-    # No name holds the float64 copy, so it is freed once the first product
-    # has read it.
-    coeffs = basis @ np.moveaxis(images, 3, 1).astype(np.float64) @ basis.T
-
-    if p.kind == "dct-sign-flip":
-        coeffs *= p.sign_mask
-    else:  # dct-hard-threshold
-        r0, r1, c0, c1 = p.subband.rect
-        coeffs[:, :, r0:r1, c0:c1] = 0.0
-
-    out = basis.T @ coeffs @ basis
+    coeffs = dct2(basis, np.moveaxis(images, 3, 1))
+    coeffs *= p.mask
+    out = idct2(basis, coeffs)
     return np.ascontiguousarray(np.moveaxis(out, 1, 3), dtype=images.dtype)
 
 

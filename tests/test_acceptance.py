@@ -38,8 +38,9 @@ from rdiv.system import (
     rebuild_preprocessors,
     train_system,
 )
-from rdiv.transforms import DctPlan, dct2, idct2, make_preprocessor, preprocess, subband_rect
+from rdiv.transforms import dct2, dct_basis, idct2, make_preprocessor, subband_rect
 
+from _helpers import preprocess
 from _synth import ensure_dataset, make_dataset, write_idx
 
 MASTER = MasterKey(0x5EED5EED5EED5EED)
@@ -155,11 +156,11 @@ def _random_images(count: int, tag_branch: int) -> np.ndarray:
 
 def test_criterion_01_transform_round_trip():
     start = time.perf_counter()
-    plan = DctPlan.create(SIZE)
-    gram_err = float(np.abs(plan.basis @ plan.basis.T - np.eye(SIZE)).max())
+    basis = dct_basis(SIZE)
+    gram_err = float(np.abs(basis @ basis.T - np.eye(SIZE)).max())
     worst = 0.0
     for pos, image in enumerate(_random_images(100, 0)):
-        restored = idct2(plan, dct2(plan, image.astype(np.float64)))
+        restored = idct2(basis, dct2(basis, image))
         worst = max(worst, float(np.abs(restored - image).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5 and gram_err < 1e-10 and elapsed < 1.0

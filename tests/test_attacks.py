@@ -5,7 +5,6 @@ from rdiv.attacks import (
     _TANH_CLIP,
     AdvSet,
     AttackConfig,
-    _attack_succeeded,
     _margin_and_seed,
     cw_l2_batch,
     craft_adv_set,
@@ -202,6 +201,31 @@ def test_cw_kappa_enforces_margin(surrogate, probes):
     margin = keep.max(axis=1) - logits[rows, labels]
     moved = np.any(adv != images, axis=(1, 2, 3))
     assert np.all(margin[moved] > kappa)
+
+
+def _attack_succeeded(logits: np.ndarray, labels: np.ndarray,
+                      config: AttackConfig) -> np.ndarray:
+    batch = logits.shape[0]
+    rows = np.arange(batch)
+    keep = logits.copy()
+    if config.targeted:
+        keep[rows, config.target] = -np.inf
+        return logits[:, config.target] - keep.max(axis=1) > config.kappa
+    keep[rows, labels] = -np.inf
+    return keep.max(axis=1) - logits[rows, labels] > config.kappa
+
+
+@pytest.mark.parametrize("targeted", [False, True])
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 2.0])
+def test_negative_margin_is_success(targeted, kappa):
+    # Integer logits make ties and margins of exactly kappa common.
+    rng = np.random.default_rng(int(kappa * 10) + targeted)
+    for logits in (rng.integers(-3, 4, size=(400, 4)).astype(np.float64),
+                   rng.standard_normal((400, 4)) * 3.0):
+        labels = rng.integers(0, 4, size=400)
+        config = cw_config(kappa=kappa, targeted=targeted, target=1)
+        margin, _ = _margin_and_seed(logits, labels, kappa, targeted, 1)
+        assert np.array_equal(margin < 0, _attack_succeeded(logits, labels, config))
 
 
 def reference_cw_l2(params, images, labels, config):

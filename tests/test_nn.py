@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rdiv.attacks import fgsm_batch, pgd_linf_batch
 from rdiv.nn import (
     ArchSpec,
     Hyper,
@@ -11,6 +12,7 @@ from rdiv.nn import (
     _keyed_order,
     backward_from_logits,
     batch_loss_and_grads,
+    finite_difference_max_error,
     forward,
     init_params,
     logits_and_cache,
@@ -206,11 +208,18 @@ class TestLossAndGrads:
             batch_loss_and_grads(params, x, labels)
 
     def test_invalid_label(self):
+        # batch_loss_and_grads trusts its labels; the entry points check them.
         params = random_params(tiny_arch(), 5)
+        image = np.zeros((1, 2, 2, 1), np.float32)
         for bad in (np.array([3]), np.array([-1]), np.array([0.0]),
                     np.array([[0]]), np.array([0, 1])):
-            with pytest.raises(ValueError):
-                batch_loss_and_grads(params, np.zeros((1, 4)), bad)
+            with pytest.raises(ValueError, match="labels"):
+                fgsm_batch(params, image, bad, 0.1)
+            with pytest.raises(ValueError, match="labels"):
+                pgd_linf_batch(params, image, bad, 0.1, 0.05, 2)
+        for bad in (3, -1, 0.0):
+            with pytest.raises(ValueError, match="labels"):
+                finite_difference_max_error(params, np.zeros(4), bad)
 
     def test_non_finite_input_reported(self):
         params = random_params(tiny_arch(), 6)

@@ -17,7 +17,7 @@ from rdiv.system import (
     rebuild_preprocessors,
     train_system,
 )
-from rdiv.transforms import fold_into_weights, preprocess_batch
+from rdiv.transforms import fold_into_weights, preprocess_batch, subband_rect
 
 SIZE = 8
 COLORS = 1
@@ -132,9 +132,13 @@ def test_branches_get_distinct_permutations():
 
 def test_sign_flip_groups_cover_three_bands():
     system = build_system("dct-sign-flip-3band", MASTER, 3, 1, toy_arch(), SIZE, COLORS)
-    bands = [c.preprocessor.subband for c in system.channels]
-    assert len(set(bands)) == 3
     assert GROUP_BANDS == ("V", "H", "D")
+    for channel in system.channels:
+        r0, r1, c0, c1 = subband_rect(GROUP_BANDS[channel.j], SIZE)
+        mask = channel.preprocessor.mask.copy()
+        assert np.any(mask[r0:r1, c0:c1] == -1.0)
+        mask[r0:r1, c0:c1] = 1.0
+        assert np.all(mask == 1.0)
 
 
 def test_build_and_train_deterministic(trained_perm_system):
@@ -311,6 +315,21 @@ def test_rebuild_preprocessors_swaps_key_keeps_params(trained_perm_system):
         assert a.params.equal(b.params)
         assert not np.array_equal(a.preprocessor.permutation,
                                   b.preprocessor.permutation)
+
+
+@pytest.mark.parametrize("mode, per_color", [(m, False) for m in MODES]
+                         + [("direct-permutation", True)])
+def test_rebuild_preprocessors_equals_build_under_other_key(mode, per_color):
+    system = build_system(mode, MASTER, mode_groups(mode), 2, toy_arch(), SIZE,
+                          COLORS, reject_threshold=0.5, per_color=per_color)
+    other = rebuild_preprocessors(system, MasterKey(0x5))
+    fresh = build_system(mode, MasterKey(0x5), mode_groups(mode), 2, toy_arch(),
+                         SIZE, COLORS, per_color=per_color)
+    assert other.reject_threshold == 0.5
+    for a, b, c in zip(system.channels, other.channels, fresh.channels, strict=True):
+        assert (a.j, a.i) == (b.j, b.i)
+        assert b.params is a.params
+        assert b.preprocessor.payload_equal(c.preprocessor)
 
 
 def test_train_rejects_mismatched_data():

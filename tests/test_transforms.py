@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from rdiv.rng import MasterKey
+from rdiv.rng import TAG_PREPROCESS, MasterKey, derive_subkey, keyed_sign_mask
 from rdiv.transforms import (
-    DctPlan,
-    Preprocessor,
-    Subband,
     dct2,
+    dct_basis,
     fold_into_weights,
     idct2,
     make_preprocessor,
-    preprocess,
     preprocess_batch,
     subband_rect,
 )
+
+from _helpers import preprocess
 
 MASTER = MasterKey(0xC0FFEE)
 
@@ -25,71 +24,79 @@ def random_images(count, size, colors, seed=0):
 
 class TestDct:
     def test_constant_image_is_dc_only(self):
-        plan = DctPlan.create(28)
-        coeffs = dct2(plan, np.ones((28, 28)))
+        coeffs = dct2(dct_basis(28), np.ones((28, 28)))
         assert coeffs[0, 0] == pytest.approx(28.0, abs=1e-6)
         coeffs[0, 0] = 0.0
         assert np.max(np.abs(coeffs)) < 1e-6
 
     def test_2x2_known_values(self):
-        plan = DctPlan.create(2)
-        coeffs = dct2(plan, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        coeffs = dct2(dct_basis(2), np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert np.allclose(coeffs, [[5.0, -1.0], [-2.0, 0.0]], atol=1e-6)
 
     def test_energy_preserved(self):
-        plan = DctPlan.create(28)
         rng = np.random.default_rng(1)
         x = rng.random((28, 28))
-        assert np.linalg.norm(dct2(plan, x)) == pytest.approx(np.linalg.norm(x), abs=1e-5)
+        assert np.linalg.norm(dct2(dct_basis(28), x)) == pytest.approx(np.linalg.norm(x),
+                                                                       abs=1e-5)
 
     def test_orthonormal_basis(self):
         for size in (2, 8, 28, 32):
-            plan = DctPlan.create(size)
-            gram = plan.basis @ plan.basis.T
+            basis = dct_basis(size)
+            gram = basis @ basis.T
             assert np.max(np.abs(gram - np.eye(size))) < 1e-10
 
     def test_round_trip(self):
-        plan = DctPlan.create(28)
+        basis = dct_basis(28)
         rng = np.random.default_rng(2)
         for _ in range(100):
             x = rng.random((28, 28))
-            assert np.max(np.abs(idct2(plan, dct2(plan, x)) - x)) < 1e-5
+            assert np.max(np.abs(idct2(basis, dct2(basis, x)) - x)) < 1e-5
 
     def test_zero_coefficients(self):
-        plan = DctPlan.create(8)
-        assert np.array_equal(idct2(plan, np.zeros((8, 8))), np.zeros((8, 8)))
+        assert np.array_equal(idct2(dct_basis(8), np.zeros((8, 8))), np.zeros((8, 8)))
 
     def test_dc_only_gives_constant(self):
-        plan = DctPlan.create(8)
         coeffs = np.zeros((8, 8))
         coeffs[0, 0] = 8.0
-        assert np.allclose(idct2(plan, coeffs), np.ones((8, 8)), atol=1e-10)
+        assert np.allclose(idct2(dct_basis(8), coeffs), np.ones((8, 8)), atol=1e-10)
 
     def test_size_mismatch(self):
-        plan = DctPlan.create(8)
+        basis = dct_basis(8)
         with pytest.raises(ValueError):
-            dct2(plan, np.zeros((4, 4)))
+            dct2(basis, np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            idct2(plan, np.zeros((4, 4)))
+            idct2(basis, np.zeros((4, 4)))
+        with pytest.raises(ValueError):
+            dct_basis(0)
+
+    def test_acts_on_trailing_axes(self):
+        basis = dct_basis(8)
+        stack = np.random.default_rng(3).random((3, 2, 8, 8)).astype(np.float32)
+        coeffs = dct2(basis, stack)
+        assert coeffs.shape == stack.shape and coeffs.dtype == np.float64
+        restored = idct2(basis, coeffs)
+        for k in range(3):
+            for c in range(2):
+                assert np.allclose(coeffs[k, c], dct2(basis, stack[k, c]), rtol=0, atol=1e-12)
+                assert np.allclose(restored[k, c], stack[k, c], rtol=0, atol=1e-6)
 
 
 class TestSubband:
     def test_quadrants_28(self):
-        d = subband_rect("D", 28)
-        assert d.rect == (14, 28, 14, 28)
-        assert subband_rect("LOW", 28).rect == (0, 14, 0, 14)
-        assert subband_rect("V", 28).rect == (0, 14, 14, 28)
-        assert subband_rect("H", 28).rect == (14, 28, 0, 14)
+        assert subband_rect("D", 28) == (14, 28, 14, 28)
+        assert subband_rect("LOW", 28) == (0, 14, 0, 14)
+        assert subband_rect("V", 28) == (0, 14, 14, 28)
+        assert subband_rect("H", 28) == (14, 28, 0, 14)
 
     def test_bands_tile_disjointly(self):
         hits = np.zeros((28, 28), dtype=int)
         for band_id in ("LOW", "V", "H", "D"):
-            r0, r1, c0, c1 = subband_rect(band_id, 28).rect
+            r0, r1, c0, c1 = subband_rect(band_id, 28)
             hits[r0:r1, c0:c1] += 1
         assert np.all(hits == 1)
 
     def test_n2_low_is_single_cell(self):
-        assert subband_rect("LOW", 2).rect == (0, 1, 0, 1)
+        assert subband_rect("LOW", 2) == (0, 1, 0, 1)
 
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
@@ -112,10 +119,24 @@ class TestMakePreprocessor:
         assert sorted(p.permutation.tolist()) == list(range(784))
 
     def test_missing_subband_rejected(self):
-        with pytest.raises(ValueError):
-            make_preprocessor("dct-sign-flip", MASTER, 0, 0, 28, 1)
-        with pytest.raises(ValueError):
-            make_preprocessor("dct-hard-threshold", MASTER, 0, 0, 28, 1)
+        for kind in ("dct-sign-flip", "dct-hard-threshold"):
+            with pytest.raises(ValueError, match="requires a sub-band"):
+                make_preprocessor(kind, MASTER, 0, 0, 28, 1)
+
+    def test_dct_kinds_store_one_coefficient_mask(self):
+        band = subband_rect("V", 8)
+        r0, r1, c0, c1 = band
+        flip = make_preprocessor("dct-sign-flip", MASTER, 1, 2, 8, 3, subband=band)
+        key = derive_subkey(MASTER, 1, 2, TAG_PREPROCESS)
+        assert np.array_equal(flip.mask, keyed_sign_mask(key, (8, 8), band))
+        thresh = make_preprocessor("dct-hard-threshold", MASTER, 1, 2, 8, 3, subband=band)
+        want = np.ones((8, 8))
+        want[r0:r1, c0:c1] = 0.0
+        for p in (flip, thresh):
+            assert p.mask.dtype == np.float64 and p.permutation is None
+        assert np.array_equal(thresh.mask, want)
+        assert not flip.payload_equal(thresh)
+        assert make_preprocessor("identity", MASTER, 1, 2, 8, 3).mask is None
 
     def test_unknown_kind_rejected(self):
         # No mode reaches a DCT sub-sampling operator, so there is no such kind.
@@ -127,8 +148,9 @@ class TestMakePreprocessor:
 class TestPreprocess:
     def test_shape_mismatch(self):
         p = make_preprocessor("identity", MASTER, 0, 0, 8, 1)
-        with pytest.raises(ValueError):
-            preprocess(p, np.zeros((4, 4, 1)))
+        for shape in ((1, 4, 4, 1), (8, 8, 1), (1, 8, 8, 3)):
+            with pytest.raises(ValueError, match="expected batch"):
+                preprocess_batch(p, np.zeros(shape))
 
     def test_sign_flip_involution(self):
         band = subband_rect("V", 28)
@@ -138,7 +160,7 @@ class TestPreprocess:
             assert np.max(np.abs(twice - x)) < 1e-5
 
     def test_sign_flip_full_plane_involution(self):
-        band = Subband("D", 0, 28, 0, 28)  # global variant: region = whole plane
+        band = (0, 28, 0, 28)  # global variant: region = whole plane
         p = make_preprocessor("dct-sign-flip", MASTER, 0, 0, 28, 3, subband=band)
         x = random_images(1, 28, 3, seed=4)[0]
         assert np.max(np.abs(preprocess(p, preprocess(p, x)) - x)) < 1e-5
@@ -174,17 +196,37 @@ class TestPreprocess:
             assert np.array_equal(flat_y[:, c], flat_x[p.permutation[c], c])
 
     def test_hard_threshold_zeroes_band_only(self):
-        plan = DctPlan.create(28)
+        basis = dct_basis(28)
         band = subband_rect("V", 28)
         p = make_preprocessor("dct-hard-threshold", MASTER, 1, 0, 28, 1, subband=band)
         x = random_images(1, 28, 1, seed=9)[0]
-        before = dct2(plan, x[:, :, 0].astype(np.float64))
-        after = dct2(plan, preprocess(p, x)[:, :, 0].astype(np.float64))
-        r0, r1, c0, c1 = band.rect
+        before = dct2(basis, x[:, :, 0])
+        after = dct2(basis, preprocess(p, x)[:, :, 0])
+        r0, r1, c0, c1 = band
         assert np.max(np.abs(after[r0:r1, c0:c1])) < 1e-5
         outside = np.abs(after - before)
         outside[r0:r1, c0:c1] = 0.0
         assert np.max(outside) < 1e-5
+
+    @pytest.mark.parametrize("size, colors, band_id", [
+        (8, 1, "V"), (28, 3, "H"), (32, 1, "D"),
+    ])
+    def test_hard_threshold_mask_matches_zeroed_slice(self, size, colors, band_id):
+        # Multiplying by the 0/1 mask gives the bytes that zeroing the
+        # sub-band's slice of the coefficients gives.
+        band = subband_rect(band_id, size)
+        p = make_preprocessor("dct-hard-threshold", MASTER, 0, 0, size, colors,
+                              subband=band)
+        rng = np.random.default_rng(size)
+        basis = dct_basis(size)
+        r0, r1, c0, c1 = band
+        for batch in (random_images(4, size, colors, seed=size),
+                      rng.standard_normal((3, size, size, colors)).astype(np.float32),
+                      np.zeros((2, size, size, colors), np.float32)):
+            coeffs = dct2(basis, np.moveaxis(batch, 3, 1))
+            coeffs[:, :, r0:r1, c0:c1] = 0.0
+            want = np.moveaxis(idct2(basis, coeffs), 1, 3).astype(np.float32)
+            assert preprocess_batch(p, batch).tobytes() == want.tobytes()
 
     def test_hard_threshold_idempotent(self):
         band = subband_rect("D", 28)
