@@ -165,10 +165,18 @@ def pgd_linf_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     low = np.maximum(images - eps, 0.0)
     high = np.minimum(images + eps, 1.0)
     adv = images.copy()
+    step = np.empty_like(adv)
     for _ in range(steps):
         grads = _input_grads(params, adv, labels)
-        adv = np.clip(adv + alpha * np.sign(grads), low, high)
-    return adv.astype(np.float32)
+        # adv = clip(adv + alpha * sign(grads), low, high)
+        # np.sign writes into `step`, not into `grads`: in place it ran
+        # several times slower on mixed-sign float32 data.
+        np.sign(grads, out=step)
+        step *= alpha
+        step += adv
+        np.maximum(step, low, out=step)
+        np.minimum(step, high, out=adv)
+    return adv.astype(np.float32, copy=False)
 
 
 def _margin_and_seed(logits: np.ndarray, labels: np.ndarray, kappa: float,

@@ -46,10 +46,13 @@ from .serialize import (
 )
 from .system import (
     MODES,
+    SystemSpec,
     build_system,
-    error_count,
+    decision_errors,
     first_branches,
     mode_groups,
+    nested_decisions,
+    rebuild_preprocessors,
     train_system,
 )
 
@@ -337,11 +340,11 @@ def cmd_train(config: RunConfig) -> int:
                         reject_threshold=config.reject_threshold,
                         per_color=config.per_color)
     full = train_system(full, trainset, config.hyper, workers=config.workers)
+    decisions = nested_decisions(full, config.branch_grid, slice_.images)
     for branches in config.branch_grid:
-        system = first_branches(full, branches)
         path = _system_path(config, branches)
-        save_system(path, system)
-        errors = error_count(system, slice_.images, slice_.labels)
+        save_system(path, first_branches(full, branches))
+        errors = decision_errors(decisions[branches], slice_.labels)
         print(f"system-i{branches}: clean error "
               f"{_pct(errors, config.limit)}% on {config.limit} samples -> {path}")
     return 0
@@ -383,8 +386,42 @@ def cmd_attack(config: RunConfig) -> int:
     return 0
 
 
+def _read_grid_file(config: RunConfig, branches: int, slice_: LabeledSet) -> SystemSpec:
+    path = _system_path(config, branches)
+    system = read_system(path)
+    if config.reject_threshold is not None:
+        system = replace(system, reject_threshold=config.reject_threshold)
+    if system.mode != config.mode or system.branches != branches:
+        raise ConfigError(f"{path} does not match the configured mode/grid")
+    if (system.size, system.colors) != (slice_.size, slice_.colors):
+        raise ConfigError(f"{path} was trained on differently shaped "
+                          f"images than dataset {config.dataset_name!r}")
+    return system
+
+
+def _is_first_branches(system: SystemSpec, largest: SystemSpec) -> bool:
+    """Whether `system` equals `first_branches(largest, system.branches)`."""
+    expected = first_branches(largest, system.branches)
+
+    def header(s: SystemSpec) -> tuple:
+        return (s.mode, s.master, s.size, s.colors, s.arch, s.reject_threshold)
+
+    return header(system) == header(expected) and all(
+        (a.j, a.i) == (b.j, b.i) and a.preprocessor.payload_equal(b.preprocessor)
+        and a.params.equal(b.params)
+        for a, b in zip(system.channels, expected.channels, strict=True))
+
+
 def _evaluate_rows(config: RunConfig) -> list[dict]:
-    """Shared by eval and report: one clean row per system, one per attack."""
+    """Shared by eval and report: one clean row per system, one per attack.
+
+    Every system file is read and checked, but only the largest grid is
+    scored: each smaller file must hold its first branches, as `train`
+    writes them, and `nested_decisions` gives every grid's decisions from
+    one score per channel and image set. A configured master key that
+    differs from the files' evaluates the channels under preprocessors
+    re-derived from that key (`rebuild_preprocessors`).
+    """
     _need(config, "dataset", "out")
     for branches in config.branch_grid:
         path = _system_path(config, branches)
@@ -394,28 +431,35 @@ def _evaluate_rows(config: RunConfig) -> list[dict]:
     slice_ = take_first(testset, config.limit)
     advsets = [(name, _load_adv_for(config, name, slice_))
                for name, _ in config.attacks]
+    top = max(config.branch_grid)
+    largest = _read_grid_file(config, top, slice_)
+    for branches in config.branch_grid:
+        if branches != top and not _is_first_branches(
+                _read_grid_file(config, branches, slice_), largest):
+            raise ConfigError(f"{_system_path(config, branches)} is not the first "
+                              f"{branches} branches of {_system_path(config, top)}; "
+                              f"rerun the train command")
+    if config.master is not None and config.master != largest.master:
+        largest = rebuild_preprocessors(largest, config.master)
+
+    image_sets = [("none", slice_.images, slice_.labels)] + [
+        (name, adv.adversarials, adv.labels) for name, adv in advsets]
+    pct = {}
+    for name, images, labels in image_sets:
+        decisions = nested_decisions(largest, config.branch_grid, images)
+        for branches, decided in decisions.items():
+            pct[branches, name] = _pct(decision_errors(decided, labels), config.limit)
     rows = []
     for branches in config.branch_grid:
-        path = _system_path(config, branches)
-        system = read_system(path)
-        if config.reject_threshold is not None:
-            system = replace(system, reject_threshold=config.reject_threshold)
-        if system.mode != config.mode or system.branches != branches:
-            raise ConfigError(f"{path} does not match the configured mode/grid")
-        if (system.size, system.colors) != (slice_.size, slice_.colors):
-            raise ConfigError(f"{path} was trained on differently shaped "
-                              f"images than dataset {config.dataset_name!r}")
-        clean = _pct(error_count(system, slice_.images, slice_.labels),
-                     config.limit)
-        base = {"dataset": config.dataset_name, "mode": system.mode,
-                "J": system.groups, "I": system.branches,
-                "master_key": system.master.to_hex(), "limit": config.limit}
+        clean = pct[branches, "none"]
+        base = {"dataset": config.dataset_name, "mode": largest.mode,
+                "J": largest.groups, "I": branches,
+                "master_key": largest.master.to_hex(), "limit": config.limit}
         rows.append(base | {"attack": "none", "clean_error_pct": clean,
                             "adv_error_pct": clean})
-        for name, adv in advsets:
-            errors = error_count(system, adv.adversarials, adv.labels)
+        for name, _ in advsets:
             rows.append(base | {"attack": name, "clean_error_pct": clean,
-                                "adv_error_pct": _pct(errors, config.limit)})
+                                "adv_error_pct": pct[branches, name]})
     return rows
 
 

@@ -210,11 +210,13 @@ def logits_and_cache(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, li
         for kind, _ in params.arch.layers:
             if kind == "dense":
                 cache.append(("dense", h))
-                h = h @ params.weights[dense_idx] + params.biases[dense_idx]
+                # A new array, so the caller's `x` is never written below.
+                h = h @ params.weights[dense_idx]
+                h += params.biases[dense_idx]
                 dense_idx += 1
             elif kind == "relu":
                 cache.append(("relu", h > 0))
-                h = np.maximum(h, 0)
+                np.maximum(h, 0, out=h)
     if not np.isfinite(h).all():
         _raise_non_finite(params, x2d.astype(params.dtype, copy=False))
     return h, cache
@@ -252,8 +254,10 @@ def backward_from_logits(params: ModelParams, cache: list, dlogits: np.ndarray,
             if dense_idx == 0 and wrt == "params":
                 return dweights, dbiases, None
             dh = dh @ params.weights[dense_idx].T
-        else:  # relu
+        elif dh is dlogits:  # relu before any dense: never write the caller's seed
             dh = dh * saved
+        else:  # relu
+            dh *= saved
     return dweights, dbiases, dh
 
 

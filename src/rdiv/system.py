@@ -186,8 +186,8 @@ def train_system(system: SystemSpec, trainset: LabeledSet, hyper: Hyper,
     return replace(system, channels=trained)
 
 
-def predict_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
-    """Aggregate score vectors for a (B, N, N, m) batch: sum of channel softmaxes.
+def channel_scores(system: SystemSpec, images: np.ndarray) -> list[np.ndarray]:
+    """Each channel's softmax scores for a (B, N, N, m) batch, in grid order.
 
     The images are flattened once and never transformed: each channel runs
     its classifier with the keyed transform folded into its first-layer
@@ -202,28 +202,70 @@ def predict_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected batch of shape (B, {system.size}, {system.size}, "
                          f"{system.colors}), got {images.shape}")
     flat = images.reshape(len(images), system.arch.input_dim)
-    total = None
+    scores = []
     for channel in system.channels:
         params = channel.params
         w1 = fold_into_weights(channel.preprocessor, params.weights[0])
         folded = ModelParams(params.arch, (w1,) + params.weights[1:], params.biases)
-        scores = forward(folded, flat)
-        total = scores if total is None else total + scores
+        scores.append(forward(folded, flat))
+    return scores
+
+
+def _sum_scores(scores: Sequence[np.ndarray]) -> np.ndarray:
+    """Add channel scores left to right; the inputs are left unchanged."""
+    total = scores[0]
+    for s in scores[1:]:
+        total = total + s
     return total
 
 
-def classify_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
-    """Class decisions for a batch; REJECT where the threshold says so.
+def predict_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
+    """Aggregate score vectors for a (B, N, N, m) batch: sum of channel softmaxes."""
+    return _sum_scores(channel_scores(system, images))
+
+
+def _decide(system: SystemSpec, total: np.ndarray) -> np.ndarray:
+    """Class decisions from the score total of `system`'s channels.
 
     The argmax tie-break is the smallest class index. With a reject
     threshold t, a sample is rejected when max_score / channel_count < t.
     """
-    scores = predict_batch(system, images)
-    decisions = scores.argmax(axis=1)
+    decisions = total.argmax(axis=1)
     if system.reject_threshold is not None:
-        normalized = scores.max(axis=1) / len(system.channels)
+        normalized = total.max(axis=1) / len(system.channels)
         decisions = np.where(normalized < system.reject_threshold, REJECT, decisions)
     return decisions
+
+
+def classify_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
+    """Class decisions for a batch; REJECT where the threshold says so."""
+    return _decide(system, predict_batch(system, images))
+
+
+def nested_decisions(system: SystemSpec, branch_grid: Sequence[int],
+                     images: np.ndarray) -> dict[int, np.ndarray]:
+    """`classify_batch(first_branches(system, I), images)` for each I in the grid.
+
+    Every channel is scored once. Each sub-grid's total adds its own
+    channels' scores in its own grid order, as `predict_batch` does; for
+    J=3 those channels are not a prefix of the full grid.
+    """
+    scores = channel_scores(system, images)
+    decisions = {}
+    for branches in branch_grid:
+        sub = first_branches(system, branches)
+        total = _sum_scores([s for channel, s in zip(system.channels, scores)
+                             if channel.i < branches])
+        decisions[branches] = _decide(sub, total)
+    return decisions
+
+
+def decision_errors(decisions: np.ndarray, labels: np.ndarray) -> int:
+    """How many `decisions` differ from `labels`; REJECT counts as an error."""
+    labels = np.asarray(labels)
+    if labels.shape != (len(decisions),):
+        raise ValueError(f"expected {len(decisions)} labels, got shape {labels.shape}")
+    return int((decisions != labels).sum())
 
 
 def error_count(system: SystemSpec, images: np.ndarray, labels: np.ndarray) -> int:
@@ -231,10 +273,7 @@ def error_count(system: SystemSpec, images: np.ndarray, labels: np.ndarray) -> i
 
     Rejected samples count as errors.
     """
-    labels = np.asarray(labels)
-    if labels.shape != (len(images),):
-        raise ValueError(f"expected {len(images)} labels, got shape {labels.shape}")
-    return int((classify_batch(system, images) != labels).sum())
+    return decision_errors(classify_batch(system, images), labels)
 
 
 def rebuild_preprocessors(system: SystemSpec, master: MasterKey) -> SystemSpec:

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 import yaml
@@ -310,6 +312,64 @@ def test_key_override_changes_artifacts(pipeline, data_dir, tmp_path):
     assert mine != theirs
     assert read_system(tmp_path / "run4" / "system-i1.rdiv").master.to_hex() \
         == "1111222233334444"
+
+
+OTHER_KEY = "1111222233334444"
+
+
+def report_rows(capsys, *argv):
+    capsys.readouterr()
+    assert run("report", *argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return [line.split(",") for line in lines[1:-1]]
+
+
+def without_key(rows):
+    return [row[:7] + row[8:] for row in rows]
+
+
+def test_key_override_rescores_keyed_channels(pipeline, tmp_path, capsys):
+    config, out_dir = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out_dir, copy)
+    right = report_rows(capsys, "--config", config, "--out", str(copy))
+    wrong = report_rows(capsys, "--config", config, "--out", str(copy),
+                        "--key", OTHER_KEY)
+    assert [row[7] for row in right] == [KEY] * 6
+    assert [row[7] for row in wrong] == [OTHER_KEY] * 6
+    assert [row[:5] for row in wrong] == [row[:5] for row in right]
+    assert without_key(wrong) != without_key(right)
+    # The key the files were trained under gives the rows of no override.
+    assert report_rows(capsys, "--config", config, "--out", str(copy),
+                       "--key", KEY) == right
+
+
+def test_key_override_leaves_identity_rows(data_dir, tmp_path, capsys):
+    out_dir = tmp_path / "ident"
+    config = write_config(tmp_path / "c.yaml", data_dir, out_dir, attacks=[],
+                          system={"mode": "identity", "branches": [2, 1],
+                                  "master_key": KEY})
+    assert run("train", "--config", config) == 0
+    right = report_rows(capsys, "--config", config)
+    wrong = report_rows(capsys, "--config", config, "--key", OTHER_KEY)
+    assert [row[7] for row in wrong] == [OTHER_KEY] * 2
+    assert without_key(wrong) == without_key(right)
+
+
+def test_report_refuses_a_smaller_grid_from_another_key(pipeline, data_dir, tmp_path,
+                                                        capsys):
+    config, out_dir = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out_dir, copy)
+    other = write_config(tmp_path / "other.yaml", data_dir, tmp_path / "other")
+    assert run("train", "--config", other, "--key", OTHER_KEY, "--channels", "1") == 0
+    shutil.copyfile(tmp_path / "other" / "system-i1.rdiv", copy / "system-i1.rdiv")
+    (copy / "report.csv").unlink(missing_ok=True)
+    capsys.readouterr()
+    assert run("report", "--config", config, "--out", str(copy)) == 1
+    err = capsys.readouterr().err
+    assert f"{copy / 'system-i1.rdiv'} is not the first 1 branches of" in err
+    assert not (copy / "report.csv").exists()
 
 
 def test_attack_requires_surrogate(data_dir, tmp_path, capsys):

@@ -286,6 +286,36 @@ class TestGradTargets:
         assert all(not g.any() for g in dw + db)
 
 
+@pytest.mark.parametrize("arch", [
+    mlp_arch(6, (5, 4), 3),
+    # The first op backward meets is the ReLU, so it gets the caller's seed.
+    ArchSpec(6, (("dense", (6, 3)), ("relu", ()), ("softmax-output", ()))),
+], ids=["mlp", "dense-relu-softmax"])
+@pytest.mark.parametrize("x_dtype", [np.float32, np.float64],
+                         ids=["no-cast", "cast"])
+def test_passes_never_write_caller_arrays(arch, x_dtype):
+    # float32 input into float32 params is not copied by `astype(copy=False)`.
+    rng = np.random.default_rng(12)
+    params = random_params(arch, 30)
+    x = rng.standard_normal((9, 6)).astype(x_dtype)
+    labels = rng.integers(0, 3, size=9)
+    x_before = x.copy()
+    z, cache = logits_and_cache(params, x)
+    assert np.array_equal(x, x_before)
+    assert any(kind == "relu" and not saved.all() for kind, saved in cache)
+    for wrt in ("params", "input", "both"):
+        dlogits = rng.standard_normal(z.shape).astype(np.float32)
+        seed = dlogits.copy()
+        first = backward_from_logits(params, cache, dlogits, wrt)
+        assert np.array_equal(dlogits, seed)
+        # The cache is unchanged too: a second pass gives the same gradients.
+        again = backward_from_logits(params, cache, dlogits, wrt)
+        for a, b in zip(first[0] + first[1] + [first[2]], again[0] + again[1] + [again[2]]):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        batch_loss_and_grads(params, x, labels, wrt)
+        assert np.array_equal(x, x_before)
+
+
 class TestTrain:
     def separable_set(self):
         rng = np.random.default_rng(7)

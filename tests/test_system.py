@@ -13,6 +13,7 @@ from rdiv.system import (
     error_count,
     first_branches,
     mode_groups,
+    nested_decisions,
     predict_batch,
     rebuild_preprocessors,
     train_system,
@@ -117,6 +118,27 @@ def test_first_branches_equals_training_the_smaller_grid(mode, groups):
     for bad in (0, 4):
         with pytest.raises(ValueError):
             first_branches(full, bad)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_nested_decisions_equal_classifying_each_sub_grid(mode):
+    hyper = Hyper(learning_rate=5e-3, batch_size=16, epochs=1)
+    full = train_system(build_system(mode, MASTER, mode_groups(mode), 2, toy_arch(),
+                                     SIZE, COLORS), toy_set(), hyper)
+    images = toy_set(count=40, seed=9).images
+    # A threshold at the median normalized top score rejects about half.
+    scores = predict_batch(full, images)
+    median = float(np.median(scores.max(axis=1) / len(full.channels)))
+    from dataclasses import replace
+    for threshold in (None, median):
+        system = replace(full, reject_threshold=threshold)
+        decisions = nested_decisions(system, [2, 1], images)
+        assert list(decisions) == [2, 1]
+        for branches, got in decisions.items():
+            expected = classify_batch(first_branches(system, branches), images)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        if threshold is not None:
+            assert (decisions[2] == REJECT).any() and (decisions[2] != REJECT).any()
 
 
 def test_arch_must_match_image_shape():
