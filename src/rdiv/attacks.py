@@ -80,8 +80,9 @@ class AttackConfig:
 class AdvSet:
     """Adversarial examples with their provenance, in crafting order.
 
-    Surrogate predictions are filled when crafting; sets read back from disk
-    carry None there until rescored against a model.
+    The surrogate's predictions on the adversarials are filled when
+    crafting; sets read back from disk carry None there until rescored
+    against a model.
     """
 
     config: AttackConfig
@@ -89,13 +90,12 @@ class AdvSet:
     labels: np.ndarray         # (B,) true labels
     originals: np.ndarray      # (B, N, N, m) float32
     adversarials: np.ndarray   # (B, N, N, m) float32
-    preds_before: np.ndarray | None = None  # (B,) surrogate argmax on originals
-    preds_after: np.ndarray | None = None   # (B,) surrogate argmax on adversarials
+    preds_after: np.ndarray | None = None  # (B,) surrogate argmax on adversarials
 
     def __post_init__(self):
         count = len(self.indices)
         for field in (self.labels, self.originals, self.adversarials,
-                      self.preds_before, self.preds_after):
+                      self.preds_after):
             if field is not None and len(field) != count:
                 raise ValueError("adversarial set field lengths disagree")
         if self.originals.shape != self.adversarials.shape:
@@ -119,12 +119,10 @@ class AdvSet:
 
 
 def rescore_adv_set(adv: AdvSet, params: ModelParams) -> AdvSet:
-    """Fill the surrogate prediction fields by running `params` on the set."""
+    """Fill the surrogate predictions by running `params` on the adversarials."""
     shape = (len(adv), params.arch.input_dim)
-    before = forward(params, adv.originals.reshape(shape)).argmax(axis=1)
     after = forward(params, adv.adversarials.reshape(shape)).argmax(axis=1)
-    return replace(adv, preds_before=before.astype(np.int64),
-                   preds_after=after.astype(np.int64))
+    return replace(adv, preds_after=after.astype(np.int64))
 
 
 def train_surrogate(trainset: LabeledSet, arch: ArchSpec, hyper: Hyper,
@@ -320,6 +318,8 @@ def transfer_eval(system: SystemSpec, surrogate: ModelParams,
     all in percent over the first `limit` test samples, plus the adversarial
     set so callers can reuse it instead of re-crafting.
     """
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     subset = take_first(testset, limit)
     if adv is None:
         adv = craft_adv_set(surrogate, subset, config)

@@ -37,6 +37,7 @@ from .nn import ArchSpec, Hyper, finite_difference_max_error, forward, init_para
 from .rng import TAG_INIT, MasterKey, derive_subkey, uniform_floats
 from .serialize import (
     atomic_write_bytes,
+    dump_system,
     read_adv_set,
     read_params,
     read_system,
@@ -170,13 +171,22 @@ def _parse_attacks(raw: dict) -> tuple[tuple[str, AttackConfig], ...]:
     return tuple(out)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML run config. Every key is checked."""
+def _load_yaml(text: str) -> dict:
     raw = yaml.safe_load(text)
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    return raw
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a YAML run config. Every key is checked."""
+    return _validate(_load_yaml(text))
+
+
+def _validate(raw: dict) -> RunConfig:
+    """The one set of checks, for config values and command-line flags alike."""
     _require_keys(raw, {"dataset", "system", "arch", "train", "attacks",
                         "eval", "out_dir", "workers"}, "config")
 
@@ -193,6 +203,9 @@ def parse_config(text: str) -> RunConfig:
     if not grid:
         raise ConfigError("branches must be an int or a non-empty list of ints")
     grid = tuple(_count(b, "branches") for b in grid)
+    repeated = [b for k, b in enumerate(grid) if b in grid[:k]]
+    if repeated:
+        raise ConfigError(f"branches lists {repeated[0]} more than once")
     master = None
     if "master_key" in system:
         try:
@@ -241,24 +254,19 @@ def parse_config(text: str) -> RunConfig:
                      Path(out_dir) if out_dir else None, workers)
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.key is not None:
-        config = replace(config, master=MasterKey.from_hex(args.key))
-    if args.out is not None:
-        config = replace(config, out_dir=Path(args.out))
-    if args.limit is not None:
-        if args.limit < 1:
-            raise ConfigError("--limit must be positive")
-        config = replace(config, limit=args.limit)
-    if args.channels is not None:
-        if args.channels < 1:
-            raise ConfigError("--channels must be positive")
-        config = replace(config, branch_grid=(args.channels,))
-    if args.mode is not None:
-        if args.mode not in MODES:
-            raise ConfigError(f"unknown mode {args.mode!r}")
-        config = replace(config, mode=args.mode)
-    return config
+def _apply_flags(raw: dict, args: argparse.Namespace) -> None:
+    """Write the given flags into the YAML mapping, before any check runs."""
+    for value, section, key in ((args.key, "system", "master_key"),
+                                (args.mode, "system", "mode"),
+                                (args.channels, "system", "branches"),
+                                (args.limit, "eval", "limit"),
+                                (args.out, None, "out_dir")):
+        if value is None:
+            continue
+        if section is None:
+            raw[key] = value
+        else:
+            raw[section] = _section(raw, section) | {key: value}
 
 
 def _need(config: RunConfig, *what: str) -> None:
@@ -361,7 +369,7 @@ def cmd_surrogate(config: RunConfig) -> int:
     save_params(path, params, derive_subkey(config.master, 0, 0, TAG_INIT))
     slice_ = take_first(testset, config.limit)
     preds = forward(params, slice_.images.reshape(config.limit, -1)).argmax(axis=1)
-    errors = int((preds != slice_.labels).sum())
+    errors = decision_errors(preds, slice_.labels)
     print(f"surrogate: clean error {_pct(errors, config.limit)}% "
           f"on {config.limit} samples -> {path}")
     return 0
@@ -399,28 +407,15 @@ def _read_grid_file(config: RunConfig, branches: int, slice_: LabeledSet) -> Sys
     return system
 
 
-def _is_first_branches(system: SystemSpec, largest: SystemSpec) -> bool:
-    """Whether `system` equals `first_branches(largest, system.branches)`."""
-    expected = first_branches(largest, system.branches)
-
-    def header(s: SystemSpec) -> tuple:
-        return (s.mode, s.master, s.size, s.colors, s.arch, s.reject_threshold)
-
-    return header(system) == header(expected) and all(
-        (a.j, a.i) == (b.j, b.i) and a.preprocessor.payload_equal(b.preprocessor)
-        and a.params.equal(b.params)
-        for a, b in zip(system.channels, expected.channels, strict=True))
-
-
 def _evaluate_rows(config: RunConfig) -> list[dict]:
     """Shared by eval and report: one clean row per system, one per attack.
 
-    Every system file is read and checked, but only the largest grid is
-    scored: each smaller file must hold its first branches, as `train`
-    writes them, and `nested_decisions` gives every grid's decisions from
-    one score per channel and image set. A configured master key that
-    differs from the files' evaluates the channels under preprocessors
-    re-derived from that key (`rebuild_preprocessors`).
+    The largest system file is read and checked, and only its grid is
+    scored: each smaller file must hold exactly the bytes `train` writes
+    for its first branches, and `nested_decisions` gives every grid's
+    decisions from one score per channel and image set. A configured
+    master key that differs from the files' evaluates the channels under
+    preprocessors re-derived from that key (`rebuild_preprocessors`).
     """
     _need(config, "dataset", "out")
     for branches in config.branch_grid:
@@ -434,11 +429,11 @@ def _evaluate_rows(config: RunConfig) -> list[dict]:
     top = max(config.branch_grid)
     largest = _read_grid_file(config, top, slice_)
     for branches in config.branch_grid:
-        if branches != top and not _is_first_branches(
-                _read_grid_file(config, branches, slice_), largest):
-            raise ConfigError(f"{_system_path(config, branches)} is not the first "
-                              f"{branches} branches of {_system_path(config, top)}; "
-                              f"rerun the train command")
+        path = _system_path(config, branches)
+        if branches != top and path.read_bytes() != dump_system(
+                first_branches(largest, branches)):
+            raise ConfigError(f"{path} is not the first {branches} branches of "
+                              f"{_system_path(config, top)}; rerun the train command")
     if config.master is not None and config.master != largest.master:
         largest = rebuild_preprocessors(largest, config.master)
 
@@ -541,15 +536,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        text = ""
         if args.config is not None:
             config_path = Path(args.config)
             if not config_path.is_file():
                 raise ConfigError(f"config file not found: {config_path}")
-            config = parse_config(config_path.read_text())
-        else:
-            config = parse_config("")
-        config = _apply_overrides(config, args)
-        return _COMMANDS[args.command](config)
+            text = config_path.read_text()
+        raw = _load_yaml(text)
+        _apply_flags(raw, args)
+        return _COMMANDS[args.command](_validate(raw))
     # ConfigError, BlobFormatError and DatasetFormatError are ValueErrors.
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

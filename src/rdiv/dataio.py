@@ -133,6 +133,8 @@ def load_cifar10(batch_paths: list[str | Path], name: str = "cifar10") -> Labele
 
 def take_first(dataset: LabeledSet, n: int) -> LabeledSet:
     """Prefix slice of the first n samples in stored order."""
+    if n < 0:
+        raise ValueError(f"requested {n} samples, a count cannot be negative")
     if n > len(dataset):
         raise ValueError(f"requested {n} samples, set has {len(dataset)}")
     return LabeledSet(dataset.images[:n], dataset.labels[:n],

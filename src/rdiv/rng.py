@@ -15,6 +15,7 @@ functions are pure, and the RNG state is passed by value.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,17 @@ TAG_SHUFFLE = 2
 TAG_PER_COLOR_BASE = 16  # per-color permutations use TAG_PER_COLOR_BASE + c
 
 
+def hex16_value(text: str) -> int:
+    """The value of a key's serialized form: exactly 16 hex digits.
+
+    `int(text, 16)` alone would also take a sign, a 0x prefix, surrounding
+    whitespace and underscores.
+    """
+    if len(text) != 16 or not all(c in string.hexdigits for c in text):
+        raise ValueError(f"key hex must be 16 hex digits, got {text!r}")
+    return int(text, 16)
+
+
 @dataclass(frozen=True)
 class MasterKey:
     """Secret 64-bit key shared between training and testing."""
@@ -49,9 +61,7 @@ class MasterKey:
     @classmethod
     def from_hex(cls, text: str) -> "MasterKey":
         """Parse the 16-hex-digit serialized form."""
-        if len(text) != 16:
-            raise ValueError(f"key hex must be 16 digits, got {text!r}")
-        return cls(int(text, 16))
+        return cls(hex16_value(text))
 
     def to_hex(self) -> str:
         return f"{self.value:016x}"

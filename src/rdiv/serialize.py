@@ -38,7 +38,7 @@ import numpy as np
 
 from .attacks import AdvSet, AttackConfig
 from .nn import ArchSpec, ModelParams
-from .rng import MasterKey, SubKey
+from .rng import MasterKey, SubKey, hex16_value
 from .system import MODES, SystemSpec, build_system, mode_groups
 
 MODEL_MAGIC = b"RDIV"
@@ -58,6 +58,12 @@ _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 
 _ATTACK_CODES = {"fgsm": 0, "pgd-linf": 1, "cw-l2": 2}
 _ATTACK_NAMES = {v: k for k, v in _ATTACK_CODES.items()}
+
+# Mode byte, per-color byte, I, N, m.
+_SYSTEM_HEADER = struct.Struct("<BBIII")
+# Attack kind byte; eps, alpha, steps, c, iterations, step_size, kappa,
+# targeted byte and target of the attack config; record count, N, m.
+_ADV_HEADER = struct.Struct("<BddIdIddBIIII")
 
 
 class BlobFormatError(ValueError):
@@ -121,14 +127,15 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
+    def fields(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
 
     def key_hex(self) -> int:
         text = self.take(16)
         try:
-            return int(text.decode("ascii"), 16)
-        except (UnicodeDecodeError, ValueError):
+            # UnicodeDecodeError is a ValueError too.
+            return hex16_value(text.decode("ascii"))
+        except ValueError:
             raise BlobFormatError(f"{self.label}: bad key hex {text!r}") from None
 
     def f32_array(self, shape: tuple[int, ...]) -> np.ndarray:
@@ -217,12 +224,10 @@ def load_params(blob: bytes, label: str = "model") -> tuple[ModelParams, int]:
 
 
 def dump_system(system: SystemSpec) -> bytes:
-    """Encode a trained system: header, the arch once, then all weights."""
-    if not system.trained:
-        raise ValueError("refusing to serialize an untrained system")
-    header = struct.pack("<BBIII", _MODE_CODES[system.mode],
-                         system.channels[0].preprocessor.per_color,
-                         system.branches, system.size, system.colors)
+    """Encode a system: header, the arch once, then all weights."""
+    header = _SYSTEM_HEADER.pack(_MODE_CODES[system.mode],
+                                 system.channels[0].preprocessor.per_color,
+                                 system.branches, system.size, system.colors)
     return _seal(MODEL_MAGIC, header, system.master.to_hex().encode("ascii"),
                  _dump_arch(system.arch),
                  *(view for channel in system.channels
@@ -236,14 +241,12 @@ def load_system(blob: bytes) -> SystemSpec:
     the file.
     """
     reader = _Reader(blob, MODEL_MAGIC, "system")
-    mode_code = reader.u8()
+    mode_code, per_color, branches, size, colors = reader.fields(_SYSTEM_HEADER)
     if mode_code not in _MODE_NAMES:
         raise BlobFormatError(f"system: unknown mode byte {mode_code}")
     mode = _MODE_NAMES[mode_code]
-    per_color = reader.u8()
     if per_color not in (0, 1):
         raise BlobFormatError(f"system: per-color byte {per_color}, expected 0 or 1")
-    branches, size, colors = reader.u32(), reader.u32(), reader.u32()
     master = MasterKey(reader.key_hex())
     arch = _read_arch(reader)
     groups = mode_groups(mode)
@@ -278,35 +281,28 @@ def dump_adv_set(adv: AdvSet) -> bytes:
     records["label"] = adv.labels
     records["original"] = adv.originals
     records["adversarial"] = adv.adversarials
-    header = struct.pack("<B", _ATTACK_CODES[config.kind])
-    header += struct.pack("<ddIdIddBI", config.eps, config.alpha, config.steps,
-                          config.c, config.iterations, config.step_size,
-                          config.kappa, int(config.targeted), config.target)
-    header += struct.pack("<III", count, size, colors)
+    header = _ADV_HEADER.pack(_ATTACK_CODES[config.kind], config.eps, config.alpha,
+                              config.steps, config.c, config.iterations,
+                              config.step_size, config.kappa,
+                              int(config.targeted), config.target,
+                              count, size, colors)
     return _seal(ADV_MAGIC, header, records.data)
 
 
 def load_adv_set(blob: bytes) -> AdvSet:
-    """Decode an adversarial set; prediction fields come back unset."""
+    """Decode an adversarial set; the surrogate predictions come back unset."""
     reader = _Reader(blob, ADV_MAGIC, "advset")
-    kind_code = reader.u8()
+    (kind_code, eps, alpha, steps, c, iterations, step_size, kappa, targeted,
+     target, count, size, colors) = reader.fields(_ADV_HEADER)
     if kind_code not in _ATTACK_NAMES:
         raise BlobFormatError(f"advset: unknown attack code {kind_code}")
-    eps, alpha = reader.f64(), reader.f64()
-    steps = reader.u32()
-    c = reader.f64()
-    iterations = reader.u32()
-    step_size, kappa = reader.f64(), reader.f64()
-    targeted = bool(reader.u8())
-    target = reader.u32()
     try:
         config = AttackConfig(kind=_ATTACK_NAMES[kind_code], eps=eps,
                               alpha=alpha, steps=steps, c=c,
                               iterations=iterations, step_size=step_size,
-                              kappa=kappa, targeted=targeted, target=target)
+                              kappa=kappa, targeted=bool(targeted), target=target)
     except ValueError as exc:
         raise BlobFormatError(f"advset: {exc}") from None
-    count, size, colors = reader.u32(), reader.u32(), reader.u32()
     # No dense layer takes more inputs, so no model could read a larger image.
     if size * size * colors > _MAX_LAYER_DIM:
         raise BlobFormatError(f"advset: image dims {size}x{size}x{colors} out of range")

@@ -67,11 +67,7 @@ class ChannelSpec:
     j: int
     i: int
     preprocessor: Preprocessor
-    params: ModelParams | None = None
-
-    @property
-    def trained(self) -> bool:
-        return self.params is not None
+    params: ModelParams
 
 
 @dataclass(frozen=True)
@@ -94,10 +90,6 @@ class SystemSpec:
     @property
     def classes(self) -> int:
         return self.arch.classes
-
-    @property
-    def trained(self) -> bool:
-        return all(c.trained for c in self.channels)
 
 
 def build_system(mode: str, master: MasterKey, groups: int, branches: int,
@@ -193,9 +185,6 @@ def channel_scores(system: SystemSpec, images: np.ndarray) -> list[np.ndarray]:
     its classifier with the keyed transform folded into its first-layer
     weights (`fold_into_weights`).
     """
-    for channel in system.channels:
-        if not channel.trained:
-            raise ValueError(f"channel ({channel.j}, {channel.i}) is untrained")
     images = np.asarray(images)
     expected = (system.size, system.size, system.colors)
     if images.ndim != 4 or images.shape[1:] != expected:

@@ -323,8 +323,6 @@ def test_craft_adv_set_fields(surrogate):
     assert adv.indices.tolist() == list(range(10))
     assert np.array_equal(adv.labels, data.labels)
     assert np.array_equal(adv.originals, data.images)
-    expected_before = forward(surrogate, data.images.reshape(10, -1)).argmax(axis=1)
-    assert np.array_equal(adv.preds_before, expected_before)
     expected_after = forward(surrogate, adv.adversarials.reshape(10, -1)).argmax(axis=1)
     assert np.array_equal(adv.preds_after, expected_after)
     assert adv.surrogate_success_pct == pytest.approx(
@@ -344,7 +342,7 @@ def test_craft_adv_set_on_empty_set(surrogate, config):
     assert len(adv) == 0
     assert adv.adversarials.shape == adv.originals.shape == (0, SIZE, SIZE, COLORS)
     assert adv.adversarials.dtype == np.float32
-    assert adv.preds_before.shape == adv.preds_after.shape == (0,)
+    assert adv.preds_after.shape == (0,)
     assert rescore_adv_set(adv, surrogate).preds_after.shape == (0,)
     # No "Mean of empty slice" warning, which the suite turns into a failure.
     assert adv.surrogate_success_pct == 0.0
@@ -382,6 +380,10 @@ def test_transfer_eval_identity_system_matches_surrogate(surrogate):
     assert again[:3] == (clean, attacked, surr)
     with pytest.raises(ValueError):
         transfer_eval(system, surrogate, data, config, 39, adv=adv)
+    # A limit below 1 would divide by zero or report negative percentages.
+    for limit in (0, -2):
+        with pytest.raises(ValueError, match="limit"):
+            transfer_eval(system, surrogate, data, config, limit)
 
 
 def test_transfer_eval_zero_eps_equals_clean(surrogate):
@@ -438,4 +440,4 @@ def test_adv_set_length_validation():
     with pytest.raises(ValueError):
         AdvSet(AttackConfig(kind="fgsm"), np.arange(3), np.zeros(2, np.int64),
                np.zeros(shape, np.float32), np.zeros(shape, np.float32),
-               np.zeros(3, np.int64), np.zeros(3, np.int64))
+               np.zeros(3, np.int64))

@@ -8,10 +8,11 @@ from rdiv import cli
 from rdiv.cli import ConfigError, _pct, parse_config
 from rdiv.dataio import load_idx
 from rdiv.nn import mlp_arch
-from rdiv.serialize import read_adv_set, read_system, save_system
+from rdiv.serialize import load_system, read_adv_set, read_system, save_system
 from rdiv.system import build_system, train_system
 
 from _synth import make_dataset, write_idx
+from test_serialize import _reseal
 
 TRAIN_COUNT = 120
 TEST_COUNT = 60
@@ -123,6 +124,9 @@ def test_parse_config_validates_values(data_dir, tmp_path):
         parses(branches=True)
     with pytest.raises(ConfigError, match="branches"):
         parses(branches=[1, False])
+    # A repeated value would write the same system file, and its rows, twice.
+    with pytest.raises(ConfigError, match="branches lists 2 more than once"):
+        parses(branches=[2, 1, 2])
     # A quoted 'false' is a non-empty string, which bool() would call true.
     with pytest.raises(ConfigError, match="per_color"):
         parses(per_color="false")
@@ -175,6 +179,24 @@ def test_parse_config_rejects_reject_threshold_outside_unit_interval(data_dir, t
             parse_config(yaml.safe_dump(config))
     config["system"]["reject_threshold"] = 1.0
     assert parse_config(yaml.safe_dump(config)).reject_threshold == 1.0
+
+
+def test_flags_are_checked_like_config_values(tmp_path, capsys):
+    # The dataset files do not exist: every refusal below comes first.
+    config = write_config(tmp_path / "c.yaml", tmp_path / "nowhere", tmp_path / "out",
+                          system={"mode": "direct-permutation", "per_color": True,
+                                  "master_key": KEY})
+    for argv, needle in ((["--mode", "identity"], "per_color"),
+                         (["--mode", "rot13"], "unknown mode"),
+                         (["--channels", "0"], "branches"),
+                         (["--limit", "0"], "eval limit"),
+                         (["--key", "0x00c0ffee00c0ff"], "key hex")):
+        for command in ("train", "eval"):
+            assert run(command, "--config", config, *argv) == 1
+            err = capsys.readouterr().err
+            assert needle in err and "missing" not in err, (argv, err)
+    assert run("train", "--config", config) == 1
+    assert "missing dataset file" in capsys.readouterr().err
 
 
 def test_pct_rounds_half_up_exactly():
@@ -359,17 +381,24 @@ def test_key_override_leaves_identity_rows(data_dir, tmp_path, capsys):
 def test_report_refuses_a_smaller_grid_from_another_key(pipeline, data_dir, tmp_path,
                                                         capsys):
     config, out_dir = pipeline
-    copy = tmp_path / "copy"
-    shutil.copytree(out_dir, copy)
     other = write_config(tmp_path / "other.yaml", data_dir, tmp_path / "other")
     assert run("train", "--config", other, "--key", OTHER_KEY, "--channels", "1") == 0
-    shutil.copyfile(tmp_path / "other" / "system-i1.rdiv", copy / "system-i1.rdiv")
-    (copy / "report.csv").unlink(missing_ok=True)
-    capsys.readouterr()
-    assert run("report", "--config", config, "--out", str(copy)) == 1
-    err = capsys.readouterr().err
-    assert f"{copy / 'system-i1.rdiv'} is not the first 1 branches of" in err
-    assert not (copy / "report.csv").exists()
+    # One weight byte changed behind a valid digest: the file still loads.
+    edited = bytearray((out_dir / "system-i1.rdiv").read_bytes())
+    edited[-33] ^= 1
+    edited = _reseal(bytes(edited))
+    assert load_system(edited).branches == 1
+    for name, blob in (("other-key", (tmp_path / "other" / "system-i1.rdiv").read_bytes()),
+                       ("one-weight-byte", edited)):
+        copy = tmp_path / name
+        shutil.copytree(out_dir, copy)
+        (copy / "system-i1.rdiv").write_bytes(blob)
+        (copy / "report.csv").unlink(missing_ok=True)
+        capsys.readouterr()
+        assert run("report", "--config", config, "--out", str(copy)) == 1
+        err = capsys.readouterr().err
+        assert f"{copy / 'system-i1.rdiv'} is not the first 1 branches of" in err
+        assert not (copy / "report.csv").exists()
 
 
 def test_attack_requires_surrogate(data_dir, tmp_path, capsys):

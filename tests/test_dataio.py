@@ -178,3 +178,7 @@ def test_take_first(tmp_path):
     assert len(take_first(data, 5)) == 5
     with pytest.raises(ValueError):
         take_first(data, 6)
+    # A negative count would slice from the end: all but the last two here.
+    with pytest.raises(ValueError, match="negative"):
+        take_first(data, -2)
+    assert len(take_first(data, 0)) == 0

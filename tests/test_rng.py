@@ -194,3 +194,17 @@ def test_master_key_hex_roundtrip():
     assert MasterKey.from_hex(key.to_hex()) == key
     with pytest.raises(ValueError):
         MasterKey.from_hex("123")
+
+
+# Sixteen characters each, and each accepted by int(text, 16).
+LOOSE_KEY_HEX = ("0x000000000000ab", "+00000000000000a", " 00000000000000a",
+                 "0000_0000_0000_a")
+
+
+def test_key_hex_takes_exactly_16_hex_digits():
+    for text in LOOSE_KEY_HEX:
+        assert len(text) == 16
+        int(text, 16)
+        with pytest.raises(ValueError, match="16 hex digits"):
+            MasterKey.from_hex(text)
+    assert MasterKey.from_hex("00C0FFEE00C0FFEE") == MasterKey(0x00C0FFEE00C0FFEE)

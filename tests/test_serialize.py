@@ -22,7 +22,15 @@ from rdiv.serialize import (
     read_system,
     save_system,
 )
-from rdiv.system import build_system, classify_batch, mode_groups, train_system
+from rdiv.system import (
+    build_system,
+    classify_batch,
+    first_branches,
+    mode_groups,
+    train_system,
+)
+
+from test_rng import LOOSE_KEY_HEX
 
 SIZE = 8
 COLORS = 1
@@ -102,12 +110,21 @@ def test_model_blob_corruption_detected():
     mangled[-48:-32] = b"zz" * 8
     with pytest.raises(BlobFormatError, match="key hex"):
         load_params(_reseal(bytes(mangled)))
+    # What int(text, 16) would take but the writer never emits.
+    for text in LOOSE_KEY_HEX:
+        mangled[-48:-32] = text.encode("ascii")
+        with pytest.raises(BlobFormatError, match="key hex"):
+            load_params(_reseal(bytes(mangled)))
 
 
 def test_system_round_trip(trained_system):
     blob = dump_system(trained_system)
     assert blob[:4] == b"RDIV"
     loaded = load_system(blob)
+    # eval and report check a smaller system file against these bytes.
+    assert dump_system(loaded) == blob
+    assert dump_system(first_branches(loaded, 1)) == \
+        dump_system(first_branches(trained_system, 1))
     assert loaded.mode == trained_system.mode
     assert loaded.master == trained_system.master
     assert loaded.groups == trained_system.groups
@@ -216,16 +233,6 @@ def test_adv_set_bytes_golden():
         dump_adv_set(negative)
 
 
-def test_system_missing_params_refused():
-    from dataclasses import replace
-    system = build_system("direct-permutation", MASTER, 1, 2, toy_arch(),
-                          SIZE, COLORS)
-    gutted = replace(system, channels=(
-        system.channels[0], replace(system.channels[1], params=None)))
-    with pytest.raises(ValueError, match="untrained"):
-        dump_system(gutted)
-
-
 # Byte offsets in a system file: magic, version and mode byte come first,
 # then the per-color byte, I, N and m, then the master key.
 _PER_COLOR = 4 + 1 + 1
@@ -239,6 +246,10 @@ def test_system_master_key_tamper_detected(trained_system):
     blob[_MASTER:_MASTER + 16] = MasterKey(0xABCD).to_hex().encode()
     with pytest.raises(BlobFormatError, match="checksum"):
         load_system(bytes(blob))
+    for text in LOOSE_KEY_HEX:
+        blob[_MASTER:_MASTER + 16] = text.encode("ascii")
+        with pytest.raises(BlobFormatError, match="key hex"):
+            load_system(_reseal(bytes(blob)))
 
 
 def test_v1_blob_rejected_by_version():
@@ -312,7 +323,7 @@ def test_adv_set_round_trip():
     assert np.array_equal(loaded.labels, adv.labels)
     assert np.array_equal(loaded.originals, adv.originals)
     assert np.array_equal(loaded.adversarials, adv.adversarials)
-    assert loaded.preds_before is None and loaded.preds_after is None
+    assert loaded.preds_after is None
     with pytest.raises(ValueError, match="predictions"):
         _ = loaded.surrogate_success_pct
     assert dump_adv_set(loaded) == blob
@@ -359,7 +370,7 @@ def test_adv_set_corrupt_count_raises_before_allocating():
 def test_file_round_trip_and_atomicity(tmp_path, trained_system):
     path = tmp_path / "system.rdiv"
     save_system(path, trained_system)
-    assert read_system(path).trained
+    assert read_system(path).branches == trained_system.branches
     leftovers = [p for p in tmp_path.iterdir() if p != path]
     assert leftovers == []
     # A failed write must not clobber the existing file.

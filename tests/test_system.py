@@ -259,15 +259,6 @@ def test_empty_batch_gives_empty_results(trained_perm_system):
         assert error_count(system, empty, no_labels) == 0
 
 
-def test_untrained_predict_names_channel():
-    system = build_system("direct-permutation", MASTER, 1, 2, toy_arch(), SIZE, COLORS)
-    from dataclasses import replace
-    broken = replace(system, channels=(
-        system.channels[0], replace(system.channels[1], params=None)))
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        predict_batch(broken, toy_set(count=1).images)
-
-
 def zero_net_system(reject_threshold=None):
     arch = toy_arch()
     system = build_system("identity", MASTER, 1, 1, arch, SIZE, COLORS,
