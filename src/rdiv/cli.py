@@ -103,6 +103,21 @@ def _count(value, what: str) -> int:
     return value
 
 
+def _path(value, what: str) -> Path:
+    """`value` as a path; YAML numbers, booleans, lists and "" are refused."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{what} must be a non-empty path string, got {value!r}")
+    return Path(value)
+
+
+def _path_list(value, what: str) -> tuple[Path, ...]:
+    """A non-empty YAML list of path strings; a bare string is refused."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a non-empty list of path strings, "
+                          f"got {value!r}")
+    return tuple(_path(p, what) for p in value)
+
+
 def _section(raw: dict, name: str) -> dict:
     value = raw.get(name) or {}
     if not isinstance(value, dict):
@@ -129,18 +144,18 @@ def _parse_dataset(raw: dict) -> tuple[str, str, tuple[Path, ...], tuple[Path, .
         if missing or forbidden:
             raise ConfigError("idx datasets need train/test image+label paths "
                               "and no batch lists")
-        train = (Path(section["train_images"]), Path(section["train_labels"]))
-        test = (Path(section["test_images"]), Path(section["test_labels"]))
+        train = (_path(section["train_images"], "dataset train_images"),
+                 _path(section["train_labels"], "dataset train_labels"))
+        test = (_path(section["test_images"], "dataset test_images"),
+                _path(section["test_labels"], "dataset test_labels"))
     else:
         if "train_batches" not in section or "test_batches" not in section:
             raise ConfigError("cifar10 datasets need train_batches and test_batches")
         if any(k in section for k in ("train_images", "train_labels",
                                       "test_images", "test_labels")):
             raise ConfigError("cifar10 datasets take batch lists, not idx paths")
-        train = tuple(Path(p) for p in section["train_batches"])
-        test = tuple(Path(p) for p in section["test_batches"])
-        if not train or not test:
-            raise ConfigError("batch lists must be non-empty")
+        train = _path_list(section["train_batches"], "dataset train_batches")
+        test = _path_list(section["test_batches"], "dataset test_batches")
     return name, fmt, train, test, classes
 
 
@@ -208,8 +223,14 @@ def _validate(raw: dict) -> RunConfig:
         raise ConfigError(f"branches lists {repeated[0]} more than once")
     master = None
     if "master_key" in system:
+        # YAML reads an unquoted all-digit key as a number (a leading 0 makes
+        # it octal), so str() of it would not be the digits that were written.
+        key = system["master_key"]
+        if not isinstance(key, str):
+            raise ConfigError(f"master_key must be 16 hex digits in quotes; "
+                              f"unquoted, YAML read it as {type(key).__name__}")
         try:
-            master = MasterKey.from_hex(str(system["master_key"]))
+            master = MasterKey.from_hex(key)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     per_color = system.get("per_color", False)
@@ -246,12 +267,13 @@ def _validate(raw: dict) -> RunConfig:
     limit = _count(eval_section.get("limit", DEFAULT_LIMIT), "eval limit")
 
     out_dir = raw.get("out_dir")
+    out_dir = None if out_dir is None else _path(out_dir, "out_dir")
     workers = _count(raw.get("workers", 1), "workers")
 
     return RunConfig(name, fmt, train_paths, test_paths, classes, mode,
                      grid, master, per_color, reject, hidden, hyper,
                      _parse_attacks(raw), limit,
-                     Path(out_dir) if out_dir else None, workers)
+                     out_dir, workers)
 
 
 def _apply_flags(raw: dict, args: argparse.Namespace) -> None:

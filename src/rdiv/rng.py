@@ -114,12 +114,15 @@ def u64_stream(state: RngState, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be non-negative")
     with np.errstate(over="ignore"):
-        s = np.uint64(state.state) + (np.arange(1, count + 1, dtype=np.uint64)
-                                      * np.uint64(_GAMMA))
-        z = s
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(state.state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def skip(state: RngState, count: int) -> RngState:
@@ -144,14 +147,26 @@ def derive_subkey(master: MasterKey, j: int, i: int, tag: int) -> SubKey:
     return SubKey(value, j, i, tag)
 
 
+# Draws per block of the `uniform_floats` sweep: each block's uint64
+# passes stay in cache instead of streaming whole-stream arrays through it.
+_STREAM_BLOCK = 1 << 15
+
+
 def uniform_floats(key: SubKey, count: int) -> np.ndarray:
     """`count` keyed floats in [0, 1), float64, from the key's stream.
 
     Uses the top 53 bits of each draw so every value is exactly
-    representable.
+    representable. The stream is drawn in blocks of `_STREAM_BLOCK`.
     """
-    raw = u64_stream(RngState(key.value), count)
-    return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    out = np.empty(count, dtype=np.float64)
+    state = RngState(key.value)
+    for start in range(0, count, _STREAM_BLOCK):
+        raw = u64_stream(state, min(_STREAM_BLOCK, count - start))
+        raw >>= np.uint64(11)
+        out[start:start + raw.size] = raw
+        state = skip(state, raw.size)
+    out *= 2.0**-53
+    return out
 
 
 def fisher_yates(state: RngState, n: int) -> np.ndarray:

@@ -45,20 +45,25 @@ def glyph(label: int) -> np.ndarray:
     return np.kron(cells, np.ones((_UPSCALE, _UPSCALE), dtype=np.float32))
 
 
+_GLYPHS = np.stack([glyph(label) for label in range(CLASSES)])
+
+
 def make_dataset(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(count, 28, 28) uint8 pixels plus int labels, reproducible per seed."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, CLASSES, size=count).astype(np.int64)
     shifts = rng.integers(-_MAX_JITTER, _MAX_JITTER + 1, size=(count, 2))
     amps = rng.uniform(0.6, 1.0, size=count).astype(np.float32)
-    noise = rng.uniform(0.0, 0.2, size=(count, SIZE, SIZE)).astype(np.float32)
-    out = noise
-    for pos in range(count):
-        r = _BASE_OFFSET + shifts[pos, 0]
-        c = _BASE_OFFSET + shifts[pos, 1]
-        out[pos, r:r + _BLOCK, c:c + _BLOCK] += amps[pos] * glyph(labels[pos])
-    out = np.clip(out, 0.0, 1.0)
-    return np.round(out * 255.0).astype(np.uint8), labels
+    out = rng.uniform(0.0, 0.2, size=(count, SIZE, SIZE)).astype(np.float32)
+    # Each image's glyph block at its own offset, all images in one pass.
+    # The indices broadcast, so the only temporaries are (count, 16, 16).
+    span = np.arange(_BLOCK)
+    rows = (_BASE_OFFSET + shifts[:, 0])[:, None, None] + span[None, :, None]
+    cols = (_BASE_OFFSET + shifts[:, 1])[:, None, None] + span[None, None, :]
+    out[np.arange(count)[:, None, None], rows, cols] += amps[:, None, None] * _GLYPHS[labels]
+    np.clip(out, 0.0, 1.0, out=out)
+    out *= 255.0
+    return np.round(out, out=out).astype(np.uint8), labels
 
 
 def write_idx(directory: Path, prefix: str, pixels: np.ndarray,

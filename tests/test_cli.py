@@ -1,4 +1,5 @@
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +198,49 @@ def test_flags_are_checked_like_config_values(tmp_path, capsys):
             assert needle in err and "missing" not in err, (argv, err)
     assert run("train", "--config", config) == 1
     assert "missing dataset file" in capsys.readouterr().err
+
+
+def test_config_paths_must_be_strings(data_dir, tmp_path, capsys):
+    # Path(5) would escape main as a TypeError traceback.
+    for section, key, value in ((None, "out_dir", 5), (None, "out_dir", ""),
+                                ("dataset", "train_images", 1),
+                                ("dataset", "test_labels", True),
+                                ("dataset", "test_images", ["a"])):
+        config = config_dict(data_dir, tmp_path / "out")
+        (config if section is None else config[section])[key] = value
+        path = tmp_path / "c.yaml"
+        path.write_text(yaml.safe_dump(config))
+        assert run("train", "--config", str(path)) == 1
+        assert key in capsys.readouterr().err, (key, value)
+
+
+def test_cifar10_batches_must_be_lists_of_strings():
+    def dataset(train, test):
+        return yaml.safe_dump({"dataset": {"name": "cifar", "format": "cifar10",
+                                           "train_batches": train,
+                                           "test_batches": test}})
+
+    assert parse_config(dataset(["b1", "b2"], ["t"])).train_paths == (
+        Path("b1"), Path("b2"))
+    # A bare string would otherwise become one path per character.
+    for train, test, needle in (("abc", ["t"], "train_batches"),
+                                (["b1"], "t", "test_batches"),
+                                ([], ["t"], "train_batches"),
+                                (["b1", 2], ["t"], "train_batches"),
+                                (["b1"], [None], "test_batches")):
+        with pytest.raises(ConfigError, match=needle):
+            parse_config(dataset(train, test))
+
+
+def test_unquoted_numeric_master_key_is_refused():
+    # YAML 1.1 reads 0000000000000123 as octal 83 and 1234567890123456 as
+    # a decimal int; neither may stand in for the digits as written.
+    for key in ("0000000000000123", "1234567890123456"):
+        with pytest.raises(ConfigError, match="in quotes") as excinfo:
+            parse_config(f"system:\n  master_key: {key}\n")
+        assert "83" not in str(excinfo.value)
+        config = parse_config(f"system:\n  master_key: '{key}'\n")
+        assert config.master.to_hex() == key
 
 
 def test_pct_rounds_half_up_exactly():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdiv.rng import (
+    _STREAM_BLOCK,
     MasterKey,
     RngState,
     SubKey,
@@ -186,6 +187,21 @@ def test_uniform_floats_range_and_determinism():
     assert np.all((u >= 0.0) & (u < 1.0))
     assert np.array_equal(u, uniform_floats(key, 10_000))
     assert abs(u.mean() - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("count", [0, 1, _STREAM_BLOCK - 1, _STREAM_BLOCK,
+                                   _STREAM_BLOCK + 1, 2 * _STREAM_BLOCK + 7])
+def test_uniform_floats_matches_scalar_stream(count):
+    # Reference: the top 53 bits of each sequential next_u64 draw, scaled.
+    key = SubKey(0x5EED5EED5EED5EED, 3, 4, 1)
+    state = RngState(key.value)
+    expected = []
+    for _ in range(count):
+        value, state = next_u64(state)
+        expected.append((value >> 11) * 2.0**-53)
+    got = uniform_floats(key, count)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert np.array_equal(got, np.asarray(expected, dtype=np.float64))
 
 
 def test_master_key_hex_roundtrip():
