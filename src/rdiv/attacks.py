@@ -186,24 +186,20 @@ def _margin_and_seed(logits: np.ndarray, labels: np.ndarray, kappa: float,
     Targeted swaps the roles so the chosen class must win by more than kappa.
     The loss is max(margin, 0), so only positive margins seed a gradient.
     """
-    batch, classes = logits.shape
+    batch = logits.shape[0]
     rows = np.arange(batch)
-    if targeted:
-        keep = logits.copy()
-        keep[rows, target] = -np.inf
-        rival = keep.argmax(axis=1)
-        raw = keep[rows, rival] - logits[:, target] + kappa
-        up, down = rival, target
-    else:
-        keep = logits.copy()
-        keep[rows, labels] = -np.inf
-        rival = keep.argmax(axis=1)
-        raw = logits[rows, labels] - keep[rows, rival] + kappa
-        up, down = labels, rival
+    own = np.broadcast_to(target, (batch,)) if targeted else labels
+    keep = logits.copy()
+    keep[rows, own] = -np.inf
+    rival = keep.argmax(axis=1)
+    gap = logits[rows, own] - keep[rows, rival]
+    # fl(a - b) == -fl(b - a), so negating the gap is exact.
+    raw = (-gap if targeted else gap) + kappa
+    up, down = (rival, own) if targeted else (own, rival)
     seed = np.zeros_like(logits)
     active = raw > 0
-    seed[rows[active], np.broadcast_to(up, (batch,))[active]] = 1.0
-    seed[rows[active], np.broadcast_to(down, (batch,))[active]] = -1.0
+    seed[rows[active], up[active]] = 1.0
+    seed[rows[active], down[active]] = -1.0
     return raw, seed
 
 

@@ -310,10 +310,8 @@ def _load_split(config: RunConfig, which: str) -> LabeledSet:
     paths = config.train_paths if which == "train" else config.test_paths
     _check_paths(paths)
     if config.dataset_format == "idx":
-        data = load_idx(paths[0], paths[1], name=config.dataset_name)
-    else:
-        data = load_cifar10(paths, name=config.dataset_name)
-    return replace(data, num_classes=config.classes)
+        return load_idx(paths[0], paths[1], name=config.dataset_name)
+    return load_cifar10(paths, name=config.dataset_name)
 
 
 def _arch_for(config: RunConfig, data: LabeledSet) -> ArchSpec:

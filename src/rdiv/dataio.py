@@ -40,8 +40,6 @@ class LabeledSet:
     images: np.ndarray
     labels: np.ndarray
     name: str
-    paths: tuple[str, ...]
-    num_classes: int = 10
 
     def __post_init__(self):
         images, labels = self.images, self.labels
@@ -109,7 +107,7 @@ def load_idx(images_path: str | Path, labels_path: str | Path,
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
     images = pixels.reshape(count, rows, cols, 1).astype(np.float32) / 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
-    return LabeledSet(images, labels, name, (str(images_path), str(labels_path)))
+    return LabeledSet(images, labels, name)
 
 
 def load_cifar10(batch_paths: list[str | Path], name: str = "cifar10") -> LabeledSet:
@@ -127,8 +125,7 @@ def load_cifar10(batch_paths: list[str | Path], name: str = "cifar10") -> Labele
         all_labels.append(records[:, 0].astype(np.int64))
         planes = records[:, 1:].reshape(-1, 3, 32, 32)
         all_images.append(np.transpose(planes, (0, 2, 3, 1)).astype(np.float32) / 255.0)
-    return LabeledSet(np.concatenate(all_images), np.concatenate(all_labels),
-                      name, tuple(str(p) for p in batch_paths))
+    return LabeledSet(np.concatenate(all_images), np.concatenate(all_labels), name)
 
 
 def take_first(dataset: LabeledSet, n: int) -> LabeledSet:
@@ -137,5 +134,4 @@ def take_first(dataset: LabeledSet, n: int) -> LabeledSet:
         raise ValueError(f"requested {n} samples, a count cannot be negative")
     if n > len(dataset):
         raise ValueError(f"requested {n} samples, set has {len(dataset)}")
-    return LabeledSet(dataset.images[:n], dataset.labels[:n],
-                      dataset.name, dataset.paths, dataset.num_classes)
+    return LabeledSet(dataset.images[:n], dataset.labels[:n], dataset.name)

@@ -14,9 +14,10 @@ Model blob ("RDIV"):
 System file ("RDIV"):
     mode byte | per-color byte (0/1) | I N m | master key hex | arch |
     weights and biases of all J*I channels in (j, i) order.
-    The master key defines every channel's transform, so J, the kinds,
-    bands and keyed payloads are not stored; `build_system` re-derives them
-    on load.
+    The per-color byte is `SystemSpec.per_color`. The mode, that byte and
+    the master key define every channel's transform, so J, the kinds, bands
+    and keyed payloads (each channel's index map or DCT coefficient mask)
+    are not stored; `build_system` re-derives them on load.
 
 Adversarial set ("RADV"):
     attack kind byte | config fields | count N m | count packed records:
@@ -225,8 +226,7 @@ def load_params(blob: bytes, label: str = "model") -> tuple[ModelParams, int]:
 
 def dump_system(system: SystemSpec) -> bytes:
     """Encode a system: header, the arch once, then all weights."""
-    header = _SYSTEM_HEADER.pack(_MODE_CODES[system.mode],
-                                 system.channels[0].preprocessor.per_color,
+    header = _SYSTEM_HEADER.pack(_MODE_CODES[system.mode], system.per_color,
                                  system.branches, system.size, system.colors)
     return _seal(MODEL_MAGIC, header, system.master.to_hex().encode("ascii"),
                  _dump_arch(system.arch),

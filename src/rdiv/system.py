@@ -72,7 +72,11 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A J x I channel grid with summation aggregation."""
+    """A J x I channel grid with summation aggregation.
+
+    `per_color` records whether direct-permutation channels draw one
+    permutation per color channel; it is the one copy of that setting.
+    """
 
     master: MasterKey
     mode: str
@@ -82,6 +86,7 @@ class SystemSpec:
     arch: ArchSpec
     channels: tuple[ChannelSpec, ...]
     reject_threshold: float | None = None
+    per_color: bool = False
 
     @property
     def groups(self) -> int:
@@ -133,7 +138,7 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
                 model = params[len(channels)]
             channels.append(ChannelSpec(j, i, pre, model))
     return SystemSpec(master, mode, branches, size, colors, arch,
-                      tuple(channels), reject_threshold)
+                      tuple(channels), reject_threshold, per_color)
 
 
 def first_branches(system: SystemSpec, branches: int) -> SystemSpec:
@@ -274,5 +279,5 @@ def rebuild_preprocessors(system: SystemSpec, master: MasterKey) -> SystemSpec:
     return build_system(system.mode, master, system.groups, system.branches,
                         system.arch, system.size, system.colors,
                         system.reject_threshold,
-                        per_color=system.channels[0].preprocessor.per_color,
+                        per_color=system.per_color,
                         params=[c.params for c in system.channels])

@@ -10,13 +10,16 @@ to each image.
 Supported operator kinds:
 
 * ``identity``             - passthrough (baseline channels).
-* ``direct-permutation``   - keyed lossless permutation of the flattened
-                             pixels, no transform domain involved.
+* ``direct-permutation``   - keyed lossless permutation of the pixels, shared
+                             by every color channel or drawn per color, no
+                             transform domain involved.
 * ``dct-sign-flip``        - keyed sign flips of DCT coefficients inside one
                              sub-band (or the whole plane), an involution.
 * ``dct-hard-threshold``   - zero the DCT coefficients of one sub-band.
 
-Both DCT kinds multiply the coefficients by one (N, N) mask. The 2D DCT is
+Every kind has one of two payloads. The direct-domain kinds are an index map
+into the flattened (N, N, m) image (for identity, the identity map). Both
+DCT kinds multiply the coefficients by one (N, N) mask. The 2D DCT is
 computed by explicit basis-matrix multiplication. Images here are small
 (N <= 32), and the matrix form keeps the operator algebra obvious: forward
 is C x C^T, inverse is C^T X C, with C orthonormal.
@@ -39,7 +42,7 @@ from .rng import (
 
 KINDS = ("identity", "direct-permutation", "dct-sign-flip", "dct-hard-threshold")
 
-SUBBAND_IDS = ("LOW", "V", "H", "D")
+SUBBAND_IDS = ("V", "H", "D")
 
 
 def dct_basis(size: int) -> np.ndarray:
@@ -68,10 +71,10 @@ def idct2(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def subband_rect(band_id: str, size: int) -> tuple[int, int, int, int]:
-    """One quadrant of the N x N DCT plane as half-open (r0, r1, c0, c1).
+    """One high-frequency quadrant of the N x N DCT plane as (r0, r1, c0, c1).
 
-    LOW is the top-left quadrant (low frequencies, DC included), V top-right,
-    H bottom-left, D bottom-right. Requires even N.
+    The rectangle is half-open: V is the top-right quadrant, H bottom-left,
+    D bottom-right. Requires even N.
     """
     if size % 2 != 0:
         raise ValueError(f"sub-band split needs even size, got {size}")
@@ -79,7 +82,6 @@ def subband_rect(band_id: str, size: int) -> tuple[int, int, int, int]:
         raise ValueError(f"unknown sub-band {band_id!r}")
     half = size // 2
     return {
-        "LOW": (0, half, 0, half),
         "V": (0, half, half, size),
         "H": (half, size, 0, half),
         "D": (half, size, half, size),
@@ -90,27 +92,30 @@ def subband_rect(band_id: str, size: int) -> tuple[int, int, int, int]:
 class Preprocessor:
     """One channel's keyed mapping, immutable after construction.
 
-    Payload by kind:
-      identity            - none
-      direct-permutation  - permutation: (N*N,) indices, or (m, N*N) when
-                            per_color is set
-      the DCT kinds       - mask: float64 (N, N) factors for the DCT
-                            coefficients of every color channel; keyed +-1
-                            inside the sub-band for dct-sign-flip, 0 inside
-                            it for dct-hard-threshold, 1 outside it
+    It holds exactly one payload:
+      permutation - int64 (N*N*m,) index map for identity and
+                    direct-permutation: entry k of the row-major flattened
+                    output reads entry permutation[k] of the input
+      mask        - float64 (N, N) factors for the DCT coefficients of every
+                    color channel; keyed +-1 inside the sub-band for
+                    dct-sign-flip, 0 inside it for dct-hard-threshold, 1
+                    outside it
     """
 
     kind: str
     size: int
     colors: int
     permutation: np.ndarray | None = None
-    per_color: bool = False
     mask: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.permutation is None) == (self.mask is None):
+            raise ValueError("a preprocessor holds exactly one of permutation and mask")
 
     def payload_equal(self, other: "Preprocessor") -> bool:
         """Structural equality of the materialized payloads."""
-        return ((self.kind, self.size, self.colors, self.per_color)
-                == (other.kind, other.size, other.colors, other.per_color)
+        return ((self.kind, self.size, self.colors)
+                == (other.kind, other.size, other.colors)
                 and np.array_equal(self.permutation, other.permutation)
                 and np.array_equal(self.mask, other.mask))
 
@@ -130,16 +135,19 @@ def make_preprocessor(kind: str, master: MasterKey, j: int, i: int,
         raise ValueError(f"unknown preprocessor kind {kind!r}")
     key = derive_subkey(master, j, i, TAG_PREPROCESS)
     if kind == "identity":
-        return Preprocessor(kind, size, colors)
+        return Preprocessor(kind, size, colors, permutation=np.arange(size * size * colors))
     if kind == "direct-permutation":
         n = size * size
         if per_color:
             perms = np.stack([
                 keyed_permutation(derive_subkey(master, j, i, TAG_PER_COLOR_BASE + c), n)
                 for c in range(colors)
-            ])
-            return Preprocessor(kind, size, colors, permutation=perms, per_color=True)
-        return Preprocessor(kind, size, colors, permutation=keyed_permutation(key, n))
+            ], axis=1)
+        else:
+            perms = keyed_permutation(key, n)[:, None]
+        # Entry k*m + c, color c of pixel k, reads color c of pixel perms[k, c].
+        index = (perms * colors + np.arange(colors)).ravel()
+        return Preprocessor(kind, size, colors, permutation=index)
     if subband is None:
         raise ValueError(f"{kind} requires a sub-band")
     if kind == "dct-sign-flip":
@@ -163,21 +171,11 @@ def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
     if images.ndim != 4 or images.shape[1:] != expected:
         raise ValueError(f"expected batch of shape (B, {p.size}, {p.size}, {p.colors}), "
                          f"got {images.shape}")
-    if p.kind == "identity":
-        return images.copy()
-
-    if p.kind == "direct-permutation":
-        batch = images.shape[0]
-        flat = images.reshape(batch, p.size * p.size, p.colors)
-        if p.per_color:
-            out = np.empty(flat.shape, flat.dtype)
-            for c in range(p.colors):
-                out[:, :, c] = flat[:, p.permutation[c], c]
-        else:
-            # `take` writes image-major rows; `flat[:, perm, :]` would come
-            # back pixel-major.
-            out = np.take(flat, p.permutation, axis=1)
-        return out.reshape(images.shape)
+    if p.mask is None:
+        # `take` writes image-major rows; `flat[:, perm]` would come back
+        # pixel-major.
+        flat = images.reshape(images.shape[0], -1)
+        return np.take(flat, p.permutation, axis=1).reshape(images.shape)
 
     # The DCT kinds scale coefficients, per color channel.
     basis = dct_basis(p.size)
@@ -195,9 +193,8 @@ def fold_into_weights(p: Preprocessor, w1: np.ndarray) -> np.ndarray:
     flat(L x) @ w1 == flat(x) @ (L^T w1). This returns L^T w1, with the
     shape and dtype of the (N*N*m, H) matrix `w1`:
 
-    * identity: `w1` itself.
-    * direct-permutation: `w1`'s rows scattered to the pixels they read,
-      exact, with no float arithmetic.
+    * identity and direct-permutation: `w1`'s rows scattered to the
+      entries they read, a new array, exact, with no float arithmetic.
     * the DCT kinds: L = C^T M C with C orthonormal and M diagonal, which
       is symmetric, so L^T w1 is `preprocess_batch` of `w1`'s columns
       viewed as images.
@@ -206,16 +203,9 @@ def fold_into_weights(p: Preprocessor, w1: np.ndarray) -> np.ndarray:
     pixels = p.size * p.size
     if w1.ndim != 2 or w1.shape[0] != pixels * p.colors:
         raise ValueError(f"expected ({pixels * p.colors}, H) weights, got {w1.shape}")
-    if p.kind == "identity":
-        return w1
-    if p.kind == "direct-permutation":
-        rows = w1.reshape(pixels, p.colors, -1)
-        out = np.empty_like(rows)
-        if p.per_color:
-            for c in range(p.colors):
-                out[p.permutation[c], c] = rows[:, c]
-        else:
-            out[p.permutation] = rows
-        return out.reshape(w1.shape)
+    if p.mask is None:
+        out = np.empty_like(w1)
+        out[p.permutation] = w1
+        return out
     columns = w1.T.reshape(-1, p.size, p.size, p.colors)
     return preprocess_batch(p, columns).reshape(len(columns), -1).T

@@ -108,7 +108,7 @@ def test_slice(dataset_paths):
 
 @pytest.fixture(scope="session")
 def arch(trainset):
-    return mlp_arch(trainset.images[0].size, HIDDEN, trainset.num_classes)
+    return mlp_arch(trainset.images[0].size, HIDDEN, 10)
 
 
 @pytest.fixture(scope="session")

@@ -44,7 +44,7 @@ def toy_set(count=90, seed=0, name="toy"):
         rows = labels == c
         images[rows, c * 2:c * 2 + 2, :, :] += 0.45
     images = np.clip(images, 0.0, 1.0)
-    return LabeledSet(images, labels, name=name, paths=(), num_classes=CLASSES)
+    return LabeledSet(images, labels, name=name)
 
 
 @pytest.fixture(scope="module")
@@ -336,8 +336,7 @@ def test_craft_adv_set_fields(surrogate):
 ], ids=["fgsm", "pgd", "cw"])
 def test_craft_adv_set_on_empty_set(surrogate, config):
     empty = LabeledSet(np.zeros((0, SIZE, SIZE, COLORS), np.float32),
-                       np.zeros(0, np.int64), name="empty", paths=(),
-                       num_classes=CLASSES)
+                       np.zeros(0, np.int64), name="empty")
     adv = craft_adv_set(surrogate, empty, config)
     assert len(adv) == 0
     assert adv.adversarials.shape == adv.originals.shape == (0, SIZE, SIZE, COLORS)

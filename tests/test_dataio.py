@@ -148,7 +148,7 @@ def test_cifar_no_paths_rejected():
 def test_labeled_set_count_mismatch_rejected():
     with pytest.raises(ValueError):
         LabeledSet(np.zeros((3, 2, 2, 1), np.float32), np.zeros(2, np.int64),
-                   name="x", paths=())
+                   name="x")
 
 
 def test_labeled_set_rejects_wrong_dtypes_and_shapes():
@@ -159,14 +159,14 @@ def test_labeled_set_rejects_wrong_dtypes_and_shapes():
                        (images.reshape(3, 4), r"shape \(3, 4\)"),
                        (images.tolist(), "list")):
         with pytest.raises(ValueError, match=match):
-            LabeledSet(bad, labels, name="x", paths=())
+            LabeledSet(bad, labels, name="x")
     for bad, match in ((labels.astype(np.float32), "float32"),
                        (labels.astype(bool), "bool"),
                        (labels.reshape(3, 1), r"shape \(3, 1\)"),
                        ([0, 0, 0], "list")):
         with pytest.raises(ValueError, match=match):
-            LabeledSet(images, bad, name="x", paths=())
-    assert len(LabeledSet(images, labels.astype(np.uint8), name="x", paths=())) == 3
+            LabeledSet(images, bad, name="x")
+    assert len(LabeledSet(images, labels.astype(np.uint8), name="x")) == 3
 
 
 def test_take_first(tmp_path):

@@ -48,16 +48,15 @@ def toy_set(count=40, seed=0):
     images = rng.random((count, SIZE, SIZE, COLORS)).astype(np.float32) * 0.4
     for c in range(CLASSES):
         images[labels == c, c * 2:c * 2 + 2, :, :] += 0.45
-    return LabeledSet(np.clip(images, 0, 1), labels, name="toy", paths=(),
-                      num_classes=CLASSES)
+    return LabeledSet(np.clip(images, 0, 1), labels, name="toy")
 
 
 def quick_hyper(epochs=2):
     return Hyper(learning_rate=5e-3, batch_size=16, epochs=epochs)
 
 
-@pytest.fixture(scope="module", params=["direct-permutation", "dct-sign-flip-3band",
-                                        "dct-hard-threshold-3band"])
+@pytest.fixture(scope="module", params=["identity", "direct-permutation",
+                                        "dct-sign-flip-3band", "dct-hard-threshold-3band"])
 def trained_system(request):
     mode = request.param
     system = build_system(mode, MASTER, mode_groups(mode), 2, toy_arch(), SIZE, COLORS)
@@ -167,11 +166,13 @@ def test_system_dump_is_deterministic(trained_system):
 # differently changes their digests without any format change; the
 # untrained grid and the adversarial set involve no BLAS call.
 GOLDEN_SYSTEM_SHA256 = {
+    "identity": "1ed77900761a8ddfd270fad85030d31bda82bf6f309219e4553f54d9de7d6744",
     "direct-permutation": "ce232637815b4700b4549df0ea67af74e815903c274bfe060cc86d0adb69b389",
     "dct-sign-flip-3band": "1603024d5716f7d0b122fec689aaa64299742de89685f2fb62efb33f8767191d",
     "dct-hard-threshold-3band": "5a0fe9d0b3d30fc1b558933ce7ace8e364a9a0c76f6853b4946cfdc4f57039b4",
 }
 GOLDEN_PER_COLOR_SHA256 = "a1f1a4f8fa4778fcae9c100a5a71ce1dd008d87ab8354dae8cca6045e477c960"
+GOLDEN_SHARED_RGB_SHA256 = "949d5b94252226f7dfb177a466deee94a0e78cdd975a3443a02d0d479fbcbc77"
 GOLDEN_UNTRAINED_SHA256 = "8a17c9cfe2d58a9a598e64325fb1930dc47f94b2b364367748f2cbafd58e8fcf"
 GOLDEN_ADV_SET_SHA256 = "94f92950ca6ecc30ab29acee545a13eb4731bb81b872a02014ce35a5b14d6c21"
 
@@ -186,16 +187,16 @@ def untrained_system(mode="direct-permutation", branches=2):
                         SIZE, COLORS)
 
 
-def per_color_system():
-    """Two per-color permutation channels on 4x4 RGB images."""
+def per_color_system(per_color=True):
+    """Two permutation channels on 4x4 RGB images, per-color by default."""
     rng = np.random.default_rng(6)
     labels = rng.integers(0, CLASSES, size=30).astype(np.int64)
     images = rng.random((30, 4, 4, 3), dtype=np.float32) * 0.4
     for c in range(CLASSES):
         images[labels == c, c, :, c] += 0.5
-    data = LabeledSet(images, labels, name="rgb", paths=(), num_classes=CLASSES)
+    data = LabeledSet(images, labels, name="rgb")
     system = build_system("direct-permutation", MASTER, 1, 2, mlp_arch(48, (8,), CLASSES),
-                          4, 3, per_color=True)
+                          4, 3, per_color=per_color)
     return train_system(system, data, quick_hyper(epochs=1))
 
 
@@ -216,6 +217,10 @@ def test_system_bytes_golden(trained_system):
 
 def test_per_color_system_bytes_golden():
     assert sha256(dump_system(per_color_system())) == GOLDEN_PER_COLOR_SHA256
+
+
+def test_shared_permutation_rgb_system_bytes_golden():
+    assert sha256(dump_system(per_color_system(per_color=False))) == GOLDEN_SHARED_RGB_SHA256
 
 
 def test_untrained_system_bytes_golden():
@@ -306,9 +311,11 @@ def test_system_per_color_round_trip():
                      COLORS, per_color=True),
         toy_set(), quick_hyper(epochs=1))
     loaded = load_system(dump_system(system))
-    for a, b in zip(loaded.channels, system.channels):
-        assert a.preprocessor.per_color
+    assert system.per_color and loaded.per_color
+    assert load_system(dump_system(first_branches(system, 1))).per_color
+    for a, b in zip(loaded.channels, system.channels, strict=True):
         assert a.preprocessor.payload_equal(b.preprocessor)
+    assert not load_system(dump_system(untrained_system())).per_color
 
 
 def test_adv_set_round_trip():

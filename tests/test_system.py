@@ -20,6 +20,8 @@ from rdiv.system import (
 )
 from rdiv.transforms import fold_into_weights, preprocess_batch, subband_rect
 
+from _helpers import loop_fold, pixel_orders
+
 SIZE = 8
 COLORS = 1
 CLASSES = 3
@@ -39,7 +41,7 @@ def toy_set(count=60, seed=0, name="toy", colors=COLORS):
         rows = labels == c
         images[rows, c * 2:c * 2 + 2, :, :] += 0.7
     images = np.clip(images, 0.0, 1.0)
-    return LabeledSet(images, labels, name=name, paths=(), num_classes=CLASSES)
+    return LabeledSet(images, labels, name=name)
 
 
 def toy_hyper():
@@ -234,12 +236,10 @@ def test_predict_batch_folds_transforms_into_first_layer(mode, colors, per_color
 
     if mode == "direct-permutation":
         for channel in system.channels:
-            pre, w1 = channel.preprocessor, channel.params.weights[0]
-            rows = w1.reshape(SIZE * SIZE, colors, -1)
-            folded = fold_into_weights(pre, w1).reshape(rows.shape)
-            for c in range(colors):
-                perm = pre.permutation[c] if pre.per_color else pre.permutation
-                assert np.array_equal(folded[perm, c], rows[:, c])
+            w1 = channel.params.weights[0]
+            orders = pixel_orders(MASTER, channel.j, channel.i, SIZE, colors, per_color)
+            assert np.array_equal(fold_into_weights(channel.preprocessor, w1),
+                                  loop_fold(orders, w1))
 
     poisoned = images.copy()
     poisoned[3, 2, 5, 0] = np.nan
@@ -339,6 +339,8 @@ def test_rebuild_preprocessors_equals_build_under_other_key(mode, per_color):
     fresh = build_system(mode, MasterKey(0x5), mode_groups(mode), 2, toy_arch(),
                          SIZE, COLORS, per_color=per_color)
     assert other.reject_threshold == 0.5
+    assert system.per_color == other.per_color == per_color
+    assert first_branches(other, 1).per_color == per_color
     for a, b, c in zip(system.channels, other.channels, fresh.channels, strict=True):
         assert (a.j, a.i) == (b.j, b.i)
         assert b.params is a.params
@@ -349,13 +351,11 @@ def test_train_rejects_mismatched_data():
     system = build_system("identity", MASTER, 1, 1, toy_arch(), SIZE, COLORS)
     bad = toy_set()
     from dataclasses import replace as dreplace
-    shrunk = LabeledSet(bad.images[:, :4, :4, :], bad.labels, name="bad",
-                        paths=(), num_classes=CLASSES)
+    shrunk = LabeledSet(bad.images[:, :4, :4, :], bad.labels, name="bad")
     with pytest.raises(ValueError):
         train_system(system, shrunk, toy_hyper())
     empty = LabeledSet(np.zeros((0, SIZE, SIZE, COLORS), np.float32),
-                       np.zeros((0,), np.int64), name="empty", paths=(),
-                       num_classes=CLASSES)
+                       np.zeros((0,), np.int64), name="empty")
     with pytest.raises(ValueError):
         train_system(system, empty, toy_hyper())
     with pytest.raises(ValueError):

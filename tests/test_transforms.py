@@ -3,6 +3,7 @@ import pytest
 
 from rdiv.rng import TAG_PREPROCESS, MasterKey, derive_subkey, keyed_sign_mask
 from rdiv.transforms import (
+    Preprocessor,
     dct2,
     dct_basis,
     fold_into_weights,
@@ -12,7 +13,7 @@ from rdiv.transforms import (
     subband_rect,
 )
 
-from _helpers import preprocess
+from _helpers import flat_index, loop_fold, loop_preprocess, pixel_orders, preprocess
 
 MASTER = MasterKey(0xC0FFEE)
 
@@ -84,23 +85,29 @@ class TestDct:
 class TestSubband:
     def test_quadrants_28(self):
         assert subband_rect("D", 28) == (14, 28, 14, 28)
-        assert subband_rect("LOW", 28) == (0, 14, 0, 14)
         assert subband_rect("V", 28) == (0, 14, 14, 28)
         assert subband_rect("H", 28) == (14, 28, 0, 14)
 
     def test_bands_tile_disjointly(self):
         hits = np.zeros((28, 28), dtype=int)
-        for band_id in ("LOW", "V", "H", "D"):
+        for band_id in ("V", "H", "D"):
             r0, r1, c0, c1 = subband_rect(band_id, 28)
             hits[r0:r1, c0:c1] += 1
+        assert np.all(hits[:14, :14] == 0)
+        hits[:14, :14] = 1
         assert np.all(hits == 1)
 
-    def test_n2_low_is_single_cell(self):
-        assert subband_rect("LOW", 2) == (0, 1, 0, 1)
+    def test_n2_band_is_single_cell(self):
+        assert subband_rect("D", 2) == (1, 2, 1, 2)
 
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
-            subband_rect("LOW", 27)
+            subband_rect("V", 27)
+
+    def test_low_and_unknown_bands_rejected(self):
+        for band_id in ("LOW", "v", ""):
+            with pytest.raises(ValueError, match="unknown sub-band"):
+                subband_rect(band_id, 28)
 
 
 class TestMakePreprocessor:
@@ -180,20 +187,21 @@ class TestPreprocess:
 
     def test_permutation_shared_across_colors(self):
         p = make_preprocessor("direct-permutation", MASTER, 0, 0, 8, 3)
+        order = pixel_orders(MASTER, 0, 0, 8, 3, per_color=False)[0]
         x = random_images(1, 8, 3, seed=7)[0]
         y = preprocess(p, x)
         flat_x, flat_y = x.reshape(64, 3), y.reshape(64, 3)
         for c in range(3):
-            assert np.array_equal(flat_y[:, c], flat_x[p.permutation, c])
+            assert np.array_equal(flat_y[:, c], flat_x[order, c])
 
     def test_per_color_permutations_differ(self):
         p = make_preprocessor("direct-permutation", MASTER, 0, 0, 8, 3, per_color=True)
-        assert p.permutation.shape == (3, 64)
-        assert not np.array_equal(p.permutation[0], p.permutation[1])
+        orders = pixel_orders(MASTER, 0, 0, 8, 3, per_color=True)
+        assert not np.array_equal(orders[0], orders[1])
         x = random_images(1, 8, 3, seed=8)[0]
         flat_x, flat_y = x.reshape(64, 3), preprocess(p, x).reshape(64, 3)
         for c in range(3):
-            assert np.array_equal(flat_y[:, c], flat_x[p.permutation[c], c])
+            assert np.array_equal(flat_y[:, c], flat_x[orders[c], c])
 
     def test_hard_threshold_zeroes_band_only(self):
         basis = dct_basis(28)
@@ -272,13 +280,12 @@ class TestPreprocess:
         batch = random_images(6, 8, colors, seed=16)
         out = preprocess_batch(p, batch)
         assert out.flags.c_contiguous
-        flat = batch.reshape(6, 64, colors)
         if kind == "identity":
-            want = flat
-        elif kind == "direct-permutation" and per_color:
-            want = np.stack([flat[:, p.permutation[c], c] for c in range(colors)], axis=2)
+            want = batch
         elif kind == "direct-permutation":
-            want = flat[:, p.permutation, :]
+            orders = pixel_orders(MASTER, 0, 0, 8, colors, per_color)
+            want = np.stack([batch.reshape(6, 64, colors)[:, orders[c], c]
+                             for c in range(colors)], axis=2)
         else:
             # The DCT kinds gather nothing: compare with the per-image operator.
             want = np.stack([preprocess(p, image) for image in batch])
@@ -310,3 +317,48 @@ class TestFoldIntoWeights:
         for shape in ((63, 5), (64,), (5, 64)):
             with pytest.raises(ValueError, match="weights"):
                 fold_into_weights(p, np.zeros(shape, np.float32))
+
+
+class TestIndexMap:
+    """Identity and both permutation kinds share one flat index map."""
+
+    CASES = [(size, colors, per_color) for size in (8, 28) for colors in (1, 3)
+             for per_color in (False, True)]
+
+    @pytest.mark.parametrize("size, colors, per_color", CASES)
+    def test_index_map_expands_the_keyed_pixel_orders(self, size, colors, per_color):
+        p = make_preprocessor("direct-permutation", MASTER, 1, 2, size, colors,
+                              per_color=per_color)
+        want = flat_index(pixel_orders(MASTER, 1, 2, size, colors, per_color))
+        assert p.permutation.dtype == np.int64 and p.mask is None
+        assert np.array_equal(p.permutation, want)
+
+    @pytest.mark.parametrize("size, colors, per_color", CASES)
+    def test_gather_and_scatter_equal_the_per_color_loops(self, size, colors, per_color):
+        p = make_preprocessor("direct-permutation", MASTER, 1, 2, size, colors,
+                              per_color=per_color)
+        orders = pixel_orders(MASTER, 1, 2, size, colors, per_color)
+        batch = random_images(5, size, colors, seed=size + colors)
+        out = preprocess_batch(p, batch)
+        assert out.dtype == batch.dtype and out.flags.c_contiguous
+        assert out.tobytes() == loop_preprocess(orders, batch).tobytes()
+        w1 = np.random.default_rng(size).standard_normal(
+            (size * size * colors, 7)).astype(np.float32)
+        folded = fold_into_weights(p, w1)
+        assert folded.dtype == w1.dtype
+        assert folded.tobytes() == loop_fold(orders, w1).tobytes()
+
+    @pytest.mark.parametrize("colors", [1, 3])
+    def test_identity_is_a_copy_and_folds_to_w1(self, colors):
+        p = make_preprocessor("identity", MASTER, 0, 0, 8, colors)
+        assert np.array_equal(p.permutation, np.arange(64 * colors))
+        batch = random_images(3, 8, colors, seed=21)
+        out = preprocess_batch(p, batch)
+        assert np.array_equal(out, batch) and not np.shares_memory(out, batch)
+        w1 = np.random.default_rng(22).standard_normal((64 * colors, 4))
+        assert np.array_equal(fold_into_weights(p, w1), w1)
+
+    def test_exactly_one_payload(self):
+        for payload in ({}, {"permutation": np.arange(64), "mask": np.ones((8, 8))}):
+            with pytest.raises(ValueError, match="exactly one"):
+                Preprocessor("identity", 8, 1, **payload)
