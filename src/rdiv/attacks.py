@@ -31,6 +31,8 @@ from .nn import (
     forward,
     init_params,
     logits_and_cache,
+    require_finite,
+    require_int,
     train,
 )
 from .rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
@@ -42,6 +44,9 @@ ATTACK_KINDS = ("fgsm", "pgd-linf", "cw-l2")
 
 # Keeps arctanh finite at pixel values 0 and 1.
 _TANH_CLIP = 1.0 - 1e-6
+
+# Elements per row block of the CW-l2 sweep (see `cw_l2_batch`).
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,13 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        for name in ("steps", "iterations", "target"):
+            require_int(self, name)
+        for name in ("eps", "alpha", "c", "step_size", "kappa"):
+            require_finite(self, name)
+        # A quoted "no" is a non-empty string, which bool() would call true.
+        if not isinstance(self.targeted, bool):
+            raise ValueError(f"targeted must be true or false, got {self.targeted!r}")
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
         if self.alpha <= 0 or self.steps < 1:
@@ -70,9 +82,7 @@ class AttackConfig:
             raise ValueError("cw needs c > 0, iterations >= 1, step_size > 0")
         if self.kappa < 0:
             raise ValueError("kappa must be >= 0")
-        # bool is an int subclass, so YAML's `true` must be ruled out by name.
-        if isinstance(self.target, bool) or not isinstance(self.target, int) \
-                or self.target < 0:
+        if self.target < 0:
             raise ValueError(f"target must be a non-negative int, got {self.target!r}")
 
 
@@ -211,6 +221,15 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     sample; samples that never cross the margin come back unchanged. An
     input that already satisfies the margin is its own best answer (norm 0).
     Labels, and the target of a targeted run, must be classes of `params`.
+
+    The working set is about ten (B, D) float64 arrays at its peak: the
+    iterate state (`x`, `w`, both Adam moments, `tanh(w)`, `adv`), the
+    float32 best answers, and the input gradient and the forward pass's
+    temporaries. The forward and backward passes run on the whole batch;
+    everything else in an iteration runs in one sweep over row blocks of
+    about `_BLOCK` elements, so each block stays in cache while every
+    formula passes over it. Each formula is elementwise or per row, so the
+    result is bitwise that of the textbook formulas in the comments.
     """
     batch = images.shape[0]
     flat_dim = params.arch.input_dim
@@ -219,74 +238,95 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     if config.targeted and config.target >= classes:
         raise ValueError(f"target {config.target} is not in [0, {classes})")
     x = images.reshape(batch, flat_dim).astype(np.float64)
-    w = np.arctanh((2.0 * x - 1.0) * _TANH_CLIP)
     work = params.astype(np.float64)
-
+    # The best answers are returned as float32, so they are kept as float32.
+    best = x.astype(np.float32)
     best_norm2 = np.full(batch, np.inf)
-    best = x.copy()
+    norm2 = np.empty(batch)  # ||adv - x||^2 of the current iterate, per row
 
-    m = np.zeros_like(w)
-    v = np.zeros_like(w)
-    # Each iterate is written into these; `tmp` and `step` hold temporaries.
-    tanh_w, adv, delta, dw, tmp, step = (np.empty_like(w) for _ in range(6))
+    m, v = np.zeros_like(x), np.zeros_like(x)
+    w, tanh_w, adv = (np.empty_like(x) for _ in range(3))
+    rows = max(1, _BLOCK // flat_dim)
+    blocks = [slice(start, min(start + rows, batch)) for start in range(0, batch, rows)]
+    # Block-sized scratch; the last block may use only the first rows.
+    tmp, step = (np.empty((min(rows, batch), flat_dim)) for _ in range(2))
 
-    def consider(candidate: np.ndarray, diff: np.ndarray, margin: np.ndarray) -> None:
-        """Keep `candidate` (= x + diff) where its margin is negative and its norm smaller."""
-        norm2 = np.sum(diff ** 2, axis=1)
+    def next_iterate(b: slice, t: np.ndarray) -> None:
+        """adv = (tanh(w) + 1) / 2 and norm2 = sum((adv - x) ** 2) on rows `b`."""
+        np.tanh(w[b], out=tanh_w[b])
+        np.add(tanh_w[b], 1.0, out=adv[b])
+        adv[b] /= 2.0
+        np.subtract(adv[b], x[b], out=t)
+        np.square(t, out=t)
+        np.sum(t, axis=1, out=norm2[b])
+
+    def keep_better(margin: np.ndarray) -> np.ndarray:
+        """Rows where `adv` succeeds with a smaller norm than the best so far."""
         better = (margin < 0) & (norm2 < best_norm2)
         best_norm2[better] = norm2[better]
-        best[better] = candidate[better]
+        return better[:, None]
 
-    delta.fill(0.0)
+    for b in blocks:
+        t = tmp[:b.stop - b.start]
+        # w = arctanh((2 * x - 1) * _TANH_CLIP)
+        np.multiply(2.0, x[b], out=t)
+        t -= 1.0
+        t *= _TANH_CLIP
+        np.arctanh(t, out=w[b])
+        next_iterate(b, t)
+
+    # The clean input has norm 0, so it is kept wherever it already succeeds.
     margin, _ = _margin_and_seed(logits_and_cache(work, x)[0], labels, config.kappa,
                                  config.targeted, config.target)
-    consider(x, delta, margin)
+    best_norm2[margin < 0] = 0.0
     # Pass `iterations + 1` only scores the last iterate: each pass scores
     # the iterate the previous one produced, with the logits its gradient
     # step needs anyway, so no iterate runs its forward pass twice.
     for it in range(1, config.iterations + 2):
-        # adv = (tanh(w) + 1) / 2; delta = adv - x
-        np.tanh(w, out=tanh_w)
-        np.add(tanh_w, 1.0, out=adv)
-        adv /= 2.0
-        np.subtract(adv, x, out=delta)
         logits, cache = logits_and_cache(work, adv)
         margin, seed = _margin_and_seed(logits, labels, config.kappa,
                                         config.targeted, config.target)
-        if it > 1:
-            consider(adv, delta, margin)
+        better = keep_better(margin)
         if it > config.iterations:
+            for b in blocks:
+                np.copyto(best[b], adv[b], where=better[b])
             break
         _, _, dadv = backward_from_logits(work, cache, config.c * seed, wrt="input")
-        # dw = (dadv + 2 * delta) * (1 - tanh_w ** 2) / 2
-        np.multiply(2.0, delta, out=tmp)
-        dadv += tmp
-        np.square(tanh_w, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        np.multiply(dadv, tmp, out=dw)
-        dw /= 2.0
-        # m = 0.9 * m + 0.1 * dw
-        m *= 0.9
-        np.multiply(0.1, dw, out=tmp)
-        m += tmp
-        # v = 0.999 * v + 0.001 * dw ** 2
-        v *= 0.999
-        np.square(dw, out=tmp)
-        tmp *= 0.001
-        v += tmp
-        # w -= step_size * (m / (1 - 0.9 ** it)) / (sqrt(v / (1 - 0.999 ** it)) + 1e-8)
-        np.divide(v, 1.0 - 0.999 ** it, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += 1e-8
-        np.divide(m, 1.0 - 0.9 ** it, out=step)
-        step *= config.step_size
-        step /= tmp
-        w -= step
+        correction1, correction2 = 1.0 - 0.9 ** it, 1.0 - 0.999 ** it
+        for b in blocks:
+            np.copyto(best[b], adv[b], where=better[b])
+            t, s, dw = tmp[:b.stop - b.start], step[:b.stop - b.start], dadv[b]
+            # dw = (dadv + 2 * (adv - x)) * (1 - tanh_w ** 2) / 2, built in `dadv`
+            np.subtract(adv[b], x[b], out=t)
+            np.multiply(2.0, t, out=t)
+            dw += t
+            np.square(tanh_w[b], out=t)
+            np.subtract(1.0, t, out=t)
+            dw *= t
+            dw /= 2.0
+            # m = 0.9 * m + 0.1 * dw
+            m[b] *= 0.9
+            np.multiply(0.1, dw, out=t)
+            m[b] += t
+            # v = 0.999 * v + 0.001 * dw ** 2
+            v[b] *= 0.999
+            np.square(dw, out=t)
+            t *= 0.001
+            v[b] += t
+            # w -= step_size * (m / (1 - 0.9 ** it)) / (sqrt(v / (1 - 0.999 ** it)) + 1e-8)
+            np.divide(v[b], correction2, out=t)
+            np.sqrt(t, out=t)
+            t += 1e-8
+            np.divide(m[b], correction1, out=s)
+            s *= config.step_size
+            s /= t
+            w[b] -= s
+            next_iterate(b, t)
 
     found = np.isfinite(best_norm2)
     logger.debug("cw-l2: %d/%d samples attacked successfully",
                  int(found.sum()), batch)
-    return best.reshape(images.shape).astype(np.float32)
+    return best.reshape(images.shape)
 
 
 def craft_adv_set(params: ModelParams, dataset: LabeledSet,

@@ -15,6 +15,7 @@ graph in float64.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,24 @@ class ModelParams:
                 and all(np.array_equal(a, b) for a, b in zip(self.biases, other.biases)))
 
 
+def require_int(config, name: str) -> None:
+    """Refuse a field of `config` that is not an int.
+
+    bool is an int subclass, so YAML's `true` must be ruled out by name.
+    """
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def require_finite(config, name: str) -> None:
+    """Refuse a field of `config` that is not a finite int or float (nor a bool)."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Hyper:
     """First-order training settings."""
@@ -137,13 +156,18 @@ class Hyper:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        # bool is an int subclass, so YAML's `true` must be ruled out by name.
-        if isinstance(self.learning_rate, bool) or self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
         for name in ("batch_size", "epochs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            require_int(self, name)
+        for name in ("learning_rate", "beta1", "beta2", "eps", "weight_decay"):
+            require_finite(self, name)
+        for name in ("learning_rate", "eps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
         if self.epochs < 0:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,12 +267,16 @@ def reference_cw_l2(params, images, labels, config):
     return best.reshape(images.shape).astype(np.float32)
 
 
-@pytest.mark.parametrize("config", [
+CW_REFERENCE_CONFIGS = [
     cw_config(iterations=25),
     cw_config(iterations=1),
     cw_config(iterations=25, kappa=1.0),
     cw_config(iterations=25, targeted=True, target=2, c=0.5),
-], ids=["untargeted", "one-iteration", "kappa", "targeted"])
+]
+CW_REFERENCE_IDS = ["untargeted", "one-iteration", "kappa", "targeted"]
+
+
+@pytest.mark.parametrize("config", CW_REFERENCE_CONFIGS, ids=CW_REFERENCE_IDS)
 def test_cw_equals_two_forward_reference(surrogate, probes, config):
     images, labels = probes
     got = cw_l2_batch(surrogate, images, labels, config)
@@ -314,6 +320,37 @@ def test_cw_iterates_equal_textbook_formulas_in_float64(surrogate, probes, monke
     assert len(seen) == len(expected)
     for got, want in zip(seen, expected):
         assert np.array_equal(got, want)
+
+
+# The 30 probes fit in one row block of the CW sweep at the default budget.
+# Four rows per block leave a ragged last block of two; one row per block
+# puts every row on a boundary.
+@pytest.mark.parametrize("rows", [4, 1])
+@pytest.mark.parametrize("config", CW_REFERENCE_CONFIGS, ids=CW_REFERENCE_IDS)
+def test_cw_reference_holds_across_row_blocks(surrogate, probes, config, rows,
+                                              monkeypatch):
+    monkeypatch.setattr("rdiv.attacks._BLOCK", rows * toy_arch().input_dim)
+    test_cw_equals_two_forward_reference(surrogate, probes, config)
+
+
+@pytest.mark.parametrize("rows", [4, 1])
+def test_cw_iterates_hold_across_row_blocks(surrogate, probes, rows, monkeypatch):
+    monkeypatch.setattr("rdiv.attacks._BLOCK", rows * toy_arch().input_dim)
+    test_cw_iterates_equal_textbook_formulas_in_float64(surrogate, probes, monkeypatch)
+
+
+def test_cw_working_set_stays_below_eleven_full_arrays(surrogate):
+    # Only the iterate state is kept whole; a full-size temporary per
+    # formula would push the peak past eleven (B, D) float64 arrays.
+    data = toy_set(count=4000, seed=13)
+    full_array = len(data) * toy_arch().input_dim * 8
+    tracemalloc.start()
+    try:
+        cw_l2_batch(surrogate, data.images, data.labels, cw_config(iterations=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * full_array, f"peak {peak / full_array:.1f} full arrays"
 
 
 def test_craft_adv_set_fields(surrogate):
@@ -432,6 +469,21 @@ def test_attack_config_validation():
     for target in (-1, True, 1.0, "2", None):
         with pytest.raises(ValueError, match="target"):
             AttackConfig(kind="cw-l2", targeted=True, target=target)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("steps", 2.5), ("steps", True), ("steps", "3"),
+    ("iterations", True), ("iterations", 10.0),
+    ("targeted", "no"), ("targeted", 1), ("targeted", None),
+    ("eps", float("nan")), ("eps", float("inf")), ("eps", True), ("eps", "0.1"),
+    ("alpha", float("nan")), ("alpha", True),
+    ("c", float("inf")), ("c", False),
+    ("step_size", float("nan")), ("step_size", True),
+    ("kappa", float("inf")), ("kappa", True), ("kappa", None),
+])
+def test_attack_config_refuses_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        AttackConfig(kind="cw-l2", **{field: value})
 
 
 def test_adv_set_length_validation():

@@ -162,6 +162,30 @@ def test_parse_config_validates_values(data_dir, tmp_path):
             parse_config(yaml.safe_dump(bad))
 
 
+def test_parse_config_refuses_bad_attack_and_train_values(data_dir, tmp_path):
+    # Each of these once parsed and then failed or misled at run time: a
+    # float step count raised TypeError inside `rdiv attack`, `true` ran one
+    # iteration, a quoted "no" ran a targeted attack, a NaN learning rate
+    # died in training and beta1 = 1.5 trained a useless model.
+    good = config_dict(data_dir, tmp_path)
+    nan, inf = float("nan"), float("inf")
+    for section, field, value in (
+            ("attacks", "steps", 2.5), ("attacks", "iterations", True),
+            ("attacks", "targeted", "no"), ("attacks", "eps", nan),
+            ("attacks", "alpha", inf), ("attacks", "c", True),
+            ("attacks", "step_size", nan), ("attacks", "kappa", -inf),
+            ("train", "learning_rate", nan), ("train", "learning_rate", inf),
+            ("train", "beta1", 1.5), ("train", "beta2", 1.0),
+            ("train", "beta1", -0.1), ("train", "eps", 0.0),
+            ("train", "eps", nan), ("train", "weight_decay", -0.01),
+            ("train", "weight_decay", inf)):
+        bad = yaml.safe_load(yaml.safe_dump(good))
+        (bad["attacks"][1] if section == "attacks" else bad["train"])[field] = value
+        where = r"attacks\[1\]" if section == "attacks" else "train"
+        with pytest.raises(ConfigError, match=f"{where}: {field}"):
+            parse_config(yaml.safe_dump(bad))
+
+
 def test_parse_config_rejects_per_color_outside_direct_permutation(data_dir, tmp_path):
     config = config_dict(data_dir, tmp_path)
     for mode in ("dct-sign-flip-3band", "dct-hard-threshold-3band", "identity"):

@@ -474,6 +474,22 @@ class TestTrainMatchesReference:
 
 
 class TestHyper:
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+        ("learning_rate", -1e-3), ("learning_rate", True), ("learning_rate", "0.1"),
+        ("beta1", 1.5), ("beta1", 1.0), ("beta1", -0.1), ("beta1", float("nan")),
+        ("beta2", 1.0), ("beta2", -1e-9), ("beta2", float("inf")),
+        ("eps", 0.0), ("eps", -1e-8), ("eps", float("nan")), ("eps", True),
+        ("weight_decay", -0.01), ("weight_decay", float("inf")),
+        ("weight_decay", float("nan")), ("weight_decay", False),
+    ])
+    def test_refuses_non_finite_and_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Hyper(**{field: value})
+
+    def test_accepts_range_edges(self):
+        Hyper(beta1=0.0, beta2=0.0, weight_decay=0.0, eps=1e-300, learning_rate=1e30)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Hyper(learning_rate=0.0)
