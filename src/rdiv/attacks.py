@@ -274,6 +274,9 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
         t *= _TANH_CLIP
         np.arctanh(t, out=w[b])
         next_iterate(b, t)
+    # The starting iterate is never a candidate: it lies within about 5e-7
+    # of x, so keeping it could put a near-zero norm where x just misses.
+    norm2.fill(np.inf)
 
     # The clean input has norm 0, so it is kept wherever it already succeeds.
     margin, _ = _margin_and_seed(logits_and_cache(work, x)[0], labels, config.kappa,
@@ -288,8 +291,7 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
                                         config.targeted, config.target)
         better = keep_better(margin)
         if it > config.iterations:
-            for b in blocks:
-                np.copyto(best[b], adv[b], where=better[b])
+            np.copyto(best, adv, where=better)
             break
         _, _, dadv = backward_from_logits(work, cache, config.c * seed, wrt="input")
         correction1, correction2 = 1.0 - 0.9 ** it, 1.0 - 0.999 ** it

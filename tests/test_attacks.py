@@ -19,6 +19,7 @@ from rdiv.attacks import (
 from rdiv.dataio import LabeledSet
 from rdiv.nn import (
     Hyper,
+    ModelParams,
     backward_from_logits,
     batch_loss_and_grads,
     forward,
@@ -337,6 +338,33 @@ def test_cw_reference_holds_across_row_blocks(surrogate, probes, config, rows,
 def test_cw_iterates_hold_across_row_blocks(surrogate, probes, rows, monkeypatch):
     monkeypatch.setattr("rdiv.attacks._BLOCK", rows * toy_arch().input_dim)
     test_cw_iterates_equal_textbook_formulas_in_float64(surrogate, probes, monkeypatch)
+
+
+def test_cw_never_keeps_the_starting_iterate(surrogate, probes):
+    # The starting iterate tanh(arctanh((2x - 1) * clip)) sits within about
+    # 5e-7 of x. Shift one class's last bias so that some probe fails at x
+    # but succeeds there: the reference never scores that iterate, so
+    # keeping it with its tiny norm would change the answer.
+    images, labels = probes
+    params = surrogate.astype(np.float64)
+    x = images.reshape(len(images), -1).astype(np.float64)
+    start = (np.tanh(np.arctanh((2.0 * x - 1.0) * _TANH_CLIP)) + 1.0) / 2.0
+
+    def margins(model, points):
+        return _margin_and_seed(logits_and_cache(model, points)[0], labels,
+                                0.0, False, 0)[0]
+
+    clean, moved = margins(params, x), margins(params, start)
+    row = int(np.argmin(moved - clean))
+    assert moved[row] < clean[row]
+    biases = [b.copy() for b in params.biases]
+    biases[-1][labels[row]] -= (clean[row] + moved[row]) / 2.0
+    shifted = ModelParams(params.arch, params.weights, tuple(biases))
+    assert margins(shifted, x)[row] > 0 > margins(shifted, start)[row]
+
+    config = cw_config(iterations=5)
+    assert np.array_equal(cw_l2_batch(shifted, images, labels, config),
+                          reference_cw_l2(shifted, images, labels, config))
 
 
 def test_cw_working_set_stays_below_eleven_full_arrays(surrogate):
