@@ -178,7 +178,12 @@ def _parse_attacks(raw: dict) -> tuple[tuple[str, AttackConfig], ...]:
             config = AttackConfig(**fields)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"attacks[{pos}]: {exc}") from None
-        name = str(entry.get("name", entry["kind"]))
+        name = entry.get("name", entry["kind"])
+        # The name becomes the file name adv-{name}.radv in out_dir.
+        if (not isinstance(name, str) or name in ("", ".", "..")
+                or "/" in name or "\\" in name):
+            raise ConfigError(f"attacks[{pos}] name must be a file name: "
+                              f"no '/' or '\\', not empty, '.' or '..', got {name!r}")
         if name in seen:
             raise ConfigError(f"duplicate attack name {name!r}")
         seen.add(name)

@@ -111,6 +111,15 @@ class Preprocessor:
     def __post_init__(self):
         if (self.permutation is None) == (self.mask is None):
             raise ValueError("a preprocessor holds exactly one of permutation and mask")
+        if self.kind.startswith("dct"):
+            if np.shape(self.mask) != (self.size, self.size):
+                raise ValueError(f"{self.kind} needs a ({self.size}, {self.size}) mask")
+            return
+        entries = self.size * self.size * self.colors
+        if (np.shape(self.permutation) != (entries,)
+                or np.asarray(self.permutation).dtype.kind not in "iu"):
+            raise ValueError(f"{self.kind} needs a 1-D integer permutation of "
+                             f"length {entries}")
 
     def payload_equal(self, other: "Preprocessor") -> bool:
         """Structural equality of the materialized payloads."""
@@ -196,8 +205,13 @@ def fold_into_weights(p: Preprocessor, w1: np.ndarray) -> np.ndarray:
     * identity and direct-permutation: `w1`'s rows scattered to the
       entries they read, a new array, exact, with no float arithmetic.
     * the DCT kinds: L = C^T M C with C orthonormal and M diagonal, which
-      is symmetric, so L^T w1 is `preprocess_batch` of `w1`'s columns
-      viewed as images.
+      is symmetric, so L^T w1 = L w1 applies L to `w1`'s columns viewed
+      as images. With D = M - 1, which is zero outside the coefficient
+      rows R and columns K the mask changes,
+      L w1 = w1 + C_R^T [D_RK * (C_R W C_K^T)] C_K, computed in float64
+      on W, `w1` viewed as (N, N, m*H) (rows are pixel-major), and cast
+      back. A sub-band mask touches one quadrant, so this is a few large
+      products instead of a full round trip per column.
     """
     w1 = np.asarray(w1)
     pixels = p.size * p.size
@@ -207,5 +221,22 @@ def fold_into_weights(p: Preprocessor, w1: np.ndarray) -> np.ndarray:
         out = np.empty_like(w1)
         out[p.permutation] = w1
         return out
-    columns = w1.T.reshape(-1, p.size, p.size, p.colors)
-    return preprocess_batch(p, columns).reshape(len(columns), -1).T
+    size = p.size
+    changed = p.mask != 1
+    rows = np.flatnonzero(changed.any(axis=1))
+    cols = np.flatnonzero(changed.any(axis=0))
+    basis = dct_basis(size)
+    c_r, c_k = basis[rows], basis[cols]
+    depth = p.colors * w1.shape[1]
+    grid = w1.astype(np.float64).reshape(size, size * depth)  # W, a copy
+    spread = (c_r @ grid).reshape(len(rows), size, depth)
+    # (R, K, m*H): coefficients R x K of every column image, times D.
+    coeffs = c_k @ spread
+    coeffs *= (p.mask[np.ix_(rows, cols)] - 1.0)[:, :, None]
+    # The two products back reuse the buffers of C_R W and of W. `w1`
+    # widens to float64 exactly and addition commutes, so adding it last
+    # gives the bytes of W plus the update.
+    np.matmul(c_k.T, coeffs, out=spread)
+    np.matmul(c_r.T, spread.reshape(len(rows), size * depth), out=grid)
+    grid += w1.reshape(grid.shape)
+    return grid.reshape(w1.shape).astype(w1.dtype, copy=False)

@@ -150,6 +150,12 @@ def test_parse_config_validates_values(data_dir, tmp_path):
     bad["attacks"].append({"name": "fgsm0", "kind": "fgsm"})
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config(yaml.safe_dump(bad))
+    # The name becomes a file name in out_dir; it may not leave it.
+    for name in ("x/y", "..", ".", "", "a\\b", 5, None):
+        bad = yaml.safe_load(yaml.safe_dump(good))
+        bad["attacks"][1]["name"] = name
+        with pytest.raises(ConfigError, match=r"attacks\[1\] name"):
+            parse_config(yaml.safe_dump(bad))
     bad = yaml.safe_load(yaml.safe_dump(good))
     bad["attacks"][1]["eps"] = -1
     with pytest.raises(ConfigError, match="attacks"):

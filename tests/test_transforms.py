@@ -292,6 +292,12 @@ class TestPreprocess:
         assert np.array_equal(out, want.reshape(batch.shape))
 
 
+def round_trip_fold(p, w1):
+    """The DCT fold as the full round trip over `w1`'s columns as images."""
+    columns = w1.T.reshape(-1, p.size, p.size, p.colors)
+    return preprocess_batch(p, columns).reshape(len(columns), -1).T
+
+
 class TestFoldIntoWeights:
     @pytest.mark.parametrize("kind, colors, per_color", [
         ("identity", 1, False),
@@ -311,6 +317,39 @@ class TestFoldIntoWeights:
         folded = fold_into_weights(p, w1)
         assert folded.shape == w1.shape and folded.dtype == w1.dtype
         assert np.allclose(x.reshape(4, -1) @ folded, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("size", [8, 28])
+    @pytest.mark.parametrize("colors", [1, 3])
+    @pytest.mark.parametrize("kind", ["dct-sign-flip", "dct-hard-threshold"])
+    @pytest.mark.parametrize("band_id", ["V", "H", "D"])
+    def test_dct_fold_equals_the_full_round_trip(self, kind, band_id, size, colors):
+        # The fold touches only the coefficients the mask changes; the
+        # reference runs the whole round trip over w1's columns as images.
+        p = make_preprocessor(kind, MASTER, 0, 1, size, colors,
+                              subband=subband_rect(band_id, size))
+        w1 = np.random.default_rng(size + colors).standard_normal(
+            (size * size * colors, 9))
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+            weights = w1.astype(dtype)
+            folded = fold_into_weights(p, weights)
+            assert folded.shape == weights.shape and folded.dtype == dtype
+            assert np.max(np.abs(folded - round_trip_fold(p, weights))) <= tol
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_dct_fold_of_hand_built_masks(self, dtype):
+        w1 = np.random.default_rng(23).standard_normal((64 * 3, 6)).astype(dtype)
+        # No coefficient changes: an equal array, not a view of w1.
+        ones = Preprocessor("dct-sign-flip", 8, 3, mask=np.ones((8, 8)))
+        folded = fold_into_weights(ones, w1)
+        assert np.array_equal(folded, w1) and not np.shares_memory(folded, w1)
+        # Two separate coefficients, not a rectangle: (1, 6) flipped and
+        # (5, 2) zeroed, so rows {1, 5} x columns {2, 6} holds two factors
+        # of 1 as well.
+        mask = np.ones((8, 8))
+        mask[1, 6], mask[5, 2] = -1.0, 0.0
+        p = Preprocessor("dct-sign-flip", 8, 3, mask=mask)
+        tol = 1e-12 if dtype == np.float64 else 1e-6
+        assert np.max(np.abs(fold_into_weights(p, w1) - round_trip_fold(p, w1))) <= tol
 
     def test_wrong_weight_shape_rejected(self):
         p = make_preprocessor("direct-permutation", MASTER, 0, 0, 8, 1)
@@ -362,3 +401,16 @@ class TestIndexMap:
         for payload in ({}, {"permutation": np.arange(64), "mask": np.ones((8, 8))}):
             with pytest.raises(ValueError, match="exactly one"):
                 Preprocessor("identity", 8, 1, **payload)
+        # The payload must fit the kind, size and colors it is built with.
+        for kind, payload in (
+                ("dct-sign-flip", {"mask": np.ones((4, 4))}),
+                ("dct-hard-threshold", {"mask": np.ones(64)}),
+                ("dct-sign-flip", {"permutation": np.arange(64)}),
+                ("identity", {"permutation": np.arange(10)}),
+                ("direct-permutation", {"permutation": np.arange(64).reshape(8, 8)}),
+                ("direct-permutation", {"permutation": np.arange(64.0)}),
+                ("identity", {"mask": np.ones((8, 8))})):
+            with pytest.raises(ValueError, match="needs a"):
+                Preprocessor(kind, 8, 1, **payload)
+        with pytest.raises(ValueError, match="length 192"):
+            Preprocessor("identity", 8, 3, permutation=np.arange(64))
