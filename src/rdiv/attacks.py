@@ -5,7 +5,8 @@ not the secret key. Adversarial examples are crafted against a keyless
 surrogate and then replayed against the keyed system.
 
 Attack kinds:
-  fgsm      - one signed-gradient step of size eps
+  fgsm      - one signed-gradient step of size eps: pgd-linf with one step
+              of size alpha = eps
   pgd-linf  - iterated signed steps, projected into the eps ball each step
   cw-l2     - margin loss plus squared l2 penalty, optimized in tanh space
               with a fixed trade-off constant
@@ -29,14 +30,12 @@ from .nn import (
     batch_loss_and_grads,
     check_labels,
     forward,
-    init_params,
     logits_and_cache,
     require_finite,
     require_int,
-    train,
 )
-from .rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
-from .system import SystemSpec, error_count
+from .rng import MasterKey
+from .system import SystemSpec, build_system, error_count, train_system
 
 logger = logging.getLogger(__name__)
 
@@ -139,13 +138,12 @@ def train_surrogate(trainset: LabeledSet, arch: ArchSpec, hyper: Hyper,
                     master: MasterKey) -> ModelParams:
     """Train the keyless baseline classifier the attacker optimizes against.
 
-    Uses the (0, 0) lineage, so it coincides with the single channel of an
-    identity-mode system built from the same master key.
+    It is the single channel of an identity-mode I=1 system trained under
+    `master`.
     """
-    params = init_params(arch, derive_subkey(master, 0, 0, TAG_INIT))
-    flat = trainset.images.reshape(len(trainset), arch.input_dim)
-    return train(params, (flat, trainset.labels), hyper,
-                 derive_subkey(master, 0, 0, TAG_SHUFFLE))
+    system = build_system("identity", master, 1, 1, arch, trainset.size,
+                          trainset.colors)
+    return train_system(system, trainset, hyper).channels[0].params
 
 
 def _input_grads(params: ModelParams, images: np.ndarray,
@@ -157,10 +155,12 @@ def _input_grads(params: ModelParams, images: np.ndarray,
 
 def fgsm_batch(params: ModelParams, images: np.ndarray,
                labels: np.ndarray, eps: float) -> np.ndarray:
-    """One signed loss-gradient step per image, clamped to [0, 1]."""
-    labels = check_labels(labels, len(images), params.arch.classes)
-    grads = _input_grads(params, images, labels)
-    return np.clip(images + eps * np.sign(grads), 0.0, 1.0).astype(np.float32)
+    """One signed loss-gradient step per image, clamped to [0, 1].
+
+    This is one pgd-linf step of size eps: for images in [0, 1], the eps-box
+    clip keeps exactly what the [0, 1] clip keeps.
+    """
+    return pgd_linf_batch(params, images, labels, eps, eps, 1)
 
 
 def pgd_linf_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,

@@ -134,8 +134,10 @@ def _parse_dataset(raw: dict) -> tuple[str, str, tuple[Path, ...], tuple[Path, .
                             "train_batches", "test_batches"}, "dataset")
     name = section.get("name")
     fmt = section.get("format")
-    if not name or fmt not in ("idx", "cifar10"):
-        raise ConfigError("dataset needs a name and format: idx or cifar10")
+    # The name lands in report.csv, so YAML numbers and lists are refused.
+    if not isinstance(name, str) or not name or fmt not in ("idx", "cifar10"):
+        raise ConfigError(f"dataset needs a non-empty name string and format "
+                          f"idx or cifar10, got name {name!r}, format {fmt!r}")
     classes = _count(section.get("classes", 10), "dataset classes")
     if fmt == "idx":
         missing = [k for k in ("train_images", "train_labels",
@@ -350,8 +352,9 @@ def _load_adv_for(config: RunConfig, name: str, slice_: LabeledSet) -> AdvSet:
     if len(adv) != config.limit:
         raise ConfigError(f"{path} holds {len(adv)} samples, eval limit is "
                           f"{config.limit}")
-    if adv.originals.shape != slice_.images.shape or not np.array_equal(
-            adv.originals, slice_.images):
+    if (adv.originals.shape != slice_.images.shape
+            or not np.array_equal(adv.originals, slice_.images)
+            or not np.array_equal(adv.labels, slice_.labels)):
         raise ConfigError(f"{path} was not crafted from the first "
                           f"{config.limit} samples of dataset "
                           f"{config.dataset_name!r}")
@@ -410,6 +413,9 @@ def cmd_attack(config: RunConfig) -> int:
     params, _ = read_params(path)
     testset = _load_split(config, "test")
     slice_ = take_first(testset, config.limit)
+    if params.arch.input_dim != slice_.size * slice_.size * slice_.colors:
+        raise ConfigError(f"{path} was trained on differently shaped "
+                          f"images than dataset {config.dataset_name!r}")
     for name, attack in config.attacks:
         adv = craft_adv_set(params, slice_, attack)
         out = _adv_path(config, name)

@@ -64,10 +64,7 @@ class ArchSpec:
 
     @property
     def classes(self) -> int:
-        for kind, dims in reversed(self.layers):
-            if kind == "dense":
-                return dims[1]
-        raise ValueError("arch has no dense layer")
+        return self.dense_shapes[-1][1]
 
     @property
     def dense_shapes(self) -> list[tuple[int, int]]:
@@ -500,31 +497,20 @@ def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int,
     def loss_at(p, xv):
         return batch_loss_and_grads(p, xv, labels, wrt="params")[0]
 
-    worst = 0.0
-
     def rel(a, b):
         return abs(a - b) / max(1e-8, abs(a) + abs(b))
 
-    for k in range(len(p64.weights)):
-        for tensor, analytic in ((p64.weights[k], dweights[k]),
-                                 (p64.biases[k], dbiases[k])):
-            it = np.nditer(tensor, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = tensor[idx]
-                tensor[idx] = orig + step
-                up = loss_at(p64, x64)
-                tensor[idx] = orig - step
-                down = loss_at(p64, x64)
-                tensor[idx] = orig
-                worst = max(worst, rel((up - down) / (2 * step), analytic[idx]))
-    flat = x64[0]
-    for pos in range(flat.size):
-        orig = flat[pos]
-        flat[pos] = orig + step
-        up = loss_at(p64, x64)
-        flat[pos] = orig - step
-        down = loss_at(p64, x64)
-        flat[pos] = orig
-        worst = max(worst, rel((up - down) / (2 * step), dx[0, pos]))
+    worst = 0.0
+    for tensor, analytic in (*zip(p64.weights, dweights), *zip(p64.biases, dbiases),
+                             (x64, dx)):
+        it = np.nditer(tensor, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = tensor[idx]
+            tensor[idx] = orig + step
+            up = loss_at(p64, x64)
+            tensor[idx] = orig - step
+            down = loss_at(p64, x64)
+            tensor[idx] = orig
+            worst = max(worst, rel((up - down) / (2 * step), analytic[idx]))
     return worst

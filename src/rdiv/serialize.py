@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AdvSet, AttackConfig
+from .attacks import ATTACK_KINDS, AdvSet, AttackConfig
 from .nn import ArchSpec, ModelParams
 from .rng import MasterKey, SubKey, hex16_value
 from .system import MODES, SystemSpec, build_system, mode_groups
@@ -57,7 +57,7 @@ _MAX_LAYER_DIM = 1 << 20
 _MODE_CODES = {name: code for code, name in enumerate(MODES)}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 
-_ATTACK_CODES = {"fgsm": 0, "pgd-linf": 1, "cw-l2": 2}
+_ATTACK_CODES = {name: code for code, name in enumerate(ATTACK_KINDS)}
 _ATTACK_NAMES = {v: k for k, v in _ATTACK_CODES.items()}
 
 # Mode byte, per-color byte, I, N, m.

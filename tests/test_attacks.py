@@ -139,13 +139,16 @@ def reference_pgd(params, images, labels, eps, alpha, steps):
     return adv.astype(np.float32)
 
 
-def test_fgsm_and_pgd_equal_full_backward_reference(surrogate, probes):
+# The probes span [0, 0.85]: eps 0.05 meets the 0 edge, eps 0.3 and 1.0
+# meet the 1 edge as well, and eps 1.0 makes the eps box all of [0, 1].
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.3, 1.0])
+def test_fgsm_and_pgd_equal_full_backward_reference(surrogate, probes, eps):
     images, labels = probes
     grads = reference_input_grads(surrogate, images, labels)
-    expected = np.clip(images + 0.1 * np.sign(grads), 0.0, 1.0).astype(np.float32)
-    assert np.array_equal(fgsm_batch(surrogate, images, labels, 0.1), expected)
-    assert np.array_equal(pgd_linf_batch(surrogate, images, labels, 0.1, 0.02, 12),
-                          reference_pgd(surrogate, images, labels, 0.1, 0.02, 12))
+    expected = np.clip(images + eps * np.sign(grads), 0.0, 1.0).astype(np.float32)
+    assert np.array_equal(fgsm_batch(surrogate, images, labels, eps), expected)
+    assert np.array_equal(pgd_linf_batch(surrogate, images, labels, eps, 0.02, 12),
+                          reference_pgd(surrogate, images, labels, eps, 0.02, 12))
 
 
 def cw_config(**kw):

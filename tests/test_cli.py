@@ -8,8 +8,9 @@ import yaml
 from rdiv import cli
 from rdiv.cli import ConfigError, _pct, parse_config
 from rdiv.dataio import load_idx
-from rdiv.nn import mlp_arch
-from rdiv.serialize import load_system, read_adv_set, read_system, save_system
+from rdiv.nn import init_params, mlp_arch
+from rdiv.rng import TAG_INIT, MasterKey, derive_subkey
+from rdiv.serialize import load_system, read_adv_set, read_system, save_params, save_system
 from rdiv.system import build_system, train_system
 
 from _synth import make_dataset, write_idx
@@ -142,6 +143,8 @@ def test_parse_config_validates_values(data_dir, tmp_path):
             ("arch", "hidden", [True]), ("arch", "hidden", [2.7]),
             ("arch", "hidden", [0]), ("arch", "hidden", 16),
             ("dataset", "classes", 0), ("dataset", "classes", True),
+            ("dataset", "name", [1, 2]), ("dataset", "name", 5),
+            ("dataset", "name", True), ("dataset", "name", ""),
             ("system", "branches", 2.0), ("system", "reject_threshold", True),
             ("system", "reject_threshold", "0.5")):
         with pytest.raises(ConfigError, match=key if section != "train" else "train"):
@@ -494,6 +497,50 @@ def test_eval_rejects_limit_mismatch(pipeline, capsys):
     assert run("eval", "--config", config, "--limit", "30") == 1
     err = capsys.readouterr().err
     assert "holds 60 samples" in err
+
+
+def test_eval_rejects_adv_set_with_other_labels(pipeline, data_dir, tmp_path, capsys):
+    # The same test images under other labels: the stored adversarial set
+    # was scored on labels this dataset does not have.
+    config, out_dir = pipeline
+    pixels, labels = make_dataset(TEST_COUNT, seed=12)
+    images_path, labels_path = write_idx(tmp_path, "test", pixels, (labels + 1) % 10)
+    assert (images_path.read_bytes()
+            == (data_dir / "test-images.idx").read_bytes())
+    relabelled = config_dict(data_dir, out_dir)
+    relabelled["dataset"].update(test_labels=str(labels_path))
+    path = tmp_path / "relabelled.yaml"
+    path.write_text(yaml.safe_dump(relabelled))
+    for command in ("eval", "report"):
+        assert run(command, "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert f"{out_dir / 'adv-fgsm0.radv'} was not crafted from the first" in err
+    assert run("eval", "--config", config) == 0
+
+
+def test_attack_refuses_surrogate_of_other_image_shape(data_dir, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    config = write_config(tmp_path / "c.yaml", data_dir, out_dir)
+    # A surrogate for 16x16 gray images against the 28x28 test set.
+    key = derive_subkey(MasterKey(int(KEY, 16)), 0, 0, TAG_INIT)
+    save_params(out_dir / "surrogate.rdiv", init_params(mlp_arch(256, (16,), 10), key),
+                key)
+    assert run("attack", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert (f"{out_dir / 'surrogate.rdiv'} was trained on differently shaped "
+            "images than dataset 'synth'") in err
+    assert not list(out_dir.glob("*.radv"))
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--key", "5eed5eed5eed5eed"], "3.250e-07"),
+    ([], "1.711e-06"),
+])
+def test_gradcheck_output_is_pinned(capsys, argv, line):
+    assert run("gradcheck", *argv) == 0
+    assert capsys.readouterr().out == (f"gradcheck: max relative error {line} "
+                                       "(tolerance 1e-04)\n")
 
 
 def test_gradcheck(capsys):

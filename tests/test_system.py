@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rdiv.attacks import train_surrogate
 from rdiv.dataio import LabeledSet
 from rdiv.nn import ArchSpec, Hyper, ModelParams, forward, init_params, mlp_arch, train
 from rdiv.rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
@@ -191,6 +192,7 @@ def test_identity_system_equals_plain_classifier():
     params = train(params, (flat, data.labels), toy_hyper(),
                    derive_subkey(MASTER, 0, 0, TAG_SHUFFLE))
     assert system.channels[0].params.equal(params)
+    assert train_surrogate(data, toy_arch(), toy_hyper(), MASTER).equal(params)
     x = data.images[:1]
     assert np.allclose(predict_batch(system, x), forward(params, x.reshape(1, -1)),
                        atol=1e-6)
