@@ -11,7 +11,8 @@ Attack kinds:
   cw-l2     - margin loss plus squared l2 penalty, optimized in tanh space
               with a fixed trade-off constant
 
-All pixel values live in [0, 1]; every crafted image is clamped there.
+All pixel values live in [0, 1]: the attacks refuse input pixels outside
+that range or not finite, and every crafted image is clamped there.
 """
 
 from __future__ import annotations
@@ -146,6 +147,12 @@ def train_surrogate(trainset: LabeledSet, arch: ArchSpec, hyper: Hyper,
     return train_system(system, trainset, hyper).channels[0].params
 
 
+def _check_pixels(images: np.ndarray) -> None:
+    """Refuse a batch with a pixel outside [0, 1]; NaN fails both tests."""
+    if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
+        raise ValueError("attack input pixels must be finite and in [0, 1]")
+
+
 def _input_grads(params: ModelParams, images: np.ndarray,
                  labels: np.ndarray) -> np.ndarray:
     flat = images.reshape(len(images), params.arch.input_dim)
@@ -170,6 +177,7 @@ def pgd_linf_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     Starts at the clean image, so steps=1 with alpha=eps reproduces fgsm.
     """
     labels = check_labels(labels, len(images), params.arch.classes)
+    _check_pixels(images)
     low = np.maximum(images - eps, 0.0)
     high = np.minimum(images + eps, 1.0)
     adv = images.copy()
@@ -237,6 +245,7 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     labels = check_labels(labels, batch, classes)
     if config.targeted and config.target >= classes:
         raise ValueError(f"target {config.target} is not in [0, {classes})")
+    _check_pixels(images)
     x = images.reshape(batch, flat_dim).astype(np.float64)
     work = params.astype(np.float64)
     # The best answers are returned as float32, so they are kept as float32.

@@ -2,7 +2,8 @@
 
 Loading is strictly order-preserving (evaluation slices are defined as "the
 first n samples in file order") and never shuffles or augments. Pixels are
-normalized to [0, 1] float32 at load time.
+normalized to [0, 1] float32 at load time, in place in the one float32
+array a loader returns, so a load holds no second full-size float copy.
 """
 
 from __future__ import annotations
@@ -105,27 +106,43 @@ def load_idx(images_path: str | Path, labels_path: str | Path,
             f"image count {count} does not match label count {label_count}")
 
     pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
-    images = pixels.reshape(count, rows, cols, 1).astype(np.float32) / 255.0
+    images = pixels.reshape(count, rows, cols, 1).astype(np.float32)
+    images /= 255.0
     labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
     return LabeledSet(images, labels, name)
 
 
 def load_cifar10(batch_paths: list[str | Path], name: str = "cifar10") -> LabeledSet:
-    """Parse CIFAR-10 binary batches (3073-byte records, plane-major RGB)."""
+    """Parse CIFAR-10 binary batches (3073-byte records, plane-major RGB).
+
+    The file sizes give the record count up front, so every batch is
+    converted into its rows of one preallocated array; only one batch's
+    raw bytes are held at a time.
+    """
     if not batch_paths:
         raise DatasetFormatError("no CIFAR-10 batch paths given")
-    all_images, all_labels = [], []
-    for path in batch_paths:
-        raw = Path(path).read_bytes()
-        if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
+    lengths = [Path(path).stat().st_size for path in batch_paths]
+    for path, length in zip(batch_paths, lengths):
+        if length == 0 or length % CIFAR_RECORD_BYTES != 0:
             raise DatasetFormatError(
-                f"{path}: length {len(raw)} is not a positive multiple "
+                f"{path}: length {length} is not a positive multiple "
                 f"of {CIFAR_RECORD_BYTES}")
+    total = sum(lengths) // CIFAR_RECORD_BYTES
+    images = np.empty((total, 32, 32, 3), np.float32)
+    labels = np.empty(total, np.int64)
+    start = 0
+    for path, length in zip(batch_paths, lengths):
+        raw = Path(path).read_bytes()
+        if len(raw) != length:
+            raise DatasetFormatError(f"{path}: changed size while loading")
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        all_labels.append(records[:, 0].astype(np.int64))
+        stop = start + len(records)
+        labels[start:stop] = records[:, 0]
         planes = records[:, 1:].reshape(-1, 3, 32, 32)
-        all_images.append(np.transpose(planes, (0, 2, 3, 1)).astype(np.float32) / 255.0)
-    return LabeledSet(np.concatenate(all_images), np.concatenate(all_labels), name)
+        images[start:stop] = np.transpose(planes, (0, 2, 3, 1))
+        start = stop
+    images /= 255.0
+    return LabeledSet(images, labels, name)
 
 
 def take_first(dataset: LabeledSet, n: int) -> LabeledSet:

@@ -24,7 +24,9 @@ Adversarial set ("RADV"):
     u32 index, u32 label, original pixels, adversarial pixels.
 
 All writes go through a temp file in the target directory plus an atomic
-rename, so readers never observe a partial file.
+rename, so readers never observe a partial file. `save_*` write a frame's
+parts into that file one after another, so the body is never copied into
+one joined buffer; `dump_*` return the same bytes joined.
 """
 
 from __future__ import annotations
@@ -71,13 +73,15 @@ class BlobFormatError(ValueError):
     """A byte stream does not parse as the artifact it claims to be."""
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    """Write via a sibling temp file and rename, so the path is never partial."""
+def atomic_write_bytes(path: str | Path, *parts: bytes | memoryview) -> None:
+    """Write `parts` in order via a sibling temp file and rename, so the path
+    is never partial."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -85,15 +89,18 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
-def _seal(magic: bytes, *body: bytes | memoryview) -> bytes:
-    """Frame `body` as magic, version, body, SHA-256 of all that precedes it."""
+def _seal(magic: bytes, *body: bytes | memoryview) -> tuple[bytes | memoryview, ...]:
+    """Frame `body` as magic, version, body, SHA-256 of all that precedes it.
+
+    The frame comes back as its parts, with the body parts as given: a
+    `save_*` writes them straight into its file, and only a `dump_*` joins
+    them, which is the one copy of the body it returns.
+    """
     head = magic + struct.pack("<B", FORMAT_VERSION)
     digest = hashlib.sha256(head)
     for part in body:
         digest.update(part)
-    # One copy of the body into the result; bytearray growth plus bytes()
-    # would copy it twice.
-    return b"".join((head, *body, digest.digest()))
+    return (head, *body, digest.digest())
 
 
 class _Reader:
@@ -209,10 +216,14 @@ def _read_tensors(reader: _Reader, arch: ArchSpec) -> ModelParams:
     return ModelParams(arch, tuple(weights), tuple(biases))
 
 
-def dump_params(params: ModelParams, key: SubKey) -> bytes:
-    """Encode one trained model plus the subkey its init came from."""
+def _params_frame(params: ModelParams, key: SubKey) -> tuple:
     return _seal(MODEL_MAGIC, _dump_arch(params.arch), *_tensors(params),
                  f"{key.value:016x}".encode("ascii"))
+
+
+def dump_params(params: ModelParams, key: SubKey) -> bytes:
+    """Encode one trained model plus the subkey its init came from."""
+    return b"".join(_params_frame(params, key))
 
 
 def load_params(blob: bytes, label: str = "model") -> tuple[ModelParams, int]:
@@ -224,14 +235,18 @@ def load_params(blob: bytes, label: str = "model") -> tuple[ModelParams, int]:
     return params, key_value
 
 
-def dump_system(system: SystemSpec) -> bytes:
-    """Encode a system: header, the arch once, then all weights."""
+def _system_frame(system: SystemSpec) -> tuple:
     header = _SYSTEM_HEADER.pack(_MODE_CODES[system.mode], system.per_color,
                                  system.branches, system.size, system.colors)
     return _seal(MODEL_MAGIC, header, system.master.to_hex().encode("ascii"),
                  _dump_arch(system.arch),
                  *(view for channel in system.channels
                    for view in _tensors(channel.params)))
+
+
+def dump_system(system: SystemSpec) -> bytes:
+    """Encode a system: header, the arch once, then all weights."""
+    return b"".join(_system_frame(system))
 
 
 def load_system(blob: bytes) -> SystemSpec:
@@ -265,8 +280,7 @@ def _adv_record_dtype(size: int, colors: int) -> np.dtype:
                      ("original",) + image, ("adversarial",) + image])
 
 
-def dump_adv_set(adv: AdvSet) -> bytes:
-    """Encode an adversarial set. Surrogate predictions are not persisted."""
+def _adv_frame(adv: AdvSet) -> tuple:
     config = adv.config
     count = len(adv)
     if adv.originals.ndim != 4:
@@ -287,6 +301,11 @@ def dump_adv_set(adv: AdvSet) -> bytes:
                               int(config.targeted), config.target,
                               count, size, colors)
     return _seal(ADV_MAGIC, header, records.data)
+
+
+def dump_adv_set(adv: AdvSet) -> bytes:
+    """Encode an adversarial set. Surrogate predictions are not persisted."""
+    return b"".join(_adv_frame(adv))
 
 
 def load_adv_set(blob: bytes) -> AdvSet:
@@ -315,7 +334,7 @@ def load_adv_set(blob: bytes) -> AdvSet:
 
 
 def save_params(path: str | Path, params: ModelParams, key: SubKey) -> None:
-    atomic_write_bytes(path, dump_params(params, key))
+    atomic_write_bytes(path, *_params_frame(params, key))
 
 
 def read_params(path: str | Path) -> tuple[ModelParams, int]:
@@ -323,7 +342,7 @@ def read_params(path: str | Path) -> tuple[ModelParams, int]:
 
 
 def save_system(path: str | Path, system: SystemSpec) -> None:
-    atomic_write_bytes(path, dump_system(system))
+    atomic_write_bytes(path, *_system_frame(system))
 
 
 def read_system(path: str | Path) -> SystemSpec:
@@ -331,7 +350,7 @@ def read_system(path: str | Path) -> SystemSpec:
 
 
 def save_adv_set(path: str | Path, adv: AdvSet) -> None:
-    atomic_write_bytes(path, dump_adv_set(adv))
+    atomic_write_bytes(path, *_adv_frame(adv))
 
 
 def read_adv_set(path: str | Path) -> AdvSet:

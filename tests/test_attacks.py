@@ -428,6 +428,25 @@ def test_cw_rejects_labels_and_targets_outside_the_classes(surrogate, probes):
     cw_l2_batch(surrogate, images, labels, cw_config(iterations=1, target=CLASSES))
 
 
+@pytest.mark.parametrize("config", [
+    AttackConfig(kind="fgsm", eps=0.1),
+    AttackConfig(kind="pgd-linf", eps=0.1, steps=3),
+    AttackConfig(kind="cw-l2", iterations=3),
+], ids=["fgsm", "pgd", "cw"])
+def test_attacks_refuse_pixels_outside_the_unit_interval(surrogate, probes, config):
+    # The eps-box clip alone would let fgsm and pgd return -0.4 for -0.5.
+    images, labels = probes
+    for pixel in (-0.5, 1.5, np.nan, np.inf):
+        bad = images.copy()
+        bad[0, 3, 4, 0] = pixel
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            craft_adv_set(surrogate, LabeledSet(bad, labels, name="bad"), config)
+    edges = images.copy()
+    edges[0, 3, 4, 0], edges[1, 3, 4, 0] = 0.0, 1.0
+    adv = craft_adv_set(surrogate, LabeledSet(edges, labels, name="edges"), config)
+    assert 0.0 <= adv.adversarials.min() and adv.adversarials.max() <= 1.0
+
+
 def test_transfer_eval_identity_system_matches_surrogate(surrogate):
     data = toy_set(count=40, seed=9)
     hyper = Hyper(learning_rate=5e-3, batch_size=16, epochs=6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rdiv.dataio import (
+    CIFAR_RECORD_BYTES,
     DatasetFormatError,
     LabeledSet,
     load_cifar10,
@@ -182,3 +183,42 @@ def test_take_first(tmp_path):
     with pytest.raises(ValueError, match="negative"):
         take_first(data, -2)
     assert len(take_first(data, 0)) == 0
+
+
+def test_idx_pixels_equal_the_out_of_place_division(tmp_path):
+    # Every byte value; the in-place division must round as astype / 255.0 did.
+    pixels = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+    data = load_idx(*write_idx_pair(tmp_path, pixels, [0, 1, 2, 3]))
+    want = pixels.reshape(4, 8, 8, 1).astype(np.float32) / 255.0
+    assert data.images.dtype == np.float32 and data.images.flags.c_contiguous
+    assert np.array_equal(data.images, want)
+
+
+def test_cifar_batches_fill_one_array_as_concatenation_did(tmp_path):
+    rng = np.random.default_rng(5)
+    paths, planes, labels = [], [], []
+    for k, count in enumerate((3, 1, 2)):
+        batch_labels = rng.integers(0, 10, size=count, dtype=np.uint8)
+        batch_planes = rng.integers(0, 256, size=(count, 3, 32, 32), dtype=np.uint8)
+        path = tmp_path / f"data_batch_{k}.bin"
+        path.write_bytes(np.concatenate([batch_labels[:, None],
+                                         batch_planes.reshape(count, -1)], axis=1).tobytes())
+        paths.append(path)
+        planes.append(batch_planes)
+        labels.append(batch_labels)
+    data = load_cifar10(paths)
+    # The per-batch conversion and concatenation the loader used to run.
+    want = np.concatenate([np.transpose(p, (0, 2, 3, 1)).astype(np.float32) / 255.0
+                           for p in planes])
+    assert data.images.dtype == np.float32 and data.images.flags.c_contiguous
+    assert np.array_equal(data.images, want)
+    assert data.labels.dtype == np.int64
+    assert data.labels.tolist() == np.concatenate(labels).tolist()
+
+
+def test_cifar_bad_later_batch_rejected_before_loading(tmp_path):
+    good, bad = tmp_path / "good.bin", tmp_path / "bad.bin"
+    write_cifar_batch(good, [1], [0])
+    bad.write_bytes(b"\x00" * (CIFAR_RECORD_BYTES + 1))
+    with pytest.raises(DatasetFormatError, match="bad.bin"):
+        load_cifar10([good, bad])

@@ -20,6 +20,8 @@ from rdiv.serialize import (
     load_params,
     load_system,
     read_system,
+    save_adv_set,
+    save_params,
     save_system,
 )
 from rdiv.system import (
@@ -385,3 +387,29 @@ def test_file_round_trip_and_atomicity(tmp_path, trained_system):
     with pytest.raises(TypeError):
         atomic_write_bytes(path, None)
     assert path.read_bytes() == good
+
+
+def test_saved_files_equal_the_dumped_bytes(tmp_path, trained_system):
+    # save_* write the frame's parts one after another; dump_* join them.
+    key = derive_subkey(MASTER, 0, 0, TAG_INIT)
+    params = init_params(toy_arch(), key)
+    for name, save, args, dump in (
+            ("system.rdiv", save_system, (trained_system,), dump_system),
+            ("adv.radv", save_adv_set, (handmade_adv_set(),), dump_adv_set),
+            ("model.rdiv", save_params, (params, key), dump_params)):
+        path = tmp_path / name
+        save(path, *args)
+        assert path.read_bytes() == dump(*args)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adv.radv", "model.rdiv",
+                                                          "system.rdiv"]
+
+
+def test_atomic_write_joins_its_parts(tmp_path):
+    path = tmp_path / "parts.bin"
+    atomic_write_bytes(path, b"ab", memoryview(b"cde"), np.arange(2, dtype="<u2").data)
+    assert path.read_bytes() == b"abcde\x00\x00\x01\x00"
+    # A part that fails after others were written leaves the old file.
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, b"new", None)
+    assert path.read_bytes() == b"abcde\x00\x00\x01\x00"
+    assert [p.name for p in tmp_path.iterdir()] == ["parts.bin"]

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rdiv.rng import TAG_PREPROCESS, MasterKey, derive_subkey, keyed_sign_mask
 from rdiv.transforms import (
+    _BLOCK,
     Preprocessor,
     dct2,
     dct_basis,
@@ -290,6 +293,54 @@ class TestPreprocess:
             # The DCT kinds gather nothing: compare with the per-image operator.
             want = np.stack([preprocess(p, image) for image in batch])
         assert np.array_equal(out, want.reshape(batch.shape))
+
+
+def whole_batch_round_trip(p, images):
+    """The DCT kinds' round trip over the whole batch in one float64 pass."""
+    basis = dct_basis(p.size)
+    coeffs = dct2(basis, np.moveaxis(images, 3, 1))
+    coeffs *= p.mask
+    return np.ascontiguousarray(np.moveaxis(idct2(basis, coeffs), 1, 3),
+                                dtype=images.dtype)
+
+
+def block_rows(p):
+    """Images per block of `preprocess_batch`'s DCT round trip."""
+    return max(1, _BLOCK // (p.size * p.size * p.colors))
+
+
+class TestBlockedDct:
+    @pytest.mark.parametrize("colors", [1, 3])
+    @pytest.mark.parametrize("band_id", ["V", "H", "D"])
+    @pytest.mark.parametrize("kind", ["dct-sign-flip", "dct-hard-threshold"])
+    def test_blocks_equal_the_whole_batch_round_trip(self, kind, band_id, colors):
+        p = make_preprocessor(kind, MASTER, 1, 2, 28, colors,
+                              subband=subband_rect(band_id, 28))
+        rows = block_rows(p)
+        # One image, exactly one block, and two blocks plus a ragged tail.
+        for count in (1, rows, 2 * rows + 7):
+            batch = random_images(count, 28, colors, seed=count)
+            out = preprocess_batch(p, batch)
+            assert out.dtype == batch.dtype and out.flags.c_contiguous
+            assert np.array_equal(out, whole_batch_round_trip(p, batch))
+
+    def test_working_set_does_not_grow_with_the_batch(self):
+        # A block holds three float64 temporaries at most; the whole-batch
+        # round trip held three for every image, 12 blocks' worth at the
+        # smaller count here.
+        p = make_preprocessor("dct-sign-flip", MASTER, 0, 0, 28, 1,
+                              subband=subband_rect("D", 28))
+        block = block_rows(p) * 28 * 28 * 8
+        for count in (4 * block_rows(p), 8 * block_rows(p)):
+            batch = random_images(count, 28, 1)
+            tracemalloc.start()
+            try:
+                out = preprocess_batch(p, batch)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            above = peak - out.nbytes
+            assert above < 4 * block, f"{above / block:.1f} blocks above the output"
 
 
 def round_trip_fold(p, w1):
