@@ -37,13 +37,13 @@ from .nn import ArchSpec, Hyper, finite_difference_max_error, forward, init_para
 from .rng import TAG_INIT, MasterKey, derive_subkey, uniform_floats
 from .serialize import (
     atomic_write_bytes,
-    dump_system,
     read_adv_set,
     read_params,
     read_system,
     save_adv_set,
     save_params,
     save_system,
+    system_file_equals,
 )
 from .system import (
     MODES,
@@ -317,8 +317,14 @@ def _load_split(config: RunConfig, which: str) -> LabeledSet:
     paths = config.train_paths if which == "train" else config.test_paths
     _check_paths(paths)
     if config.dataset_format == "idx":
-        return load_idx(paths[0], paths[1], name=config.dataset_name)
-    return load_cifar10(paths, name=config.dataset_name)
+        data = load_idx(paths[0], paths[1], name=config.dataset_name)
+    else:
+        data = load_cifar10(paths, name=config.dataset_name)
+    rows, cols = data.images.shape[1:3]
+    if rows != cols:
+        raise ConfigError(f"{paths[0]} holds {rows}x{cols} images; "
+                          "every system needs square N x N images")
+    return data
 
 
 def _arch_for(config: RunConfig, data: LabeledSet) -> ArchSpec:
@@ -461,8 +467,8 @@ def _evaluate_rows(config: RunConfig) -> list[dict]:
     largest = _read_grid_file(config, top, slice_)
     for branches in config.branch_grid:
         path = _system_path(config, branches)
-        if branches != top and path.read_bytes() != dump_system(
-                first_branches(largest, branches)):
+        if branches != top and not system_file_equals(
+                path, first_branches(largest, branches)):
             raise ConfigError(f"{path} is not the first {branches} branches of "
                               f"{_system_path(config, top)}; rerun the train command")
     if config.master is not None and config.master != largest.master:

@@ -1,9 +1,14 @@
 """Binary persistence for models, keyed systems, and adversarial sets.
 
 Every artifact is one frame: a 4-byte ASCII magic, a format version byte,
-the body, and the SHA-256 of everything before it (32 bytes). Readers check
-magic, version and digest before they parse a single field, so any changed
-byte is rejected. Bodies use little-endian integers and floats, float32
+the body, and the SHA-256 of everything before it (32 bytes). A reader
+checks magic, the file's length and version first, then parses the body in
+one pass straight into the arrays it returns, hashing each byte as it is
+read. It compares the digest before it returns and before it raises an
+error from any body field, hashing first whatever that error left unread,
+so any changed byte is rejected as a checksum mismatch. `read_*` parse the
+open file and `load_*` the same way over an in-memory blob, so a read holds
+one copy of the artifact. Bodies use little-endian integers and floats, float32
 parameter and pixel tensors in row-major order, and keys as 16 lowercase
 hex digits. An arch is a layer count, then per layer a kind byte, plus
 fan_in and fan_out for dense layers.
@@ -32,10 +37,13 @@ one joined buffer; `dump_*` return the same bytes joined.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import struct
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
+from typing import BinaryIO, TypeVar
 
 import numpy as np
 
@@ -50,6 +58,9 @@ FORMAT_VERSION = 2
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
 _HEADER_SIZE = 5  # magic and version byte
+# Bytes of adversarial-set records read per piece before they are copied
+# into the returned arrays, and of unread body hashed per read by `verify`.
+_CHUNK_BYTES = 1 << 18
 
 _LAYER_CODES = {"dense": 1, "relu": 2, "softmax-output": 3}
 _LAYER_NAMES = {v: k for k, v in _LAYER_CODES.items()}
@@ -67,6 +78,9 @@ _SYSTEM_HEADER = struct.Struct("<BBIII")
 # Attack kind byte; eps, alpha, steps, c, iterations, step_size, kappa,
 # targeted byte and target of the attack config; record count, N, m.
 _ADV_HEADER = struct.Struct("<BddIdIddBIIII")
+
+
+T = TypeVar("T")
 
 
 class BlobFormatError(ValueError):
@@ -103,31 +117,50 @@ def _seal(magic: bytes, *body: bytes | memoryview) -> tuple[bytes | memoryview, 
     return (head, *body, digest.digest())
 
 
-class _Reader:
-    """Sequential little-endian decoder over a verified frame's body."""
+class _Frame:
+    """Sequential little-endian decoder over one frame in a binary file.
 
-    def __init__(self, blob: bytes, magic: bytes, label: str):
+    Construction checks magic, length and version. Every later byte is read
+    straight into the value or array it becomes and fed to the running
+    SHA-256; nothing is allocated before the bytes the file has left are
+    known to fill it. `verify` hashes what the parse left unread and
+    compares the trailer.
+    """
+
+    def __init__(self, handle: BinaryIO, magic: bytes, label: str):
+        self.handle = handle
         self.label = label
-        found = blob[:4]
-        if found != magic:
-            raise BlobFormatError(f"{label}: bad magic {found!r}")
-        if len(blob) < _HEADER_SIZE + _DIGEST_SIZE:
-            raise BlobFormatError(f"{label}: truncated at byte {len(blob)}")
-        if blob[4] != FORMAT_VERSION:
-            raise BlobFormatError(f"{label}: unsupported version {blob[4]}")
-        self.end = len(blob) - _DIGEST_SIZE
-        if hashlib.sha256(memoryview(blob)[:self.end]).digest() != blob[self.end:]:
-            raise BlobFormatError(f"{label}: SHA-256 checksum mismatch")
-        self.blob = blob
+        size = handle.seek(0, io.SEEK_END)
+        handle.seek(0)
+        head = handle.read(_HEADER_SIZE)
+        if head[:4] != magic:
+            raise BlobFormatError(f"{label}: bad magic {head[:4]!r}")
+        if size < _HEADER_SIZE + _DIGEST_SIZE:
+            raise BlobFormatError(f"{label}: truncated at byte {size}")
+        if head[4] != FORMAT_VERSION:
+            raise BlobFormatError(f"{label}: unsupported version {head[4]}")
+        self.digest = hashlib.sha256(head)
         self.pos = _HEADER_SIZE
+        self.end = size - _DIGEST_SIZE
+
+    def fill(self, out: bytearray | np.ndarray) -> None:
+        """Read exactly `out`'s bytes into it and hash them."""
+        view = memoryview(out).cast("B")
+        done = 0
+        while done < len(view):
+            got = self.handle.readinto(view[done:])
+            if not got:
+                raise BlobFormatError(f"{self.label}: truncated at byte {self.pos + done}")
+            done += got
+        self.digest.update(view)
+        self.pos += done
 
     def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > self.end:
+        if count > self.end - self.pos:
             raise BlobFormatError(f"{self.label}: truncated at byte {self.pos}")
-        chunk = self.blob[self.pos:end]
-        self.pos = end
-        return chunk
+        chunk = bytearray(count)
+        self.fill(chunk)
+        return bytes(chunk)
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -146,24 +179,53 @@ class _Reader:
         except ValueError:
             raise BlobFormatError(f"{self.label}: bad key hex {text!r}") from None
 
-    def f32_array(self, shape: tuple[int, ...]) -> np.ndarray:
-        flat = self.records(np.dtype("<f4"), int(np.prod(shape)))
-        return flat.reshape(shape).astype(np.float32)
-
-    def records(self, dtype: np.dtype, count: int) -> np.ndarray:
-        """`count` packed records, checked against the remaining length first."""
+    def check_room(self, dtype: np.dtype, count: int) -> None:
+        """Refuse `count` records that the bytes left cannot hold, so nothing
+        is allocated for them."""
         need = count * dtype.itemsize
-        left = self.end - self.pos
-        if need > left:
+        if need > self.end - self.pos:
             raise BlobFormatError(f"{self.label}: truncated at byte {self.pos}, "
                                   f"{count} records need {need} bytes")
-        out = np.frombuffer(self.blob, dtype=dtype, count=count, offset=self.pos)
-        self.pos += need
-        return out
+
+    def f32_array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A float32 tensor, checked against the remaining length first."""
+        dtype = np.dtype("<f4")
+        self.check_room(dtype, int(np.prod(shape)))
+        out = np.empty(shape, dtype=dtype)
+        self.fill(out)
+        return out.astype(np.float32, copy=False)
 
     def expect_end(self) -> None:
         if self.pos != self.end:
             raise BlobFormatError(f"{self.label}: {self.end - self.pos} trailing bytes")
+
+    def verify(self) -> None:
+        """Hash the body bytes the parse left unread, then check the trailer."""
+        buffer = bytearray(min(_CHUNK_BYTES, self.end - self.pos))
+        while self.pos < self.end:
+            self.fill(memoryview(buffer)[:self.end - self.pos])
+        if self.handle.read(_DIGEST_SIZE) != self.digest.digest():
+            raise BlobFormatError(f"{self.label}: SHA-256 checksum mismatch")
+
+
+def _parse(handle: BinaryIO, magic: bytes, label: str, body: Callable[[_Frame], T]) -> T:
+    """`body`'s result over the frame in `handle`, once its digest matches.
+
+    An error from a body field is raised only after the rest of the frame
+    has been hashed and the digest has matched, so a changed byte reports a
+    checksum mismatch whichever field it lands in.
+    """
+    frame = _Frame(handle, magic, label)
+    failure = None
+    try:
+        result = body(frame)
+        frame.expect_end()
+    except Exception as exc:
+        failure = exc
+    frame.verify()
+    if failure is not None:
+        raise failure
+    return result
 
 
 def _tensors(params: ModelParams) -> list[memoryview]:
@@ -181,38 +243,38 @@ def _dump_arch(arch: ArchSpec) -> bytes:
     return bytes(out)
 
 
-def _read_arch(reader: _Reader) -> ArchSpec:
-    layer_count = reader.u32()
+def _read_arch(frame: _Frame) -> ArchSpec:
+    layer_count = frame.u32()
     if layer_count < 1 or layer_count > 1000:
-        raise BlobFormatError(f"{reader.label}: layer count {layer_count} out of range")
+        raise BlobFormatError(f"{frame.label}: layer count {layer_count} out of range")
     layers = []
     for _ in range(layer_count):
-        code = reader.u8()
+        code = frame.u8()
         if code not in _LAYER_NAMES:
-            raise BlobFormatError(f"{reader.label}: unknown layer code {code}")
+            raise BlobFormatError(f"{frame.label}: unknown layer code {code}")
         kind = _LAYER_NAMES[code]
         if kind == "dense":
-            fan_in, fan_out = reader.u32(), reader.u32()
+            fan_in, fan_out = frame.u32(), frame.u32()
             if not (1 <= fan_in <= _MAX_LAYER_DIM and 1 <= fan_out <= _MAX_LAYER_DIM):
                 raise BlobFormatError(
-                    f"{reader.label}: dense dims {fan_in}x{fan_out} out of range")
+                    f"{frame.label}: dense dims {fan_in}x{fan_out} out of range")
             layers.append((kind, (fan_in, fan_out)))
         else:
             layers.append((kind, ()))
     if layers[0][0] != "dense":
-        raise BlobFormatError(f"{reader.label}: arch must start with a dense layer")
+        raise BlobFormatError(f"{frame.label}: arch must start with a dense layer")
     try:
         return ArchSpec(layers[0][1][0], tuple(layers))
     except ValueError as exc:
-        raise BlobFormatError(f"{reader.label}: {exc}") from None
+        raise BlobFormatError(f"{frame.label}: {exc}") from None
 
 
-def _read_tensors(reader: _Reader, arch: ArchSpec) -> ModelParams:
+def _read_tensors(frame: _Frame, arch: ArchSpec) -> ModelParams:
     weights = []
     biases = []
     for fan_in, fan_out in arch.dense_shapes:
-        weights.append(reader.f32_array((fan_in, fan_out)))
-        biases.append(reader.f32_array((fan_out,)))
+        weights.append(frame.f32_array((fan_in, fan_out)))
+        biases.append(frame.f32_array((fan_out,)))
     return ModelParams(arch, tuple(weights), tuple(biases))
 
 
@@ -226,13 +288,14 @@ def dump_params(params: ModelParams, key: SubKey) -> bytes:
     return b"".join(_params_frame(params, key))
 
 
+def _parse_params(frame: _Frame) -> tuple[ModelParams, int]:
+    params = _read_tensors(frame, _read_arch(frame))
+    return params, frame.key_hex()
+
+
 def load_params(blob: bytes, label: str = "model") -> tuple[ModelParams, int]:
     """Decode a model blob. Returns the params and the stored subkey value."""
-    reader = _Reader(blob, MODEL_MAGIC, label)
-    params = _read_tensors(reader, _read_arch(reader))
-    key_value = reader.key_hex()
-    reader.expect_end()
-    return params, key_value
+    return _parse(io.BytesIO(blob), MODEL_MAGIC, label, _parse_params)
 
 
 def _system_frame(system: SystemSpec) -> tuple:
@@ -249,29 +312,49 @@ def dump_system(system: SystemSpec) -> bytes:
     return b"".join(_system_frame(system))
 
 
+def _parse_system(frame: _Frame) -> tuple[tuple, bool, list[ModelParams]]:
+    mode_code, per_color, branches, size, colors = frame.fields(_SYSTEM_HEADER)
+    if mode_code not in _MODE_NAMES:
+        raise BlobFormatError(f"system: unknown mode byte {mode_code}")
+    mode = _MODE_NAMES[mode_code]
+    if per_color not in (0, 1):
+        raise BlobFormatError(f"system: per-color byte {per_color}, expected 0 or 1")
+    master = MasterKey(frame.key_hex())
+    arch = _read_arch(frame)
+    groups = mode_groups(mode)
+    params = [_read_tensors(frame, arch) for _ in range(groups * branches)]
+    return (mode, master, groups, branches, arch, size, colors), bool(per_color), params
+
+
+def _load_system(handle: BinaryIO) -> SystemSpec:
+    args, per_color, params = _parse(handle, MODEL_MAGIC, "system", _parse_system)
+    try:
+        return build_system(*args, per_color=per_color, params=params)
+    except ValueError as exc:
+        raise BlobFormatError(f"system: {exc}") from None
+
+
 def load_system(blob: bytes) -> SystemSpec:
     """Decode a system file, rebuilding keyed payloads from the master key.
 
     The reject threshold is an evaluation-time setting and is not part of
     the file.
     """
-    reader = _Reader(blob, MODEL_MAGIC, "system")
-    mode_code, per_color, branches, size, colors = reader.fields(_SYSTEM_HEADER)
-    if mode_code not in _MODE_NAMES:
-        raise BlobFormatError(f"system: unknown mode byte {mode_code}")
-    mode = _MODE_NAMES[mode_code]
-    if per_color not in (0, 1):
-        raise BlobFormatError(f"system: per-color byte {per_color}, expected 0 or 1")
-    master = MasterKey(reader.key_hex())
-    arch = _read_arch(reader)
-    groups = mode_groups(mode)
-    params = [_read_tensors(reader, arch) for _ in range(groups * branches)]
-    reader.expect_end()
-    try:
-        return build_system(mode, master, groups, branches, arch, size, colors,
-                            per_color=bool(per_color), params=params)
-    except ValueError as exc:
-        raise BlobFormatError(f"system: {exc}") from None
+    return _load_system(io.BytesIO(blob))
+
+
+def system_file_equals(path: str | Path, system: SystemSpec) -> bool:
+    """Whether the file at `path` holds exactly `dump_system(system)`.
+
+    The file is compared with the frame one part at a time, so neither is
+    held whole.
+    """
+    parts = [memoryview(part).cast("B") for part in _system_frame(system)]
+    with open(path, "rb") as handle:
+        if handle.seek(0, io.SEEK_END) != sum(len(part) for part in parts):
+            return False
+        handle.seek(0)
+        return all(handle.read(len(part)) == part for part in parts)
 
 
 def _adv_record_dtype(size: int, colors: int) -> np.dtype:
@@ -308,11 +391,9 @@ def dump_adv_set(adv: AdvSet) -> bytes:
     return b"".join(_adv_frame(adv))
 
 
-def load_adv_set(blob: bytes) -> AdvSet:
-    """Decode an adversarial set; the surrogate predictions come back unset."""
-    reader = _Reader(blob, ADV_MAGIC, "advset")
+def _parse_adv_set(frame: _Frame) -> AdvSet:
     (kind_code, eps, alpha, steps, c, iterations, step_size, kappa, targeted,
-     target, count, size, colors) = reader.fields(_ADV_HEADER)
+     target, count, size, colors) = frame.fields(_ADV_HEADER)
     if kind_code not in _ATTACK_NAMES:
         raise BlobFormatError(f"advset: unknown attack code {kind_code}")
     try:
@@ -325,12 +406,29 @@ def load_adv_set(blob: bytes) -> AdvSet:
     # No dense layer takes more inputs, so no model could read a larger image.
     if size * size * colors > _MAX_LAYER_DIM:
         raise BlobFormatError(f"advset: image dims {size}x{size}x{colors} out of range")
-    records = reader.records(_adv_record_dtype(size, colors), count)
-    reader.expect_end()
-    return AdvSet(config, records["index"].astype(np.int64),
-                  records["label"].astype(np.int64),
-                  records["original"].astype(np.float32),
-                  records["adversarial"].astype(np.float32))
+    record = _adv_record_dtype(size, colors)
+    frame.check_room(record, count)
+    indices = np.empty(count, dtype=np.int64)
+    labels = np.empty(count, dtype=np.int64)
+    originals = np.empty((count, size, size, colors), dtype=np.float32)
+    adversarials = np.empty_like(originals)
+    # Records come in pieces of at most _CHUNK_BYTES through one buffer.
+    step = max(1, _CHUNK_BYTES // record.itemsize)
+    buffer = np.empty(min(step, count), dtype=record)
+    for start in range(0, count, step):
+        records = buffer[:count - start]
+        frame.fill(records)
+        rows = slice(start, start + len(records))
+        indices[rows] = records["index"]
+        labels[rows] = records["label"]
+        originals[rows] = records["original"]
+        adversarials[rows] = records["adversarial"]
+    return AdvSet(config, indices, labels, originals, adversarials)
+
+
+def load_adv_set(blob: bytes) -> AdvSet:
+    """Decode an adversarial set; the surrogate predictions come back unset."""
+    return _parse(io.BytesIO(blob), ADV_MAGIC, "advset", _parse_adv_set)
 
 
 def save_params(path: str | Path, params: ModelParams, key: SubKey) -> None:
@@ -338,7 +436,8 @@ def save_params(path: str | Path, params: ModelParams, key: SubKey) -> None:
 
 
 def read_params(path: str | Path) -> tuple[ModelParams, int]:
-    return load_params(Path(path).read_bytes(), label=str(path))
+    with open(path, "rb") as handle:
+        return _parse(handle, MODEL_MAGIC, str(path), _parse_params)
 
 
 def save_system(path: str | Path, system: SystemSpec) -> None:
@@ -346,7 +445,8 @@ def save_system(path: str | Path, system: SystemSpec) -> None:
 
 
 def read_system(path: str | Path) -> SystemSpec:
-    return load_system(Path(path).read_bytes())
+    with open(path, "rb") as handle:
+        return _load_system(handle)
 
 
 def save_adv_set(path: str | Path, adv: AdvSet) -> None:
@@ -354,4 +454,5 @@ def save_adv_set(path: str | Path, adv: AdvSet) -> None:
 
 
 def read_adv_set(path: str | Path) -> AdvSet:
-    return load_adv_set(Path(path).read_bytes())
+    with open(path, "rb") as handle:
+        return _parse(handle, ADV_MAGIC, "advset", _parse_adv_set)

@@ -465,8 +465,11 @@ def test_report_refuses_a_smaller_grid_from_another_key(pipeline, data_dir, tmp_
     edited[-33] ^= 1
     edited = _reseal(bytes(edited))
     assert load_system(edited).branches == 1
+    saved = (out_dir / "system-i1.rdiv").read_bytes()
     for name, blob in (("other-key", (tmp_path / "other" / "system-i1.rdiv").read_bytes()),
-                       ("one-weight-byte", edited)):
+                       ("one-weight-byte", edited),
+                       ("appended-byte", saved + b"\x00"),
+                       ("last-byte-cut", saved[:-1])):
         copy = tmp_path / name
         shutil.copytree(out_dir, copy)
         (copy / "system-i1.rdiv").write_bytes(blob)
@@ -476,6 +479,28 @@ def test_report_refuses_a_smaller_grid_from_another_key(pipeline, data_dir, tmp_
         err = capsys.readouterr().err
         assert f"{copy / 'system-i1.rdiv'} is not the first 1 branches of" in err
         assert not (copy / "report.csv").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_train_refuses_non_square_images(data_dir, tmp_path, capsys, monkeypatch, split):
+    # load_idx takes any rows x cols; a system needs N x N images.
+    pixels, labels = make_dataset(TEST_COUNT, seed=12)
+    wide = np.zeros((TEST_COUNT, 28, 30), dtype=np.uint8)
+    wide[:, :, :28] = pixels
+    images_path, labels_path = write_idx(tmp_path, split, wide, labels)
+    config = config_dict(data_dir, tmp_path / "out")
+    config["dataset"].update({f"{split}_images": str(images_path),
+                              f"{split}_labels": str(labels_path)})
+    path = tmp_path / "wide.yaml"
+    path.write_text(yaml.safe_dump(config))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("train built a system from non-square images")
+
+    monkeypatch.setattr(cli, "build_system", no_build)
+    assert run("train", "--config", str(path)) == 1
+    assert f"{images_path} holds 28x30 images" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_attack_requires_surrogate(data_dir, tmp_path, capsys):

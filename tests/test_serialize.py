@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rdiv.dataio import LabeledSet
 from rdiv.nn import Hyper, init_params, mlp_arch
 from rdiv.rng import TAG_INIT, MasterKey, derive_subkey
 from rdiv.serialize import (
+    _CHUNK_BYTES,
     BlobFormatError,
     atomic_write_bytes,
     dump_adv_set,
@@ -19,6 +21,8 @@ from rdiv.serialize import (
     load_adv_set,
     load_params,
     load_system,
+    read_adv_set,
+    read_params,
     read_system,
     save_adv_set,
     save_params,
@@ -296,15 +300,110 @@ def _flip_one_byte(blob: bytes, data) -> bytes:
     return bytes(flipped)
 
 
+@pytest.fixture(scope="module")
+def flip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("flipped")
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_any_single_byte_flip_is_rejected(data):
+def test_any_single_byte_flip_is_rejected(flip_dir, data):
     key = derive_subkey(MASTER, 0, 0, TAG_INIT)
-    for blob, load in ((dump_system(untrained_system(branches=1)), load_system),
-                       (dump_params(init_params(toy_arch(), key), key), load_params),
-                       (dump_adv_set(handmade_adv_set()), load_adv_set)):
+    for blob, load, read in (
+            (dump_system(untrained_system(branches=1)), load_system, read_system),
+            (dump_params(init_params(toy_arch(), key), key), load_params, read_params),
+            (dump_adv_set(handmade_adv_set()), load_adv_set, read_adv_set)):
+        flipped = _flip_one_byte(blob, data)
         with pytest.raises(BlobFormatError):
-            load(_flip_one_byte(blob, data))
+            load(flipped)
+        path = flip_dir / "flipped.bin"
+        path.write_bytes(flipped)
+        with pytest.raises(BlobFormatError):
+            read(path)
+
+
+def _written_artifacts():
+    """(file name, bytes, load, read) for one artifact of each kind.
+
+    `read_params` labels its errors with the path, so its `load` does too.
+    """
+    key = derive_subkey(MASTER, 0, 0, TAG_INIT)
+    return (("system.rdiv", dump_system(untrained_system()), lambda blob, path: load_system(blob),
+             read_system),
+            ("model.rdiv", dump_params(init_params(toy_arch(), key), key),
+             lambda blob, path: load_params(blob, label=str(path)), read_params),
+            ("adv.radv", dump_adv_set(handmade_adv_set()),
+             lambda blob, path: load_adv_set(blob), read_adv_set))
+
+
+_CORRUPTIONS = {
+    "flipped byte": lambda blob: blob[:40] + bytes([blob[40] ^ 0x5A]) + blob[41:],
+    "cut tail": lambda blob: blob[:-1],
+    "appended byte": lambda blob: blob + b"\x00",
+    # Resealed, so the parser's own checks run behind a valid digest.
+    "resealed first body byte": lambda blob: _reseal(blob[:5] + bytes([blob[5] ^ 0xFF])
+                                                     + blob[6:]),
+    "resealed cut tail": lambda blob: _reseal(blob[:-33] + blob[-32:]),
+    "resealed appended byte": lambda blob: _reseal(blob[:-32] + b"\x00" + blob[-32:]),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+def test_reading_a_file_rejects_what_loading_its_bytes_rejects(tmp_path, corruption):
+    for name, blob, load, read in _written_artifacts():
+        bad = _CORRUPTIONS[corruption](blob)
+        path = tmp_path / name
+        path.write_bytes(bad)
+        with pytest.raises(BlobFormatError) as loaded:
+            load(bad, path)
+        with pytest.raises(BlobFormatError) as read_back:
+            read(path)
+        assert str(read_back.value) == str(loaded.value)
+        if not corruption.startswith("resealed"):
+            assert str(loaded.value).endswith("SHA-256 checksum mismatch")
+
+
+def _array_bytes(value) -> int:
+    """Bytes of every NumPy array reachable through dataclasses and tuples."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, (tuple, list)):
+        return sum(_array_bytes(item) for item in value)
+    if hasattr(value, "__dataclass_fields__"):
+        return sum(_array_bytes(getattr(value, name)) for name in value.__dataclass_fields__)
+    return 0
+
+
+def test_reads_hold_one_copy_of_the_artifact(tmp_path):
+    """A read peaks at the arrays it returns plus one chunk.
+
+    Holding the file's bytes beside the parsed arrays would peak near twice
+    the file size; every file here is several chunks long.
+    """
+    arch = mlp_arch(SIZE * SIZE * COLORS, (512, 512), CLASSES)
+    key = derive_subkey(MASTER, 0, 0, TAG_INIT)
+    rng = np.random.default_rng(7)
+    originals = rng.random((6000, SIZE, SIZE, COLORS), dtype=np.float32)
+    adv = AdvSet(AttackConfig(kind="fgsm", eps=0.1), np.arange(6000),
+                 rng.integers(0, CLASSES, size=6000), originals,
+                 np.clip(originals + np.float32(0.1), 0.0, 1.0))
+    system = build_system("direct-permutation", MASTER, 1, 2, arch, SIZE, COLORS)
+    save_system(tmp_path / "system.rdiv", system)
+    save_params(tmp_path / "model.rdiv", init_params(arch, key), key)
+    save_adv_set(tmp_path / "adv.radv", adv)
+    for name, read in (("system.rdiv", read_system), ("model.rdiv", read_params),
+                       ("adv.radv", read_adv_set)):
+        size = (tmp_path / name).stat().st_size
+        assert size > 4 * _CHUNK_BYTES
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            returned = read(tmp_path / name)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        bound = _array_bytes(returned) + _CHUNK_BYTES + (64 << 10)
+        assert peak <= bound, f"{name}: peak {peak} bytes for a {size}-byte file"
 
 
 def test_system_per_color_round_trip():
