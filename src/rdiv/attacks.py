@@ -188,6 +188,8 @@ def pgd_linf_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
         # np.sign writes into `step`, not into `grads`: in place it ran
         # several times slower on mixed-sign float32 data.
         np.sign(grads, out=step)
+        # The next step's gradient pass runs without this one.
+        del grads
         step *= alpha
         step += adv
         np.maximum(step, low, out=step)
@@ -230,14 +232,16 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     input that already satisfies the margin is its own best answer (norm 0).
     Labels, and the target of a targeted run, must be classes of `params`.
 
-    The working set is about ten (B, D) float64 arrays at its peak: the
-    iterate state (`x`, `w`, both Adam moments, `tanh(w)`, `adv`), the
-    float32 best answers, and the input gradient and the forward pass's
-    temporaries. The forward and backward passes run on the whole batch;
-    everything else in an iteration runs in one sweep over row blocks of
-    about `_BLOCK` elements, so each block stays in cache while every
-    formula passes over it. Each formula is elementwise or per row, so the
-    result is bitwise that of the textbook formulas in the comments.
+    Whole-size arrays: the iterate state `w`, both Adam moments, `tanh(w)`
+    and `adv` in float64, the float32 best answers, one input gradient and
+    the forward pass's temporaries, about eight (B, D) float64 arrays at
+    the peak. The images stay in the caller's dtype; each row block is
+    widened to float64 once, in block-sized scratch, where it is read. The
+    forward and backward passes run on the whole batch; everything else in
+    an iteration runs in one sweep over row blocks of about `_BLOCK`
+    elements, so each block stays in cache while every formula passes over
+    it. Each formula is elementwise or per row, so the result is bitwise
+    that of the textbook formulas in the comments.
     """
     batch = images.shape[0]
     flat_dim = params.arch.input_dim
@@ -246,26 +250,33 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     if config.targeted and config.target >= classes:
         raise ValueError(f"target {config.target} is not in [0, {classes})")
     _check_pixels(images)
-    x = images.reshape(batch, flat_dim).astype(np.float64)
+    x = images.reshape(batch, flat_dim)
     work = params.astype(np.float64)
     # The best answers are returned as float32, so they are kept as float32.
     best = x.astype(np.float32)
     best_norm2 = np.full(batch, np.inf)
     norm2 = np.empty(batch)  # ||adv - x||^2 of the current iterate, per row
 
-    m, v = np.zeros_like(x), np.zeros_like(x)
-    w, tanh_w, adv = (np.empty_like(x) for _ in range(3))
+    m, v = np.zeros((batch, flat_dim)), np.zeros((batch, flat_dim))
+    w, tanh_w, adv = (np.empty((batch, flat_dim)) for _ in range(3))
     rows = max(1, _BLOCK // flat_dim)
     blocks = [slice(start, min(start + rows, batch)) for start in range(0, batch, rows)]
     # Block-sized scratch; the last block may use only the first rows.
-    tmp, step = (np.empty((min(rows, batch), flat_dim)) for _ in range(2))
+    tmp, step, x_block = (np.empty((min(rows, batch), flat_dim)) for _ in range(3))
 
-    def next_iterate(b: slice, t: np.ndarray) -> None:
+    def scratch(b: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scratch views for rows `b`; the last holds x[b] in float64."""
+        count = b.stop - b.start
+        xb = x_block[:count]
+        np.copyto(xb, x[b])
+        return tmp[:count], step[:count], xb
+
+    def next_iterate(b: slice, t: np.ndarray, xb: np.ndarray) -> None:
         """adv = (tanh(w) + 1) / 2 and norm2 = sum((adv - x) ** 2) on rows `b`."""
         np.tanh(w[b], out=tanh_w[b])
         np.add(tanh_w[b], 1.0, out=adv[b])
         adv[b] /= 2.0
-        np.subtract(adv[b], x[b], out=t)
+        np.subtract(adv[b], xb, out=t)
         np.square(t, out=t)
         np.sum(t, axis=1, out=norm2[b])
 
@@ -276,13 +287,13 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
         return better[:, None]
 
     for b in blocks:
-        t = tmp[:b.stop - b.start]
+        t, _, xb = scratch(b)
         # w = arctanh((2 * x - 1) * _TANH_CLIP)
-        np.multiply(2.0, x[b], out=t)
+        np.multiply(2.0, xb, out=t)
         t -= 1.0
         t *= _TANH_CLIP
         np.arctanh(t, out=w[b])
-        next_iterate(b, t)
+        next_iterate(b, t, xb)
     # The starting iterate is never a candidate: it lies within about 5e-7
     # of x, so keeping it could put a near-zero norm where x just misses.
     norm2.fill(np.inf)
@@ -306,9 +317,10 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
         correction1, correction2 = 1.0 - 0.9 ** it, 1.0 - 0.999 ** it
         for b in blocks:
             np.copyto(best[b], adv[b], where=better[b])
-            t, s, dw = tmp[:b.stop - b.start], step[:b.stop - b.start], dadv[b]
+            t, s, xb = scratch(b)
+            dw = dadv[b]
             # dw = (dadv + 2 * (adv - x)) * (1 - tanh_w ** 2) / 2, built in `dadv`
-            np.subtract(adv[b], x[b], out=t)
+            np.subtract(adv[b], xb, out=t)
             np.multiply(2.0, t, out=t)
             dw += t
             np.square(tanh_w[b], out=t)
@@ -332,7 +344,11 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
             s *= config.step_size
             s /= t
             w[b] -= s
-            next_iterate(b, t)
+            next_iterate(b, t, xb)
+        # The next forward and backward passes run without this pass's cache
+        # and gradient. An empty batch binds no `dw`, so it is rebound, not
+        # deleted.
+        cache = dadv = dw = None
 
     found = np.isfinite(best_norm2)
     logger.debug("cw-l2: %d/%d samples attacked successfully",

@@ -193,8 +193,37 @@ def _parse_attacks(raw: dict) -> tuple[tuple[str, AttackConfig], ...]:
     return tuple(out)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a mapping key given twice.
+
+    Plain PyYAML keeps the last of two equal keys without a word, so a
+    repeated `mode` or `master_key` would silently replace the first.
+    Merge keys (`<<`) may still be overridden, as YAML defines.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def _load_yaml(text: str) -> dict:
-    raw = yaml.safe_load(text)
+    try:
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        if mark is None:
+            raise ConfigError(f"invalid config YAML: {exc}") from None
+        problem = ", ".join(filter(None, (exc.context, exc.problem)))
+        raise ConfigError(f"invalid config YAML at line {mark.line + 1}, "
+                          f"column {mark.column + 1}: {problem}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -23,10 +23,11 @@ from rdiv.nn import (
     backward_from_logits,
     batch_loss_and_grads,
     forward,
+    init_params,
     logits_and_cache,
     mlp_arch,
 )
-from rdiv.rng import MasterKey
+from rdiv.rng import TAG_INIT, MasterKey, derive_subkey
 from rdiv.system import build_system, classify_batch, train_system
 
 SIZE = 8
@@ -382,6 +383,43 @@ def test_cw_working_set_stays_below_eleven_full_arrays(surrogate):
     finally:
         tracemalloc.stop()
     assert peak < 11 * full_array, f"peak {peak / full_array:.1f} full arrays"
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def mnist_width_batch(count=1000):
+    """An untrained 784-256-128-10 MLP with a batch of float32 images in [0, 1]."""
+    params = init_params(mlp_arch(28 * 28, (256, 128), 10),
+                         derive_subkey(MASTER, 0, 0, TAG_INIT))
+    rng = np.random.default_rng(17)
+    images = rng.random((count, 28, 28, 1), dtype=np.float32)
+    return params, images, rng.integers(0, 10, size=count)
+
+
+def test_cw_holds_one_input_gradient_and_no_float64_images():
+    # Measured at D=784: 7.9 (B, D) float64 arrays. A second live gradient
+    # or a float64 copy of the images adds one array each (9.8 with both).
+    params, images, labels = mnist_width_batch()
+    full_array = images.size * 8
+    peak = traced_peak(lambda: cw_l2_batch(params, images, labels,
+                                           cw_config(iterations=3)))
+    assert peak < 8.5 * full_array, f"peak {peak / full_array:.2f} full arrays"
+
+
+def test_pgd_holds_one_input_gradient():
+    # Measured: 6.0 float32 (B, D) arrays (bounds, iterate, step, gradient,
+    # forward temporaries); the previous step's gradient adds one more.
+    params, images, labels = mnist_width_batch()
+    full_array = images.size * 4
+    peak = traced_peak(lambda: pgd_linf_batch(params, images, labels, 0.1, 0.01, 5))
+    assert peak < 6.5 * full_array, f"peak {peak / full_array:.2f} full arrays"
 
 
 def test_craft_adv_set_fields(surrogate):

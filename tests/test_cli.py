@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +277,52 @@ def test_unquoted_numeric_master_key_is_refused():
         assert "83" not in str(excinfo.value)
         config = parse_config(f"system:\n  master_key: '{key}'\n")
         assert config.master.to_hex() == key
+
+
+def test_malformed_yaml_exits_cleanly(tmp_path):
+    # A parser error is a config error with the parser's line and column,
+    # not a traceback out of main.
+    path = tmp_path / "bad.yaml"
+    path.write_text("system: [1,")
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "rdiv.cli", "train", "--config", str(path)],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert "line 1, column 12" in proc.stderr
+    with pytest.raises(ConfigError, match="line 1, column 12"):
+        parse_config("system: [1,")
+
+
+@pytest.mark.parametrize("text, key, line", [
+    ("out_dir: a\nworkers: 1\nout_dir: b\n", "out_dir", 3),
+    ("system:\n  mode: identity\n  mode: direct-permutation\n", "mode", 3),
+    (f"system:\n  master_key: '{KEY}'\n  branches: 2\n  master_key: '{'1' * 16}'\n",
+     "master_key", 4),
+    ("attacks:\n  - kind: fgsm\n    eps: 0.1\n  - kind: pgd-linf\n    eps: 0.1\n"
+     "    steps: 3\n    eps: 0.2\n", "eps", 7),
+], ids=["top-level", "section", "master-key", "attack-entry"])
+def test_duplicate_yaml_keys_are_refused(text, key, line):
+    # PyYAML alone keeps the last of two equal keys.
+    with pytest.raises(ConfigError, match=f"line {line}, column \\d+: duplicate key '{key}'"):
+        parse_config(text)
+
+
+def test_duplicate_yaml_key_fails_the_command(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    path.write_text("system:\n  mode: identity\n  mode: direct-permutation\n")
+    assert run("train", "--config", str(path)) == 1
+    assert capsys.readouterr().err.startswith("error: invalid config YAML at line 3")
+
+
+def test_merge_keys_may_still_be_overridden():
+    # `<<` merges an anchored mapping; a key after it overrides, as YAML defines.
+    config = parse_config("attacks:\n  - &base {kind: pgd-linf, eps: 0.1, steps: 3}\n"
+                          "  - <<: *base\n    name: wide\n    eps: 0.2\n")
+    assert [(name, c.eps) for name, c in config.attacks] == [("pgd-linf", 0.1), ("wide", 0.2)]
 
 
 def test_pct_rounds_half_up_exactly():
