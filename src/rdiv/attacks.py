@@ -51,7 +51,11 @@ _BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Parameters for one attack run. Unused fields are ignored per kind."""
+    """Parameters for one attack run.
+
+    Fields a kind does not use are ignored, except `targeted`: only cw-l2
+    runs a targeted attack, so fgsm and pgd-linf refuse `targeted=True`.
+    """
 
     kind: str
     eps: float = 0.1          # fgsm / pgd-linf budget
@@ -84,6 +88,8 @@ class AttackConfig:
             raise ValueError("kappa must be >= 0")
         if self.target < 0:
             raise ValueError(f"target must be a non-negative int, got {self.target!r}")
+        if self.targeted and self.kind != "cw-l2":
+            raise ValueError(f"targeted applies to cw-l2 only, not {self.kind}")
 
 
 @dataclass(frozen=True)

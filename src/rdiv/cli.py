@@ -361,6 +361,22 @@ def _arch_for(config: RunConfig, data: LabeledSet) -> ArchSpec:
                     config.classes)
 
 
+def _widths(arch: ArchSpec) -> str:
+    return "-".join(str(width) for width in
+                    (arch.input_dim, *(fan_out for _, fan_out in arch.dense_shapes)))
+
+
+def _require_arch(path: Path, arch: ArchSpec, config: RunConfig, slice_: LabeledSet,
+                  command: str) -> None:
+    """Refuse an artifact whose network is not the one `command` would train now."""
+    expected = _arch_for(config, slice_)
+    if arch != expected:
+        raise ConfigError(f"{path} was trained on differently shaped images than "
+                          f"dataset {config.dataset_name!r} or with other hidden "
+                          f"widths: it holds a {_widths(arch)} network, the config "
+                          f"gives {_widths(expected)}; rerun the {command} command")
+
+
 def _system_path(config: RunConfig, branches: int) -> Path:
     return config.out_dir / f"system-i{branches}.rdiv"
 
@@ -379,11 +395,17 @@ def _pct(errors: int, limit: int) -> str:
     return str(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def _load_adv_for(config: RunConfig, name: str, slice_: LabeledSet) -> AdvSet:
+def _load_adv_for(config: RunConfig, name: str, attack: AttackConfig,
+                  slice_: LabeledSet) -> AdvSet:
     path = _adv_path(config, name)
     if not path.is_file():
         raise ConfigError(f"missing adversarial set {path}; run the attack command")
     adv = read_adv_set(path)
+    if adv.config != attack:
+        stored, wanted = vars(adv.config), vars(attack)
+        stale = ", ".join(f"{field} {stored[field]!r} (configured {wanted[field]!r})"
+                          for field in stored if stored[field] != wanted[field])
+        raise ConfigError(f"{path} was crafted with {stale}; rerun the attack command")
     if len(adv) != config.limit:
         raise ConfigError(f"{path} holds {len(adv)} samples, eval limit is "
                           f"{config.limit}")
@@ -448,9 +470,7 @@ def cmd_attack(config: RunConfig) -> int:
     params, _ = read_params(path)
     testset = _load_split(config, "test")
     slice_ = take_first(testset, config.limit)
-    if params.arch.input_dim != slice_.size * slice_.size * slice_.colors:
-        raise ConfigError(f"{path} was trained on differently shaped "
-                          f"images than dataset {config.dataset_name!r}")
+    _require_arch(path, params.arch, config, slice_, "surrogate")
     for name, attack in config.attacks:
         adv = craft_adv_set(params, slice_, attack)
         out = _adv_path(config, name)
@@ -470,6 +490,7 @@ def _read_grid_file(config: RunConfig, branches: int, slice_: LabeledSet) -> Sys
     if (system.size, system.colors) != (slice_.size, slice_.colors):
         raise ConfigError(f"{path} was trained on differently shaped "
                           f"images than dataset {config.dataset_name!r}")
+    _require_arch(path, system.arch, config, slice_, "train")
     return system
 
 
@@ -490,8 +511,8 @@ def _evaluate_rows(config: RunConfig) -> list[dict]:
             raise ConfigError(f"missing system file {path}; run the train command")
     testset = _load_split(config, "test")
     slice_ = take_first(testset, config.limit)
-    advsets = [(name, _load_adv_for(config, name, slice_))
-               for name, _ in config.attacks]
+    advsets = [(name, _load_adv_for(config, name, attack, slice_))
+               for name, attack in config.attacks]
     top = max(config.branch_grid)
     largest = _read_grid_file(config, top, slice_)
     for branches in config.branch_grid:

@@ -1,17 +1,17 @@
 """Binary persistence for models, keyed systems, and adversarial sets.
 
-Every artifact is one frame: a 4-byte ASCII magic, a format version byte,
-the body, and the SHA-256 of everything before it (32 bytes). A reader
-checks magic, the file's length and version first, then parses the body in
-one pass straight into the arrays it returns, hashing each byte as it is
-read. It compares the digest before it returns and before it raises an
-error from any body field, hashing first whatever that error left unread,
-so any changed byte is rejected as a checksum mismatch. `read_*` parse the
-open file and `load_*` the same way over an in-memory blob, so a read holds
-one copy of the artifact. Bodies use little-endian integers and floats, float32
-parameter and pixel tensors in row-major order, and keys as 16 lowercase
-hex digits. An arch is a layer count, then per layer a kind byte, plus
-fan_in and fan_out for dense layers.
+Every artifact is one file holding one frame: a 4-byte ASCII magic, a
+format version byte, the body, and the SHA-256 of everything before it
+(32 bytes). `read_*` check the magic, the file's length and the version
+first, then parse the body in one pass straight into the arrays they
+return, hashing each byte as it is read. They compare the digest before
+they return and before they raise an error from any body field, hashing
+first whatever that error left unread, so any changed byte is rejected as
+a checksum mismatch. A read holds one copy of the artifact, and every
+error it raises begins with the file's path. Bodies use little-endian
+integers and floats, float32 parameter and pixel tensors in row-major
+order, and keys as 16 lowercase hex digits. An arch is a layer count, then
+per layer a kind byte, plus fan_in and fan_out for dense layers.
 
 Model blob ("RDIV"):
     arch | per dense layer: weights then biases | model subkey hex.
@@ -22,7 +22,7 @@ System file ("RDIV"):
     The per-color byte is `SystemSpec.per_color`. The mode, that byte and
     the master key define every channel's transform, so J, the kinds, bands
     and keyed payloads (each channel's index map or DCT coefficient mask)
-    are not stored; `build_system` re-derives them on load.
+    are not stored; `build_system` re-derives them on read.
 
 Adversarial set ("RADV"):
     attack kind byte | config fields | count N m | count packed records:
@@ -31,13 +31,12 @@ Adversarial set ("RADV"):
 All writes go through a temp file in the target directory plus an atomic
 rename, so readers never observe a partial file. `save_*` write a frame's
 parts into that file one after another, so the body is never copied into
-one joined buffer; `dump_*` return the same bytes joined.
+one joined buffer.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import struct
 import tempfile
@@ -84,7 +83,7 @@ T = TypeVar("T")
 
 
 class BlobFormatError(ValueError):
-    """A byte stream does not parse as the artifact it claims to be."""
+    """A file does not parse as the artifact it claims to be."""
 
 
 def atomic_write_bytes(path: str | Path, *parts: bytes | memoryview) -> None:
@@ -106,9 +105,8 @@ def atomic_write_bytes(path: str | Path, *parts: bytes | memoryview) -> None:
 def _seal(magic: bytes, *body: bytes | memoryview) -> tuple[bytes | memoryview, ...]:
     """Frame `body` as magic, version, body, SHA-256 of all that precedes it.
 
-    The frame comes back as its parts, with the body parts as given: a
-    `save_*` writes them straight into its file, and only a `dump_*` joins
-    them, which is the one copy of the body it returns.
+    The frame comes back as its parts, with the body parts as given, so a
+    `save_*` writes them straight into its file without joining them.
     """
     head = magic + struct.pack("<B", FORMAT_VERSION)
     digest = hashlib.sha256(head)
@@ -118,19 +116,20 @@ def _seal(magic: bytes, *body: bytes | memoryview) -> tuple[bytes | memoryview, 
 
 
 class _Frame:
-    """Sequential little-endian decoder over one frame in a binary file.
+    """Sequential little-endian decoder over the frame in one open file.
 
-    Construction checks magic, length and version. Every later byte is read
-    straight into the value or array it becomes and fed to the running
-    SHA-256; nothing is allocated before the bytes the file has left are
-    known to fill it. `verify` hashes what the parse left unread and
-    compares the trailer.
+    `label` is the file's path, which begins every error. Construction
+    checks magic, length and version. Every later byte is read straight
+    into the value or array it becomes and fed to the running SHA-256;
+    nothing is allocated before the bytes the file has left are known to
+    fill it. `verify` hashes what the parse left unread and compares the
+    trailer.
     """
 
     def __init__(self, handle: BinaryIO, magic: bytes, label: str):
         self.handle = handle
         self.label = label
-        size = handle.seek(0, io.SEEK_END)
+        size = handle.seek(0, os.SEEK_END)
         handle.seek(0)
         head = handle.read(_HEADER_SIZE)
         if head[:4] != magic:
@@ -208,21 +207,23 @@ class _Frame:
             raise BlobFormatError(f"{self.label}: SHA-256 checksum mismatch")
 
 
-def _parse(handle: BinaryIO, magic: bytes, label: str, body: Callable[[_Frame], T]) -> T:
-    """`body`'s result over the frame in `handle`, once its digest matches.
+def _parse(path: str | Path, magic: bytes, body: Callable[[_Frame], T]) -> T:
+    """`body`'s result over the frame in the file at `path`, once its digest
+    matches.
 
     An error from a body field is raised only after the rest of the frame
     has been hashed and the digest has matched, so a changed byte reports a
     checksum mismatch whichever field it lands in.
     """
-    frame = _Frame(handle, magic, label)
-    failure = None
-    try:
-        result = body(frame)
-        frame.expect_end()
-    except Exception as exc:
-        failure = exc
-    frame.verify()
+    with open(path, "rb") as handle:
+        frame = _Frame(handle, magic, str(path))
+        failure = None
+        try:
+            result = body(frame)
+            frame.expect_end()
+        except Exception as exc:
+            failure = exc
+        frame.verify()
     if failure is not None:
         raise failure
     return result
@@ -283,19 +284,9 @@ def _params_frame(params: ModelParams, key: SubKey) -> tuple:
                  f"{key.value:016x}".encode("ascii"))
 
 
-def dump_params(params: ModelParams, key: SubKey) -> bytes:
-    """Encode one trained model plus the subkey its init came from."""
-    return b"".join(_params_frame(params, key))
-
-
 def _parse_params(frame: _Frame) -> tuple[ModelParams, int]:
     params = _read_tensors(frame, _read_arch(frame))
     return params, frame.key_hex()
-
-
-def load_params(blob: bytes, label: str = "model") -> tuple[ModelParams, int]:
-    """Decode a model blob. Returns the params and the stored subkey value."""
-    return _parse(io.BytesIO(blob), MODEL_MAGIC, label, _parse_params)
 
 
 def _system_frame(system: SystemSpec) -> tuple:
@@ -307,18 +298,13 @@ def _system_frame(system: SystemSpec) -> tuple:
                    for view in _tensors(channel.params)))
 
 
-def dump_system(system: SystemSpec) -> bytes:
-    """Encode a system: header, the arch once, then all weights."""
-    return b"".join(_system_frame(system))
-
-
 def _parse_system(frame: _Frame) -> tuple[tuple, bool, list[ModelParams]]:
     mode_code, per_color, branches, size, colors = frame.fields(_SYSTEM_HEADER)
     if mode_code not in _MODE_NAMES:
-        raise BlobFormatError(f"system: unknown mode byte {mode_code}")
+        raise BlobFormatError(f"{frame.label}: unknown mode byte {mode_code}")
     mode = _MODE_NAMES[mode_code]
     if per_color not in (0, 1):
-        raise BlobFormatError(f"system: per-color byte {per_color}, expected 0 or 1")
+        raise BlobFormatError(f"{frame.label}: per-color byte {per_color}, expected 0 or 1")
     master = MasterKey(frame.key_hex())
     arch = _read_arch(frame)
     groups = mode_groups(mode)
@@ -326,32 +312,16 @@ def _parse_system(frame: _Frame) -> tuple[tuple, bool, list[ModelParams]]:
     return (mode, master, groups, branches, arch, size, colors), bool(per_color), params
 
 
-def _load_system(handle: BinaryIO) -> SystemSpec:
-    args, per_color, params = _parse(handle, MODEL_MAGIC, "system", _parse_system)
-    try:
-        return build_system(*args, per_color=per_color, params=params)
-    except ValueError as exc:
-        raise BlobFormatError(f"system: {exc}") from None
-
-
-def load_system(blob: bytes) -> SystemSpec:
-    """Decode a system file, rebuilding keyed payloads from the master key.
-
-    The reject threshold is an evaluation-time setting and is not part of
-    the file.
-    """
-    return _load_system(io.BytesIO(blob))
-
-
 def system_file_equals(path: str | Path, system: SystemSpec) -> bool:
-    """Whether the file at `path` holds exactly `dump_system(system)`.
+    """Whether the file at `path` holds exactly what `save_system` writes
+    for `system`.
 
     The file is compared with the frame one part at a time, so neither is
     held whole.
     """
     parts = [memoryview(part).cast("B") for part in _system_frame(system)]
     with open(path, "rb") as handle:
-        if handle.seek(0, io.SEEK_END) != sum(len(part) for part in parts):
+        if handle.seek(0, os.SEEK_END) != sum(len(part) for part in parts):
             return False
         handle.seek(0)
         return all(handle.read(len(part)) == part for part in parts)
@@ -386,26 +356,21 @@ def _adv_frame(adv: AdvSet) -> tuple:
     return _seal(ADV_MAGIC, header, records.data)
 
 
-def dump_adv_set(adv: AdvSet) -> bytes:
-    """Encode an adversarial set. Surrogate predictions are not persisted."""
-    return b"".join(_adv_frame(adv))
-
-
 def _parse_adv_set(frame: _Frame) -> AdvSet:
     (kind_code, eps, alpha, steps, c, iterations, step_size, kappa, targeted,
      target, count, size, colors) = frame.fields(_ADV_HEADER)
     if kind_code not in _ATTACK_NAMES:
-        raise BlobFormatError(f"advset: unknown attack code {kind_code}")
+        raise BlobFormatError(f"{frame.label}: unknown attack code {kind_code}")
     try:
         config = AttackConfig(kind=_ATTACK_NAMES[kind_code], eps=eps,
                               alpha=alpha, steps=steps, c=c,
                               iterations=iterations, step_size=step_size,
                               kappa=kappa, targeted=bool(targeted), target=target)
     except ValueError as exc:
-        raise BlobFormatError(f"advset: {exc}") from None
+        raise BlobFormatError(f"{frame.label}: {exc}") from None
     # No dense layer takes more inputs, so no model could read a larger image.
     if size * size * colors > _MAX_LAYER_DIM:
-        raise BlobFormatError(f"advset: image dims {size}x{size}x{colors} out of range")
+        raise BlobFormatError(f"{frame.label}: image dims {size}x{size}x{colors} out of range")
     record = _adv_record_dtype(size, colors)
     frame.check_room(record, count)
     indices = np.empty(count, dtype=np.int64)
@@ -426,18 +391,13 @@ def _parse_adv_set(frame: _Frame) -> AdvSet:
     return AdvSet(config, indices, labels, originals, adversarials)
 
 
-def load_adv_set(blob: bytes) -> AdvSet:
-    """Decode an adversarial set; the surrogate predictions come back unset."""
-    return _parse(io.BytesIO(blob), ADV_MAGIC, "advset", _parse_adv_set)
-
-
 def save_params(path: str | Path, params: ModelParams, key: SubKey) -> None:
     atomic_write_bytes(path, *_params_frame(params, key))
 
 
 def read_params(path: str | Path) -> tuple[ModelParams, int]:
-    with open(path, "rb") as handle:
-        return _parse(handle, MODEL_MAGIC, str(path), _parse_params)
+    """Read a model blob. Returns the params and the stored subkey value."""
+    return _parse(path, MODEL_MAGIC, _parse_params)
 
 
 def save_system(path: str | Path, system: SystemSpec) -> None:
@@ -445,8 +405,16 @@ def save_system(path: str | Path, system: SystemSpec) -> None:
 
 
 def read_system(path: str | Path) -> SystemSpec:
-    with open(path, "rb") as handle:
-        return _load_system(handle)
+    """Read a system file, rebuilding keyed payloads from the master key.
+
+    The reject threshold is an evaluation-time setting and is not part of
+    the file.
+    """
+    args, per_color, params = _parse(path, MODEL_MAGIC, _parse_system)
+    try:
+        return build_system(*args, per_color=per_color, params=params)
+    except ValueError as exc:
+        raise BlobFormatError(f"{path}: {exc}") from None
 
 
 def save_adv_set(path: str | Path, adv: AdvSet) -> None:
@@ -454,5 +422,5 @@ def save_adv_set(path: str | Path, adv: AdvSet) -> None:
 
 
 def read_adv_set(path: str | Path) -> AdvSet:
-    with open(path, "rb") as handle:
-        return _parse(handle, ADV_MAGIC, "advset", _parse_adv_set)
+    """Read an adversarial set; the surrogate predictions come back unset."""
+    return _parse(path, ADV_MAGIC, _parse_adv_set)

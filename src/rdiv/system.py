@@ -80,7 +80,6 @@ class SystemSpec:
 
     master: MasterKey
     mode: str
-    branches: int
     size: int
     colors: int
     arch: ArchSpec
@@ -91,6 +90,11 @@ class SystemSpec:
     @property
     def groups(self) -> int:
         return mode_groups(self.mode)
+
+    @property
+    def branches(self) -> int:
+        """I, the number of branches in each group."""
+        return len(self.channels) // self.groups
 
     @property
     def classes(self) -> int:
@@ -137,8 +141,8 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
             else:
                 model = params[len(channels)]
             channels.append(ChannelSpec(j, i, pre, model))
-    return SystemSpec(master, mode, branches, size, colors, arch,
-                      tuple(channels), reject_threshold, per_color)
+    return SystemSpec(master, mode, size, colors, arch, tuple(channels),
+                      reject_threshold, per_color)
 
 
 def first_branches(system: SystemSpec, branches: int) -> SystemSpec:
@@ -150,8 +154,7 @@ def first_branches(system: SystemSpec, branches: int) -> SystemSpec:
     if not 1 <= branches <= system.branches:
         raise ValueError(f"cannot take {branches} branches from a grid of "
                          f"{system.branches}")
-    return replace(system, branches=branches, channels=tuple(
-        c for c in system.channels if c.i < branches))
+    return replace(system, channels=tuple(c for c in system.channels if c.i < branches))
 
 
 def train_system(system: SystemSpec, trainset: LabeledSet, hyper: Hyper,

@@ -1,10 +1,17 @@
-"""Test helpers: a single-image wrapper and an independent index-map reference.
+"""Test helpers: a single-image wrapper, an independent index-map reference,
+and artifact files as bytes.
 
 The library works on (B, N, N, m) batches and stores a permutation channel as
 one flat index map. The reference below rebuilds that map from the keyed
 draws and applies it with one loop per color, the way the transforms did
 before the map was flattened.
+
+Artifacts are only ever written to and read from files, so a test that
+wants an artifact's bytes saves it and reads the file, and a test that
+edits those bytes writes them back and reads the file.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -60,3 +67,15 @@ def loop_fold(orders: np.ndarray, w1: np.ndarray) -> np.ndarray:
     for c in range(len(orders)):
         out[orders[c], c] = rows[:, c]
     return out.reshape(w1.shape)
+
+
+def saved_bytes(path: Path, save, *args) -> bytes:
+    """`save(path, *args)`, then the bytes it wrote."""
+    save(path, *args)
+    return path.read_bytes()
+
+
+def read_written(path: Path, read, blob: bytes):
+    """Write `blob` to `path`, then `read(path)`."""
+    path.write_bytes(blob)
+    return read(path)

@@ -557,6 +557,10 @@ def test_attack_config_validation():
     for target in (-1, True, 1.0, "2", None):
         with pytest.raises(ValueError, match="target"):
             AttackConfig(kind="cw-l2", targeted=True, target=target)
+    # A targeted fgsm or pgd-linf run crafted the untargeted bytes.
+    for kind in ("fgsm", "pgd-linf"):
+        with pytest.raises(ValueError, match=f"targeted applies to cw-l2 only, not {kind}"):
+            AttackConfig(kind=kind, targeted=True)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -13,9 +13,10 @@ from rdiv.cli import ConfigError, _pct, parse_config
 from rdiv.dataio import load_idx
 from rdiv.nn import init_params, mlp_arch
 from rdiv.rng import TAG_INIT, MasterKey, derive_subkey
-from rdiv.serialize import load_system, read_adv_set, read_system, save_params, save_system
+from rdiv.serialize import read_adv_set, read_system, save_params, save_system
 from rdiv.system import build_system, train_system
 
+from _helpers import read_written
 from _synth import make_dataset, write_idx
 from test_serialize import _reseal
 
@@ -167,9 +168,10 @@ def test_parse_config_validates_values(data_dir, tmp_path):
     with pytest.raises(ConfigError, match="attacks"):
         parse_config(yaml.safe_dump(bad))
     # A negative target would index the last class instead of failing.
+    # Only cw-l2 runs targeted, so the entry becomes one.
     for target in (-1, True, 1.0, "2"):
         bad = yaml.safe_load(yaml.safe_dump(good))
-        bad["attacks"][1].update(targeted=True, target=target)
+        bad["attacks"][1].update(kind="cw-l2", targeted=True, target=target)
         with pytest.raises(ConfigError, match="target"):
             parse_config(yaml.safe_dump(bad))
 
@@ -177,13 +179,15 @@ def test_parse_config_validates_values(data_dir, tmp_path):
 def test_parse_config_refuses_bad_attack_and_train_values(data_dir, tmp_path):
     # Each of these once parsed and then failed or misled at run time: a
     # float step count raised TypeError inside `rdiv attack`, `true` ran one
-    # iteration, a quoted "no" ran a targeted attack, a NaN learning rate
-    # died in training and beta1 = 1.5 trained a useless model.
+    # iteration, a quoted "no" ran a targeted attack, a targeted pgd-linf
+    # ran untargeted, a NaN learning rate died in training and beta1 = 1.5
+    # trained a useless model.
     good = config_dict(data_dir, tmp_path)
     nan, inf = float("nan"), float("inf")
     for section, field, value in (
             ("attacks", "steps", 2.5), ("attacks", "iterations", True),
-            ("attacks", "targeted", "no"), ("attacks", "eps", nan),
+            ("attacks", "targeted", "no"), ("attacks", "targeted", True),
+            ("attacks", "eps", nan),
             ("attacks", "alpha", inf), ("attacks", "c", True),
             ("attacks", "step_size", nan), ("attacks", "kappa", -inf),
             ("train", "learning_rate", nan), ("train", "learning_rate", inf),
@@ -513,7 +517,7 @@ def test_report_refuses_a_smaller_grid_from_another_key(pipeline, data_dir, tmp_
     edited = bytearray((out_dir / "system-i1.rdiv").read_bytes())
     edited[-33] ^= 1
     edited = _reseal(bytes(edited))
-    assert load_system(edited).branches == 1
+    assert read_written(tmp_path / "edited.rdiv", read_system, edited).branches == 1
     saved = (out_dir / "system-i1.rdiv").read_bytes()
     for name, blob in (("other-key", (tmp_path / "other" / "system-i1.rdiv").read_bytes()),
                        ("one-weight-byte", edited),
@@ -605,6 +609,63 @@ def test_attack_refuses_surrogate_of_other_image_shape(data_dir, tmp_path, capsy
     assert (f"{out_dir / 'surrogate.rdiv'} was trained on differently shaped "
             "images than dataset 'synth'") in err
     assert not list(out_dir.glob("*.radv"))
+
+
+def test_eval_refuses_an_adv_set_crafted_under_another_config(pipeline, data_dir,
+                                                              tmp_path, capsys):
+    # The stored set was crafted at eps 0.1; its numbers say nothing about 0.01.
+    config, out_dir = pipeline
+    stale = config_dict(data_dir, out_dir)
+    stale["attacks"][1]["eps"] = 0.01
+    path = tmp_path / "stale.yaml"
+    path.write_text(yaml.safe_dump(stale))
+    for command in ("eval", "report"):
+        capsys.readouterr()
+        assert run(command, "--config", str(path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out_dir / 'adv-pgd-linf.radv'} was crafted with eps 0.1 "
+            "(configured 0.01); rerun the attack command\n")
+    assert run("eval", "--config", config) == 0
+
+
+def test_eval_refuses_system_files_of_another_arch(pipeline, data_dir, tmp_path, capsys):
+    # The files hold 784-16-10 networks; the config now asks for 784-8-10.
+    _, out_dir = pipeline
+    path = write_config(tmp_path / "narrow.yaml", data_dir, out_dir, arch={"hidden": [8]})
+    for command in ("eval", "report"):
+        capsys.readouterr()
+        assert run(command, "--config", path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out_dir / 'system-i2.rdiv'} was trained on differently shaped "
+            "images than dataset 'synth' or with other hidden widths: it holds a "
+            "784-16-10 network, the config gives 784-8-10; rerun the train command\n")
+
+
+def test_attack_refuses_a_surrogate_of_another_arch(pipeline, data_dir, tmp_path, capsys):
+    _, out_dir = pipeline
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    shutil.copy(out_dir / "surrogate.rdiv", fresh)
+    config = write_config(tmp_path / "narrow.yaml", data_dir, fresh, arch={"hidden": [8]})
+    assert run("attack", "--config", config) == 1
+    assert capsys.readouterr().err == (
+        f"error: {fresh / 'surrogate.rdiv'} was trained on differently shaped "
+        "images than dataset 'synth' or with other hidden widths: it holds a "
+        "784-16-10 network, the config gives 784-8-10; rerun the surrogate command\n")
+    assert not list(fresh.glob("*.radv"))
+
+
+@pytest.mark.parametrize("name", ["system-i2.rdiv", "adv-pgd-linf.radv"])
+def test_eval_names_a_corrupted_file(pipeline, tmp_path, capsys, name):
+    config, out_dir = pipeline
+    copy = tmp_path / "copy"
+    shutil.copytree(out_dir, copy)
+    flipped = bytearray((copy / name).read_bytes())
+    flipped[len(flipped) // 2] ^= 0x01
+    (copy / name).write_bytes(bytes(flipped))
+    capsys.readouterr()
+    assert run("eval", "--config", config, "--out", str(copy)) == 1
+    assert capsys.readouterr().err == f"error: {copy / name}: SHA-256 checksum mismatch\n"
 
 
 @pytest.mark.parametrize("argv, line", [

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -15,12 +16,6 @@ from rdiv.serialize import (
     _CHUNK_BYTES,
     BlobFormatError,
     atomic_write_bytes,
-    dump_adv_set,
-    dump_params,
-    dump_system,
-    load_adv_set,
-    load_params,
-    load_system,
     read_adv_set,
     read_params,
     read_system,
@@ -36,6 +31,7 @@ from rdiv.system import (
     train_system,
 )
 
+from _helpers import read_written, saved_bytes
 from test_rng import LOOSE_KEY_HEX
 
 SIZE = 8
@@ -79,57 +75,60 @@ def _reseal(blob: bytes) -> bytes:
     return blob[:-32] + hashlib.sha256(blob[:-32]).digest()
 
 
-def test_model_blob_round_trip():
+def test_model_blob_round_trip(tmp_path):
     key = derive_subkey(MASTER, 0, 0, TAG_INIT)
     params = init_params(toy_arch(), key)
-    blob = dump_params(params, key)
+    blob = saved_bytes(tmp_path / "model.rdiv", save_params, params, key)
     assert blob[:4] == b"RDIV"
-    loaded, key_value = load_params(blob)
+    loaded, key_value = read_params(tmp_path / "model.rdiv")
     assert loaded.equal(params)
     assert loaded.dtype == np.float32
     assert key_value == key.value
 
 
-def test_model_blob_is_deterministic():
+def test_model_blob_is_deterministic(tmp_path):
     key = derive_subkey(MASTER, 0, 0, TAG_INIT)
     params = init_params(toy_arch(), key)
-    assert dump_params(params, key) == dump_params(params, key)
+    assert saved_bytes(tmp_path / "a.rdiv", save_params, params, key) == \
+        saved_bytes(tmp_path / "b.rdiv", save_params, params, key)
 
 
-def test_model_blob_corruption_detected():
+def test_model_blob_corruption_detected(tmp_path):
     key = derive_subkey(MASTER, 0, 0, TAG_INIT)
-    blob = dump_params(init_params(toy_arch(), key), key)
+    path = tmp_path / "model.rdiv"
+    blob = saved_bytes(path, save_params, init_params(toy_arch(), key), key)
     with pytest.raises(BlobFormatError, match="magic"):
-        load_params(b"XXXX" + blob[4:])
+        read_written(path, read_params, b"XXXX" + blob[4:])
     with pytest.raises(BlobFormatError, match="version"):
-        load_params(blob[:4] + b"\x09" + blob[5:])
+        read_written(path, read_params, blob[:4] + b"\x09" + blob[5:])
     with pytest.raises(BlobFormatError, match="checksum"):
-        load_params(blob[:-3])
+        read_written(path, read_params, blob[:-3])
     with pytest.raises(BlobFormatError, match="truncated"):
-        load_params(_reseal(blob[:-3]))
+        read_written(path, read_params, _reseal(blob[:-3]))
     with pytest.raises(BlobFormatError, match="truncated"):
-        load_params(blob[:36])
+        read_written(path, read_params, blob[:36])
     with pytest.raises(BlobFormatError, match="trailing"):
-        load_params(_reseal(blob[:-32] + b"\x00" + blob[-32:]))
+        read_written(path, read_params, _reseal(blob[:-32] + b"\x00" + blob[-32:]))
     mangled = bytearray(blob)
     mangled[-48:-32] = b"zz" * 8
     with pytest.raises(BlobFormatError, match="key hex"):
-        load_params(_reseal(bytes(mangled)))
+        read_written(path, read_params, _reseal(bytes(mangled)))
     # What int(text, 16) would take but the writer never emits.
     for text in LOOSE_KEY_HEX:
         mangled[-48:-32] = text.encode("ascii")
         with pytest.raises(BlobFormatError, match="key hex"):
-            load_params(_reseal(bytes(mangled)))
+            read_written(path, read_params, _reseal(bytes(mangled)))
 
 
-def test_system_round_trip(trained_system):
-    blob = dump_system(trained_system)
+def test_system_round_trip(tmp_path, trained_system):
+    blob = saved_bytes(tmp_path / "system.rdiv", save_system, trained_system)
     assert blob[:4] == b"RDIV"
-    loaded = load_system(blob)
+    loaded = read_system(tmp_path / "system.rdiv")
     # eval and report check a smaller system file against these bytes.
-    assert dump_system(loaded) == blob
-    assert dump_system(first_branches(loaded, 1)) == \
-        dump_system(first_branches(trained_system, 1))
+    assert saved_bytes(tmp_path / "again.rdiv", save_system, loaded) == blob
+    assert saved_bytes(tmp_path / "loaded-i1.rdiv", save_system, first_branches(loaded, 1)) \
+        == saved_bytes(tmp_path / "trained-i1.rdiv", save_system,
+                       first_branches(trained_system, 1))
     assert loaded.mode == trained_system.mode
     assert loaded.master == trained_system.master
     assert loaded.groups == trained_system.groups
@@ -145,14 +144,15 @@ def test_system_round_trip(trained_system):
                           classify_batch(trained_system, images))
 
 
-def test_system_load_draws_no_weight_init(trained_system, monkeypatch):
+def test_system_load_draws_no_weight_init(tmp_path, trained_system, monkeypatch):
     import rdiv.system
 
     def no_init(*args, **kwargs):
-        raise AssertionError("load_system drew a weight init it would discard")
+        raise AssertionError("read_system drew a weight init it would discard")
 
+    save_system(tmp_path / "system.rdiv", trained_system)
     monkeypatch.setattr(rdiv.system, "init_params", no_init)
-    loaded = load_system(dump_system(trained_system))
+    loaded = read_system(tmp_path / "system.rdiv")
     for field in ("master", "mode", "groups", "branches", "size", "colors",
                   "arch", "reject_threshold"):
         assert getattr(loaded, field) == getattr(trained_system, field)
@@ -162,8 +162,9 @@ def test_system_load_draws_no_weight_init(trained_system, monkeypatch):
         assert a.preprocessor.payload_equal(b.preprocessor)
 
 
-def test_system_dump_is_deterministic(trained_system):
-    assert dump_system(trained_system) == dump_system(trained_system)
+def test_system_save_is_deterministic(tmp_path, trained_system):
+    assert saved_bytes(tmp_path / "a.rdiv", save_system, trained_system) == \
+        saved_bytes(tmp_path / "b.rdiv", save_system, trained_system)
 
 
 # SHA-256 of toy artifacts: they pin the file formats, so a change that
@@ -187,8 +188,12 @@ def sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def saved_system_sha256(directory, system) -> str:
+    return sha256(saved_bytes(directory / "system.rdiv", save_system, system))
+
+
 def untrained_system(mode="direct-permutation", branches=2):
-    """A grid with its keyed init weights; dump_system accepts it as is."""
+    """A grid with its keyed init weights; save_system accepts it as is."""
     return build_system(mode, MASTER, mode_groups(mode), branches, toy_arch(),
                         SIZE, COLORS)
 
@@ -217,31 +222,35 @@ def handmade_adv_set():
                   originals, adversarials)
 
 
-def test_system_bytes_golden(trained_system):
-    assert sha256(dump_system(trained_system)) == GOLDEN_SYSTEM_SHA256[trained_system.mode]
+def test_system_bytes_golden(tmp_path, trained_system):
+    assert saved_system_sha256(tmp_path, trained_system) == \
+        GOLDEN_SYSTEM_SHA256[trained_system.mode]
 
 
-def test_per_color_system_bytes_golden():
-    assert sha256(dump_system(per_color_system())) == GOLDEN_PER_COLOR_SHA256
+def test_per_color_system_bytes_golden(tmp_path):
+    assert saved_system_sha256(tmp_path, per_color_system()) == GOLDEN_PER_COLOR_SHA256
 
 
-def test_shared_permutation_rgb_system_bytes_golden():
-    assert sha256(dump_system(per_color_system(per_color=False))) == GOLDEN_SHARED_RGB_SHA256
+def test_shared_permutation_rgb_system_bytes_golden(tmp_path):
+    assert saved_system_sha256(tmp_path, per_color_system(per_color=False)) == \
+        GOLDEN_SHARED_RGB_SHA256
 
 
-def test_untrained_system_bytes_golden():
+def test_untrained_system_bytes_golden(tmp_path):
     system = untrained_system("dct-hard-threshold-3band")
-    assert sha256(dump_system(system)) == GOLDEN_UNTRAINED_SHA256
+    assert saved_system_sha256(tmp_path, system) == GOLDEN_UNTRAINED_SHA256
 
 
-def test_adv_set_bytes_golden():
-    blob = dump_adv_set(handmade_adv_set())
+def test_adv_set_bytes_golden(tmp_path):
+    path = tmp_path / "adv.radv"
+    blob = saved_bytes(path, save_adv_set, handmade_adv_set())
     assert sha256(blob) == GOLDEN_ADV_SET_SHA256
-    assert dump_adv_set(load_adv_set(blob)) == blob
+    assert saved_bytes(tmp_path / "again.radv", save_adv_set, read_adv_set(path)) == blob
     from dataclasses import replace
     negative = replace(handmade_adv_set(), labels=np.array([1, 0, 2, 2, -1]))
     with pytest.raises(ValueError, match="u32"):
-        dump_adv_set(negative)
+        save_adv_set(tmp_path / "negative.radv", negative)
+    assert not (tmp_path / "negative.radv").exists()
 
 
 # Byte offsets in a system file: magic, version and mode byte come first,
@@ -251,45 +260,48 @@ _BRANCHES = _PER_COLOR + 1
 _MASTER = _BRANCHES + 12
 
 
-def test_system_master_key_tamper_detected(trained_system):
-    blob = bytearray(dump_system(trained_system))
+def test_system_master_key_tamper_detected(tmp_path, trained_system):
+    path = tmp_path / "system.rdiv"
+    blob = bytearray(saved_bytes(path, save_system, trained_system))
     assert blob[_MASTER:_MASTER + 16] == trained_system.master.to_hex().encode()
     blob[_MASTER:_MASTER + 16] = MasterKey(0xABCD).to_hex().encode()
     with pytest.raises(BlobFormatError, match="checksum"):
-        load_system(bytes(blob))
+        read_written(path, read_system, bytes(blob))
     for text in LOOSE_KEY_HEX:
         blob[_MASTER:_MASTER + 16] = text.encode("ascii")
         with pytest.raises(BlobFormatError, match="key hex"):
-            load_system(_reseal(bytes(blob)))
+            read_written(path, read_system, _reseal(bytes(blob)))
 
 
-def test_v1_blob_rejected_by_version():
+def test_v1_blob_rejected_by_version(tmp_path):
     """A file of the previous format: version byte 1 and no trailer."""
     key = derive_subkey(MASTER, 0, 0, TAG_INIT)
-    v1 = bytearray(dump_params(init_params(toy_arch(), key), key)[:-32])
+    path = tmp_path / "model.rdiv"
+    v1 = bytearray(saved_bytes(path, save_params, init_params(toy_arch(), key), key)[:-32])
     v1[4] = 1
     with pytest.raises(BlobFormatError, match="unsupported version 1"):
-        load_params(bytes(v1))
+        read_written(path, read_params, bytes(v1))
 
 
-def test_system_header_rejected_by_build_system_is_a_format_error():
-    blob = dump_system(untrained_system("dct-sign-flip-3band"))
+def test_system_header_rejected_by_build_system_is_a_format_error(tmp_path):
+    path = tmp_path / "system.rdiv"
+    blob = saved_bytes(path, save_system, untrained_system("dct-sign-flip-3band"))
     assert blob[_PER_COLOR] == 0
     per_color = bytearray(blob)
     per_color[_PER_COLOR] = 1
-    with pytest.raises(BlobFormatError, match="per_color"):
-        load_system(_reseal(bytes(per_color)))
+    with pytest.raises(BlobFormatError, match=f"^{re.escape(str(path))}: .*per_color"):
+        read_written(path, read_system, _reseal(bytes(per_color)))
     per_color[_PER_COLOR] = 2
     with pytest.raises(BlobFormatError, match="per-color byte 2"):
-        load_system(_reseal(bytes(per_color)))
+        read_written(path, read_system, _reseal(bytes(per_color)))
     # I = 0 with the channel tensors cut off, so the body parses to its end.
     no_branches = bytearray(blob)
     assert struct.unpack_from("<I", no_branches, _BRANCHES)[0] == 2
     struct.pack_into("<I", no_branches, _BRANCHES, 0)
     tensor_bytes = 3 * 2 * 4 * sum(fi * fo + fo for fi, fo in toy_arch().dense_shapes)
     cut = bytes(no_branches[:-32 - tensor_bytes]) + blob[-32:]
-    with pytest.raises(BlobFormatError, match="branch"):
-        load_system(_reseal(cut))
+    with pytest.raises(BlobFormatError, match=f"^{re.escape(str(path))}: .*branch"):
+        read_written(path, read_system, _reseal(cut))
 
 
 def _flip_one_byte(blob: bytes, data) -> bytes:
@@ -300,40 +312,36 @@ def _flip_one_byte(blob: bytes, data) -> bytes:
     return bytes(flipped)
 
 
+def _written_artifacts(directory, branches=2):
+    """(file name, bytes, read) for one saved artifact of each kind."""
+    key = derive_subkey(MASTER, 0, 0, TAG_INIT)
+    return (("system.rdiv", saved_bytes(directory / "system.rdiv", save_system,
+                                        untrained_system(branches=branches)),
+             read_system),
+            ("model.rdiv", saved_bytes(directory / "model.rdiv", save_params,
+                                       init_params(toy_arch(), key), key),
+             read_params),
+            ("adv.radv", saved_bytes(directory / "adv.radv", save_adv_set,
+                                     handmade_adv_set()),
+             read_adv_set))
+
+
 @pytest.fixture(scope="module")
 def flip_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("flipped")
 
 
+@pytest.fixture(scope="module")
+def flip_artifacts(flip_dir):
+    return _written_artifacts(flip_dir, branches=1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_any_single_byte_flip_is_rejected(flip_dir, data):
-    key = derive_subkey(MASTER, 0, 0, TAG_INIT)
-    for blob, load, read in (
-            (dump_system(untrained_system(branches=1)), load_system, read_system),
-            (dump_params(init_params(toy_arch(), key), key), load_params, read_params),
-            (dump_adv_set(handmade_adv_set()), load_adv_set, read_adv_set)):
-        flipped = _flip_one_byte(blob, data)
+def test_any_single_byte_flip_is_rejected(flip_dir, flip_artifacts, data):
+    for _, blob, read in flip_artifacts:
         with pytest.raises(BlobFormatError):
-            load(flipped)
-        path = flip_dir / "flipped.bin"
-        path.write_bytes(flipped)
-        with pytest.raises(BlobFormatError):
-            read(path)
-
-
-def _written_artifacts():
-    """(file name, bytes, load, read) for one artifact of each kind.
-
-    `read_params` labels its errors with the path, so its `load` does too.
-    """
-    key = derive_subkey(MASTER, 0, 0, TAG_INIT)
-    return (("system.rdiv", dump_system(untrained_system()), lambda blob, path: load_system(blob),
-             read_system),
-            ("model.rdiv", dump_params(init_params(toy_arch(), key), key),
-             lambda blob, path: load_params(blob, label=str(path)), read_params),
-            ("adv.radv", dump_adv_set(handmade_adv_set()),
-             lambda blob, path: load_adv_set(blob), read_adv_set))
+            read_written(flip_dir / "flipped.bin", read, _flip_one_byte(blob, data))
 
 
 _CORRUPTIONS = {
@@ -348,19 +356,32 @@ _CORRUPTIONS = {
 }
 
 
+# What each corruption reads as, per artifact kind, after the file's path.
+_CORRUPTION_ERRORS = {
+    "flipped byte": dict.fromkeys(("system.rdiv", "model.rdiv", "adv.radv"),
+                                  "SHA-256 checksum mismatch"),
+    "cut tail": dict.fromkeys(("system.rdiv", "model.rdiv", "adv.radv"),
+                              "SHA-256 checksum mismatch"),
+    "appended byte": dict.fromkeys(("system.rdiv", "model.rdiv", "adv.radv"),
+                                   "SHA-256 checksum mismatch"),
+    "resealed first body byte": {"system.rdiv": "unknown mode byte 254",
+                                 "model.rdiv": "unknown layer code 57",
+                                 "adv.radv": "unknown attack code 253"},
+    "resealed cut tail": {"system.rdiv": "truncated at byte 6599, 3 records need 12 bytes",
+                          "model.rdiv": "truncated at byte 3305",
+                          "adv.radv": "truncated at byte 71, 5 records need 760 bytes"},
+    "resealed appended byte": dict.fromkeys(("system.rdiv", "model.rdiv", "adv.radv"),
+                                            "1 trailing bytes"),
+}
+
+
 @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
-def test_reading_a_file_rejects_what_loading_its_bytes_rejects(tmp_path, corruption):
-    for name, blob, load, read in _written_artifacts():
-        bad = _CORRUPTIONS[corruption](blob)
-        path = tmp_path / name
-        path.write_bytes(bad)
-        with pytest.raises(BlobFormatError) as loaded:
-            load(bad, path)
-        with pytest.raises(BlobFormatError) as read_back:
-            read(path)
-        assert str(read_back.value) == str(loaded.value)
-        if not corruption.startswith("resealed"):
-            assert str(loaded.value).endswith("SHA-256 checksum mismatch")
+def test_read_errors_name_the_file(tmp_path, corruption):
+    for name, blob, read in _written_artifacts(tmp_path):
+        path = tmp_path / f"bad-{name}"
+        with pytest.raises(BlobFormatError) as caught:
+            read_written(path, read, _CORRUPTIONS[corruption](blob))
+        assert str(caught.value) == f"{path}: {_CORRUPTION_ERRORS[corruption][name]}"
 
 
 def _array_bytes(value) -> int:
@@ -406,26 +427,32 @@ def test_reads_hold_one_copy_of_the_artifact(tmp_path):
         assert peak <= bound, f"{name}: peak {peak} bytes for a {size}-byte file"
 
 
-def test_system_per_color_round_trip():
+def _round_trip(path, system):
+    save_system(path, system)
+    return read_system(path)
+
+
+def test_system_per_color_round_trip(tmp_path):
     system = train_system(
         build_system("direct-permutation", MASTER, 1, 2, toy_arch(), SIZE,
                      COLORS, per_color=True),
         toy_set(), quick_hyper(epochs=1))
-    loaded = load_system(dump_system(system))
+    path = tmp_path / "system.rdiv"
+    loaded = _round_trip(path, system)
     assert system.per_color and loaded.per_color
-    assert load_system(dump_system(first_branches(system, 1))).per_color
+    assert _round_trip(path, first_branches(system, 1)).per_color
     for a, b in zip(loaded.channels, system.channels, strict=True):
         assert a.preprocessor.payload_equal(b.preprocessor)
-    assert not load_system(dump_system(untrained_system())).per_color
+    assert not _round_trip(path, untrained_system()).per_color
 
 
-def test_adv_set_round_trip():
+def test_adv_set_round_trip(tmp_path):
     surrogate = train_surrogate(toy_set(), toy_arch(), quick_hyper(), MASTER)
     config = AttackConfig(kind="pgd-linf", eps=0.1, alpha=0.02, steps=7)
     adv = craft_adv_set(surrogate, toy_set(count=6, seed=2), config)
-    blob = dump_adv_set(adv)
+    blob = saved_bytes(tmp_path / "adv.radv", save_adv_set, adv)
     assert blob[:4] == b"RADV"
-    loaded = load_adv_set(blob)
+    loaded = read_adv_set(tmp_path / "adv.radv")
     assert loaded.config == config
     assert np.array_equal(loaded.indices, adv.indices)
     assert np.array_equal(loaded.labels, adv.labels)
@@ -434,25 +461,26 @@ def test_adv_set_round_trip():
     assert loaded.preds_after is None
     with pytest.raises(ValueError, match="predictions"):
         _ = loaded.surrogate_success_pct
-    assert dump_adv_set(loaded) == blob
+    assert saved_bytes(tmp_path / "again.radv", save_adv_set, loaded) == blob
 
 
-def test_adv_set_corruption_detected():
+def test_adv_set_corruption_detected(tmp_path):
     surrogate = train_surrogate(toy_set(), toy_arch(), quick_hyper(epochs=1),
                                 MASTER)
     adv = craft_adv_set(surrogate, toy_set(count=3, seed=2),
                         AttackConfig(kind="fgsm", eps=0.05))
-    blob = dump_adv_set(adv)
+    path = tmp_path / "adv.radv"
+    blob = saved_bytes(path, save_adv_set, adv)
     with pytest.raises(BlobFormatError, match="magic"):
-        load_adv_set(b"RDIV" + blob[4:])
+        read_written(path, read_adv_set, b"RDIV" + blob[4:])
     with pytest.raises(BlobFormatError, match="truncated"):
-        load_adv_set(_reseal(blob[:-5]))
+        read_written(path, read_adv_set, _reseal(blob[:-5]))
     mangled = bytearray(blob)
     mangled[5] = 77  # attack kind byte
     with pytest.raises(BlobFormatError, match="checksum"):
-        load_adv_set(bytes(mangled))
+        read_written(path, read_adv_set, bytes(mangled))
     with pytest.raises(BlobFormatError, match="attack code"):
-        load_adv_set(_reseal(bytes(mangled)))
+        read_written(path, read_adv_set, _reseal(bytes(mangled)))
 
 
 # The record count and image dims follow magic, version, kind byte and the
@@ -460,19 +488,20 @@ def test_adv_set_corruption_detected():
 _ADV_COUNT = 4 + 1 + 1 + struct.calcsize("<ddIdIddBI")
 
 
-def test_adv_set_corrupt_count_raises_before_allocating():
-    blob = bytearray(dump_adv_set(handmade_adv_set()))
+def test_adv_set_corrupt_count_raises_before_allocating(tmp_path):
+    path = tmp_path / "adv.radv"
+    blob = bytearray(saved_bytes(path, save_adv_set, handmade_adv_set()))
     assert struct.unpack_from("<III", blob, _ADV_COUNT) == (5, 3, 2)
     # 2**32 - 1 records of two 3x3x2 float32 images would need 300+ GB.
     struct.pack_into("<I", blob, _ADV_COUNT, 0xFFFFFFFF)
     with pytest.raises(BlobFormatError, match="truncated"):
-        load_adv_set(_reseal(bytes(blob)))
+        read_written(path, read_adv_set, _reseal(bytes(blob)))
     struct.pack_into("<III", blob, _ADV_COUNT, 5, 0xFFFF, 2)
     with pytest.raises(BlobFormatError, match="dims"):
-        load_adv_set(_reseal(bytes(blob)))
+        read_written(path, read_adv_set, _reseal(bytes(blob)))
     struct.pack_into("<III", blob, _ADV_COUNT, 4, 3, 2)
     with pytest.raises(BlobFormatError, match="trailing"):
-        load_adv_set(_reseal(bytes(blob)))
+        read_written(path, read_adv_set, _reseal(bytes(blob)))
 
 
 def test_file_round_trip_and_atomicity(tmp_path, trained_system):
@@ -488,19 +517,16 @@ def test_file_round_trip_and_atomicity(tmp_path, trained_system):
     assert path.read_bytes() == good
 
 
-def test_saved_files_equal_the_dumped_bytes(tmp_path, trained_system):
-    # save_* write the frame's parts one after another; dump_* join them.
-    key = derive_subkey(MASTER, 0, 0, TAG_INIT)
-    params = init_params(toy_arch(), key)
-    for name, save, args, dump in (
-            ("system.rdiv", save_system, (trained_system,), dump_system),
-            ("adv.radv", save_adv_set, (handmade_adv_set(),), dump_adv_set),
-            ("model.rdiv", save_params, (params, key), dump_params)):
-        path = tmp_path / name
-        save(path, *args)
-        assert path.read_bytes() == dump(*args)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["adv.radv", "model.rdiv",
-                                                          "system.rdiv"]
+def test_save_and_read_are_the_only_artifact_io():
+    # Every artifact kind is written and read through a file, by one pair.
+    import inspect
+
+    import rdiv.serialize as serialize
+    public = sorted(name for name, value in vars(serialize).items()
+                    if inspect.isfunction(value) and not name.startswith("_")
+                    and value.__module__ == serialize.__name__)
+    assert public == ["atomic_write_bytes", "read_adv_set", "read_params", "read_system",
+                      "save_adv_set", "save_params", "save_system", "system_file_equals"]
 
 
 def test_atomic_write_joins_its_parts(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rdiv.system import (
     GROUP_BANDS,
     MODES,
     REJECT,
+    SystemSpec,
     build_system,
     classify_batch,
     error_count,
@@ -102,6 +105,15 @@ def test_reject_threshold_outside_unit_interval_rejected():
     for threshold in (0.0, 1.0):
         build_system("identity", MASTER, 1, 1, toy_arch(), SIZE, COLORS,
                      reject_threshold=threshold)
+
+
+def test_branches_is_derived_from_the_channels():
+    # I is not stored beside the channels, so the two cannot disagree.
+    assert "branches" not in {field.name for field in fields(SystemSpec)}
+    system = build_system("dct-sign-flip-3band", MASTER, 3, 2, toy_arch(), SIZE, COLORS)
+    taken = first_branches(system, 1)
+    assert (system.branches, taken.branches) == (2, 1)
+    assert [(c.j, c.i) for c in taken.channels] == [(0, 0), (1, 0), (2, 0)]
 
 
 @pytest.mark.parametrize("mode, groups", [("direct-permutation", 1),
