@@ -45,7 +45,10 @@ ATTACK_KINDS = ("fgsm", "pgd-linf", "cw-l2")
 # Keeps arctanh finite at pixel values 0 and 1.
 _TANH_CLIP = 1.0 - 1e-6
 
-# Elements per row block of the CW-l2 sweep (see `cw_l2_batch`).
+# Elements per row chunk of a CW-l2 run: 2 MiB per float64 array of one
+# chunk (see `cw_l2_batch`).
+_CHUNK = 1 << 18
+# Elements per row block of the CW-l2 sweep within a chunk (see `_cw_chunk`).
 _BLOCK = 1 << 15
 
 
@@ -238,16 +241,20 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     input that already satisfies the margin is its own best answer (norm 0).
     Labels, and the target of a targeted run, must be classes of `params`.
 
-    Whole-size arrays: the iterate state `w`, both Adam moments, `tanh(w)`
-    and `adv` in float64, the float32 best answers, one input gradient and
-    the forward pass's temporaries, about eight (B, D) float64 arrays at
-    the peak. The images stay in the caller's dtype; each row block is
-    widened to float64 once, in block-sized scratch, where it is read. The
-    forward and backward passes run on the whole batch; everything else in
-    an iteration runs in one sweep over row blocks of about `_BLOCK`
-    elements, so each block stays in cache while every formula passes over
-    it. Each formula is elementwise or per row, so the result is bitwise
-    that of the textbook formulas in the comments.
+    Every row is optimized on its own, so the batch runs in consecutive
+    chunks of at most `_CHUNK` elements (334 MNIST rows, 85 CIFAR rows) and
+    of even size, and only the float32 best answers are the size of the
+    batch. The float64 state of one chunk, `w`, both Adam moments, `tanh(w)`
+    and the iterate, is allocated once and reused by every chunk. With one
+    input gradient, the forward pass's temporaries and the float64 params,
+    the rest of the peak is about eight chunk-sized arrays, 16 MiB at MNIST
+    width whatever the batch size. The images stay in the caller's dtype
+    and are widened to float64 a row block at a time. Even sizes keep every
+    chunk of a multi-chunk batch above a few rows (`_row_chunks`); at that
+    size only the logits' last bits can depend on how many rows share a
+    product, and the logits only decide a margin's sign and the rival
+    class, so the result is that of the whole batch at once unless such a
+    decision ties to the last bit.
     """
     batch = images.shape[0]
     flat_dim = params.arch.input_dim
@@ -260,11 +267,52 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     work = params.astype(np.float64)
     # The best answers are returned as float32, so they are kept as float32.
     best = x.astype(np.float32)
-    best_norm2 = np.full(batch, np.inf)
-    norm2 = np.empty(batch)  # ||adv - x||^2 of the current iterate, per row
+    rows = min(max(1, _CHUNK // flat_dim), batch)
+    state = np.empty((5, rows, flat_dim))
+    norms = np.empty((2, rows))
+    found = 0
+    for chunk in _row_chunks(batch, rows):
+        found += _cw_chunk(work, x[chunk], labels[chunk], config, best[chunk],
+                           state, norms)
+    logger.debug("cw-l2: %d/%d samples attacked successfully", found, batch)
+    return best.reshape(images.shape)
 
-    m, v = np.zeros((batch, flat_dim)), np.zeros((batch, flat_dim))
-    w, tanh_w, adv = (np.empty((batch, flat_dim)) for _ in range(3))
+
+def _row_chunks(batch: int, rows: int) -> list[slice]:
+    """The fewest consecutive slices of at most `rows` rows that cover
+    `batch` rows, their sizes differing by at most one.
+
+    Even sizes leave no ragged tail of a row or two: BLAS multiplies one row
+    through a matrix-vector path, and a few rows through a small-matrix
+    kernel, whose float64 bits differ from those of a larger product.
+    """
+    count = -(-batch // rows) if batch else 0
+    starts = [batch * k // count for k in range(count)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [batch])]
+
+
+def _cw_chunk(work: ModelParams, x: np.ndarray, labels: np.ndarray,
+              config: AttackConfig, best: np.ndarray, state: np.ndarray,
+              norms: np.ndarray) -> int:
+    """Run CW-l2 on the rows `x`, writing their best answers into `best`.
+
+    `state` holds room for the float64 `w`, Adam moments, `tanh(w)` and
+    iterate, and `norms` for two norms per row, of at least `len(x)` rows;
+    only the first `len(x)` rows are used, and all are reset here. The
+    forward and backward passes run on all rows at once; everything else
+    in an iteration runs in one sweep over row blocks of about `_BLOCK`
+    elements, so each block stays in cache while every formula passes over
+    it. Each formula is elementwise or per row, so the result is bitwise
+    that of the textbook formulas in the comments. Returns the number of
+    rows with a successful answer.
+    """
+    batch, flat_dim = x.shape
+    # norm2 is ||adv - x||^2 of the current iterate, per row.
+    norm2, best_norm2 = norms[:, :batch]
+    best_norm2.fill(np.inf)
+    w, m, v, tanh_w, adv = state[:, :batch]
+    m.fill(0.0)
+    v.fill(0.0)
     rows = max(1, _BLOCK // flat_dim)
     blocks = [slice(start, min(start + rows, batch)) for start in range(0, batch, rows)]
     # Block-sized scratch; the last block may use only the first rows.
@@ -281,7 +329,7 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
         """adv = (tanh(w) + 1) / 2 and norm2 = sum((adv - x) ** 2) on rows `b`."""
         np.tanh(w[b], out=tanh_w[b])
         np.add(tanh_w[b], 1.0, out=adv[b])
-        adv[b] /= 2.0
+        adv[b] *= 0.5
         np.subtract(adv[b], xb, out=t)
         np.square(t, out=t)
         np.sum(t, axis=1, out=norm2[b])
@@ -332,7 +380,7 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
             np.square(tanh_w[b], out=t)
             np.subtract(1.0, t, out=t)
             dw *= t
-            dw /= 2.0
+            dw *= 0.5
             # m = 0.9 * m + 0.1 * dw
             m[b] *= 0.9
             np.multiply(0.1, dw, out=t)
@@ -352,14 +400,10 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
             w[b] -= s
             next_iterate(b, t, xb)
         # The next forward and backward passes run without this pass's cache
-        # and gradient. An empty batch binds no `dw`, so it is rebound, not
-        # deleted.
-        cache = dadv = dw = None
+        # and gradient.
+        del cache, dadv, dw
 
-    found = np.isfinite(best_norm2)
-    logger.debug("cw-l2: %d/%d samples attacked successfully",
-                 int(found.sum()), batch)
-    return best.reshape(images.shape)
+    return int(np.isfinite(best_norm2).sum())
 
 
 def craft_adv_set(params: ModelParams, dataset: LabeledSet,

@@ -178,18 +178,18 @@ class _Frame:
         except ValueError:
             raise BlobFormatError(f"{self.label}: bad key hex {text!r}") from None
 
-    def check_room(self, dtype: np.dtype, count: int) -> None:
-        """Refuse `count` records that the bytes left cannot hold, so nothing
-        is allocated for them."""
+    def check_room(self, dtype: np.dtype, count: int, unit: str) -> None:
+        """Refuse `count` items of `dtype`, called `unit` in the error, that
+        the bytes left cannot hold, so nothing is allocated for them."""
         need = count * dtype.itemsize
         if need > self.end - self.pos:
             raise BlobFormatError(f"{self.label}: truncated at byte {self.pos}, "
-                                  f"{count} records need {need} bytes")
+                                  f"{count} {unit} need {need} bytes")
 
     def f32_array(self, shape: tuple[int, ...]) -> np.ndarray:
         """A float32 tensor, checked against the remaining length first."""
         dtype = np.dtype("<f4")
-        self.check_room(dtype, int(np.prod(shape)))
+        self.check_room(dtype, int(np.prod(shape)), "float32 values")
         out = np.empty(shape, dtype=dtype)
         self.fill(out)
         return out.astype(np.float32, copy=False)
@@ -372,7 +372,7 @@ def _parse_adv_set(frame: _Frame) -> AdvSet:
     if size * size * colors > _MAX_LAYER_DIM:
         raise BlobFormatError(f"{frame.label}: image dims {size}x{size}x{colors} out of range")
     record = _adv_record_dtype(size, colors)
-    frame.check_room(record, count)
+    frame.check_room(record, count, "records")
     indices = np.empty(count, dtype=np.int64)
     labels = np.empty(count, dtype=np.int64)
     originals = np.empty((count, size, size, colors), dtype=np.float32)

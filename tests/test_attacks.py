@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from rdiv.attacks import (
+    _CHUNK,
     _TANH_CLIP,
     AdvSet,
     AttackConfig,
     _margin_and_seed,
+    _row_chunks,
     cw_l2_batch,
     craft_adv_set,
     fgsm_batch,
@@ -288,10 +290,39 @@ def test_cw_equals_two_forward_reference(surrogate, probes, config):
     assert np.array_equal(got, reference_cw_l2(surrogate, images, labels, config))
 
 
-def test_cw_iterates_equal_textbook_formulas_in_float64(surrogate, probes, monkeypatch):
-    # The float32 output hides last-bit differences in the float64 iterates,
-    # so compare every point cw_l2_batch runs a forward pass on.
-    images, labels = probes
+def textbook_cw_points(params, images, labels, config):
+    """Every point textbook CW-l2 scores on `images`, in float64: x, then each iterate."""
+    x = images.reshape(len(images), -1).astype(np.float64)
+    w = np.arctanh((2.0 * x - 1.0) * _TANH_CLIP)
+    work = params.astype(np.float64)
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    points = [x]
+    for it in range(1, config.iterations + 1):
+        tanh_w = np.tanh(w)
+        adv = (tanh_w + 1.0) / 2.0
+        points.append(adv)
+        logits, cache = logits_and_cache(work, adv)
+        _, seed = _margin_and_seed(logits, labels, config.kappa,
+                                   config.targeted, config.target)
+        _, _, dadv = backward_from_logits(work, cache, config.c * seed)
+        dw = (dadv + 2.0 * (adv - x)) * (1.0 - tanh_w ** 2) / 2.0
+        m = 0.9 * m + 0.1 * dw
+        v = 0.999 * v + 0.001 * dw ** 2
+        m_hat = m / (1.0 - 0.9 ** it)
+        v_hat = v / (1.0 - 0.999 ** it)
+        w = w - config.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
+    points.append((np.tanh(w) + 1.0) / 2.0)
+    return points
+
+
+def assert_cw_iterates_are_textbook(params, images, labels, monkeypatch, chunk_rows):
+    """Every point cw_l2_batch runs a forward pass on equals the textbook one.
+
+    The textbook run is made on each chunk's rows alone, in chunk order: a
+    one-row product takes BLAS's matrix-vector path, whose bits differ from
+    those of a product over more rows.
+    """
     config = cw_config(iterations=25, kappa=0.5)
     seen = []
 
@@ -300,31 +331,21 @@ def test_cw_iterates_equal_textbook_formulas_in_float64(surrogate, probes, monke
         return logits_and_cache(params, x)
 
     monkeypatch.setattr("rdiv.attacks.logits_and_cache", recording)
-    cw_l2_batch(surrogate, images, labels, config)
+    cw_l2_batch(params, images, labels, config)
 
-    x = images.reshape(len(images), -1).astype(np.float64)
-    w = np.arctanh((2.0 * x - 1.0) * _TANH_CLIP)
-    work = surrogate.astype(np.float64)
-    m = np.zeros_like(w)
-    v = np.zeros_like(w)
-    expected = [x]
-    for it in range(1, config.iterations + 1):
-        tanh_w = np.tanh(w)
-        adv = (tanh_w + 1.0) / 2.0
-        expected.append(adv)
-        logits, cache = logits_and_cache(work, adv)
-        _, seed = _margin_and_seed(logits, labels, config.kappa, False, 0)
-        _, _, dadv = backward_from_logits(work, cache, config.c * seed)
-        dw = (dadv + 2.0 * (adv - x)) * (1.0 - tanh_w ** 2) / 2.0
-        m = 0.9 * m + 0.1 * dw
-        v = 0.999 * v + 0.001 * dw ** 2
-        m_hat = m / (1.0 - 0.9 ** it)
-        v_hat = v / (1.0 - 0.999 ** it)
-        w = w - config.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
-    expected.append((np.tanh(w) + 1.0) / 2.0)
+    expected = [point for chunk in _row_chunks(len(images), chunk_rows)
+                for point in textbook_cw_points(params, images[chunk], labels[chunk],
+                                                config)]
     assert len(seen) == len(expected)
     for got, want in zip(seen, expected):
         assert np.array_equal(got, want)
+
+
+def test_cw_iterates_equal_textbook_formulas_in_float64(surrogate, probes, monkeypatch):
+    # The float32 output hides last-bit differences in the float64 iterates,
+    # so compare every point cw_l2_batch runs a forward pass on.
+    images, labels = probes
+    assert_cw_iterates_are_textbook(surrogate, images, labels, monkeypatch, len(images))
 
 
 # The 30 probes fit in one row block of the CW sweep at the default budget.
@@ -342,6 +363,63 @@ def test_cw_reference_holds_across_row_blocks(surrogate, probes, config, rows,
 def test_cw_iterates_hold_across_row_blocks(surrogate, probes, rows, monkeypatch):
     monkeypatch.setattr("rdiv.attacks._BLOCK", rows * toy_arch().input_dim)
     test_cw_iterates_equal_textbook_formulas_in_float64(surrogate, probes, monkeypatch)
+
+
+# The 30 probes fit in one row chunk at the default budget. At four rows
+# they split into eight chunks of three and four rows; at one row every row
+# is optimized alone. Either way each row's bytes must not change.
+@pytest.mark.parametrize("rows", [4, 1])
+@pytest.mark.parametrize("config", CW_REFERENCE_CONFIGS, ids=CW_REFERENCE_IDS)
+def test_cw_reference_holds_across_row_chunks(surrogate, probes, config, rows,
+                                              monkeypatch):
+    monkeypatch.setattr("rdiv.attacks._CHUNK", rows * toy_arch().input_dim)
+    test_cw_equals_two_forward_reference(surrogate, probes, config)
+
+
+@pytest.mark.parametrize("rows", [4, 1])
+def test_cw_iterates_hold_chunk_by_chunk(surrogate, probes, rows, monkeypatch):
+    monkeypatch.setattr("rdiv.attacks._CHUNK", rows * toy_arch().input_dim)
+    images, labels = probes
+    assert_cw_iterates_are_textbook(surrogate, images, labels, monkeypatch, rows)
+
+
+@pytest.mark.parametrize("rows", [4, 1])
+def test_cw_starting_iterate_stays_out_across_row_chunks(surrogate, probes, rows,
+                                                          monkeypatch):
+    monkeypatch.setattr("rdiv.attacks._CHUNK", rows * toy_arch().input_dim)
+    test_cw_never_keeps_the_starting_iterate(surrogate, probes)
+
+
+@pytest.mark.parametrize("batch, rows, sizes", [
+    (0, 334, []), (7, 334, [7]), (1000, 334, [333, 333, 334]),
+    (335, 334, [167, 168]), (30, 4, [3, 4, 4, 4, 3, 4, 4, 4]), (3, 1, [1, 1, 1]),
+])
+def test_row_chunks_are_even_and_as_few_as_fit(batch, rows, sizes):
+    chunks = _row_chunks(batch, rows)
+    assert [c.stop - c.start for c in chunks] == sizes
+    assert [i for c in chunks for i in range(c.start, c.stop)] == list(range(batch))
+
+
+def test_cw_on_an_empty_batch_runs_no_chunk(surrogate, monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr("rdiv.attacks._cw_chunk", no_chunk)
+    empty = np.zeros((0, SIZE, SIZE, COLORS), np.float32)
+    adv = cw_l2_batch(surrogate, empty, np.zeros(0, np.int64), cw_config(iterations=3))
+    assert adv.shape == (0, SIZE, SIZE, COLORS) and adv.dtype == np.float32
+
+
+def test_cw_refuses_wrong_length_labels_before_any_chunk(surrogate, probes, monkeypatch):
+    # One row per chunk, so labels that fit the first chunks would be
+    # accepted there if the check ran per chunk.
+    monkeypatch.setattr("rdiv.attacks._CHUNK", toy_arch().input_dim)
+    ran = []
+    monkeypatch.setattr("rdiv.attacks._cw_chunk", lambda *args: ran.append(args) or 0)
+    images, labels = probes
+    with pytest.raises(ValueError, match="labels"):
+        cw_l2_batch(surrogate, images, labels[:-1], cw_config(iterations=1))
+    assert ran == []
 
 
 def test_cw_never_keeps_the_starting_iterate(surrogate, probes):
@@ -371,20 +449,6 @@ def test_cw_never_keeps_the_starting_iterate(surrogate, probes):
                           reference_cw_l2(shifted, images, labels, config))
 
 
-def test_cw_working_set_stays_below_eleven_full_arrays(surrogate):
-    # Only the iterate state is kept whole; a full-size temporary per
-    # formula would push the peak past eleven (B, D) float64 arrays.
-    data = toy_set(count=4000, seed=13)
-    full_array = len(data) * toy_arch().input_dim * 8
-    tracemalloc.start()
-    try:
-        cw_l2_batch(surrogate, data.images, data.labels, cw_config(iterations=3))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 11 * full_array, f"peak {peak / full_array:.1f} full arrays"
-
-
 def traced_peak(run) -> int:
     tracemalloc.start()
     try:
@@ -403,14 +467,24 @@ def mnist_width_batch(count=1000):
     return params, images, rng.integers(0, 10, size=count)
 
 
-def test_cw_holds_one_input_gradient_and_no_float64_images():
-    # Measured at D=784: 7.9 (B, D) float64 arrays. A second live gradient
-    # or a float64 copy of the images adds one array each (9.8 with both).
-    params, images, labels = mnist_width_batch()
-    full_array = images.size * 8
-    peak = traced_peak(lambda: cw_l2_batch(params, images, labels,
-                                           cw_config(iterations=3)))
-    assert peak < 8.5 * full_array, f"peak {peak / full_array:.2f} full arrays"
+def test_cw_memory_does_not_grow_with_the_batch():
+    # Only the float32 output is the size of the batch. The rest is one
+    # chunk's float64 state (`w`, both moments, `tanh(w)`, the iterate),
+    # one input gradient, the forward temporaries and the float64 params:
+    # measured at D=784, 8.2 chunk-sized float64 arrays at B=1000 and at
+    # B=3000. A second live gradient adds one array, and anything the size
+    # of the batch breaks the ratio (a float64 copy of the images adds
+    # 3.1 MiB per 1000 images, 1.8 chunk arrays).
+    chunk_array = (_CHUNK // (28 * 28)) * 28 * 28 * 8
+    held = {}
+    for count in (1000, 3000):
+        params, images, labels = mnist_width_batch(count)
+        peak = traced_peak(lambda: cw_l2_batch(params, images, labels,
+                                               cw_config(iterations=3)))
+        held[count] = peak - images.size * 4
+    assert held[3000] < 1.1 * held[1000], f"{held[3000] / held[1000]:.2f}x"
+    assert held[3000] < 8.7 * chunk_array, \
+        f"{held[3000] / chunk_array:.2f} chunk arrays"
 
 
 def test_pgd_holds_one_input_gradient():

@@ -367,7 +367,7 @@ _CORRUPTION_ERRORS = {
     "resealed first body byte": {"system.rdiv": "unknown mode byte 254",
                                  "model.rdiv": "unknown layer code 57",
                                  "adv.radv": "unknown attack code 253"},
-    "resealed cut tail": {"system.rdiv": "truncated at byte 6599, 3 records need 12 bytes",
+    "resealed cut tail": {"system.rdiv": "truncated at byte 6599, 3 float32 values need 12 bytes",
                           "model.rdiv": "truncated at byte 3305",
                           "adv.radv": "truncated at byte 71, 5 records need 760 bytes"},
     "resealed appended byte": dict.fromkeys(("system.rdiv", "model.rdiv", "adv.radv"),
