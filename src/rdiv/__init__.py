@@ -49,13 +49,13 @@ from .serialize import (
 )
 from .system import (
     GROUP_BANDS,
+    MODE_TABLE,
     MODES,
     REJECT,
     SystemSpec,
     build_system,
     classify_batch,
     error_count,
-    mode_groups,
     predict_batch,
     rebuild_preprocessors,
     train_system,
@@ -80,6 +80,7 @@ __all__ = [
     "GROUP_BANDS",
     "Hyper",
     "LabeledSet",
+    "MODE_TABLE",
     "MODES",
     "MasterKey",
     "ModelParams",
@@ -102,7 +103,6 @@ __all__ = [
     "load_idx",
     "make_preprocessor",
     "mlp_arch",
-    "mode_groups",
     "pgd_linf_batch",
     "predict_batch",
     "preprocess_batch",

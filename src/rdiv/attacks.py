@@ -36,7 +36,7 @@ from .nn import (
     require_int,
 )
 from .rng import MasterKey
-from .system import SystemSpec, build_system, error_count, train_system
+from .system import SystemSpec, build_system, decision_errors, error_count, train_system
 
 logger = logging.getLogger(__name__)
 
@@ -134,7 +134,8 @@ class AdvSet:
                              "rescore it against a model first")
         if len(self) == 0:
             return 0.0
-        return float(np.mean(self.preds_after != self.labels) * 100.0)
+        # In this order, bit for bit the error indicator's mean times 100.
+        return decision_errors(self.preds_after, self.labels) / len(self) * 100.0
 
 
 def rescore_adv_set(adv: AdvSet, params: ModelParams) -> AdvSet:

@@ -46,12 +46,12 @@ from .serialize import (
     system_file_equals,
 )
 from .system import (
-    MODES,
+    MODE_TABLE,
     SystemSpec,
     build_system,
+    check_settings,
     decision_errors,
     first_branches,
-    mode_groups,
     nested_decisions,
     rebuild_preprocessors,
     train_system,
@@ -247,8 +247,12 @@ def _validate(raw: dict) -> RunConfig:
     _require_keys(system, {"mode", "branches", "master_key", "per_color",
                            "reject_threshold"}, "system")
     mode = system.get("mode", "direct-permutation")
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
+    per_color = system.get("per_color", False)
+    reject = system.get("reject_threshold")
+    try:
+        check_settings(mode, per_color, reject)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     branches = system.get("branches", 1)
     grid = tuple(branches) if isinstance(branches, list) else (branches,)
     if not grid:
@@ -269,19 +273,7 @@ def _validate(raw: dict) -> RunConfig:
             master = MasterKey.from_hex(key)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    per_color = system.get("per_color", False)
-    if not isinstance(per_color, bool):
-        raise ConfigError(f"per_color must be true or false, got {per_color!r}")
-    if per_color and mode != "direct-permutation":
-        raise ConfigError(f"per_color applies to direct-permutation only, "
-                          f"not mode {mode!r}")
-    reject = system.get("reject_threshold")
-    if reject is not None and (isinstance(reject, bool)
-                               or not isinstance(reject, (int, float))):
-        raise ConfigError(f"reject_threshold must be a number, got {reject!r}")
     reject = None if reject is None else float(reject)
-    if reject is not None and not 0.0 <= reject <= 1.0:
-        raise ConfigError(f"reject_threshold {reject} is outside [0, 1]")
 
     arch = _section(raw, "arch")
     _require_keys(arch, {"hidden"}, "arch")
@@ -361,11 +353,6 @@ def _arch_for(config: RunConfig, data: LabeledSet) -> ArchSpec:
                     config.classes)
 
 
-def _widths(arch: ArchSpec) -> str:
-    return "-".join(str(width) for width in
-                    (arch.input_dim, *(fan_out for _, fan_out in arch.dense_shapes)))
-
-
 def _require_arch(path: Path, arch: ArchSpec, config: RunConfig, slice_: LabeledSet,
                   command: str) -> None:
     """Refuse an artifact whose network is not the one `command` would train now."""
@@ -373,8 +360,8 @@ def _require_arch(path: Path, arch: ArchSpec, config: RunConfig, slice_: Labeled
     if arch != expected:
         raise ConfigError(f"{path} was trained on differently shaped images than "
                           f"dataset {config.dataset_name!r} or with other hidden "
-                          f"widths: it holds a {_widths(arch)} network, the config "
-                          f"gives {_widths(expected)}; rerun the {command} command")
+                          f"widths: it holds a {arch.widths} network, the config "
+                          f"gives {expected.widths}; rerun the {command} command")
 
 
 def _system_path(config: RunConfig, branches: int) -> Path:
@@ -427,7 +414,7 @@ def cmd_train(config: RunConfig) -> int:
     slice_ = take_first(testset, config.limit)
     # Channel (j, i) depends only on the master key and its lineage, so the
     # largest grid holds every smaller one: train each lineage once.
-    full = build_system(config.mode, config.master, mode_groups(config.mode),
+    full = build_system(config.mode, config.master, MODE_TABLE[config.mode].groups,
                         max(config.branch_grid), arch, trainset.size,
                         trainset.colors,
                         reject_threshold=config.reject_threshold,
@@ -475,7 +462,8 @@ def cmd_attack(config: RunConfig) -> int:
         adv = craft_adv_set(params, slice_, attack)
         out = _adv_path(config, name)
         save_adv_set(out, adv)
-        print(f"{name}: surrogate error {adv.surrogate_success_pct:.2f}% "
+        errors = decision_errors(adv.preds_after, adv.labels)
+        print(f"{name}: surrogate error {_pct(errors, len(adv))}% "
               f"on {len(adv)} samples -> {out}")
     return 0
 

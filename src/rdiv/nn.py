@@ -70,6 +70,12 @@ class ArchSpec:
     def dense_shapes(self) -> list[tuple[int, int]]:
         return [dims for kind, dims in self.layers if kind == "dense"]
 
+    @property
+    def widths(self) -> str:
+        """The layer widths from input to classes, as in "784-256-128-10"."""
+        return "-".join(str(width) for width in
+                        (self.input_dim, *(fan_out for _, fan_out in self.dense_shapes)))
+
 
 def mlp_arch(input_dim: int, hidden: tuple[int, ...], classes: int) -> ArchSpec:
     """Dense/ReLU stack: input -> hidden... -> classes -> softmax."""
@@ -202,22 +208,21 @@ def _as_batch(arch: ArchSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _raise_non_finite(params: ModelParams, x2d: np.ndarray):
-    """Re-run layer by layer to name the first non-finite one."""
-    if not np.isfinite(x2d).all():
+def _raise_non_finite(cache: list, logits: np.ndarray):
+    """Name the first dense layer whose output is non-finite, from the cache.
+
+    `cache` has one entry per layer before the output, in layer order, and
+    holds each dense layer's input; the logits are the last one's output.
+    ReLU makes no finite value non-finite, so the first non-finite dense
+    input after the first came from the dense layer before it.
+    """
+    dense = [(pos, saved) for pos, (kind, saved) in enumerate(cache) if kind == "dense"]
+    if not np.isfinite(dense[0][1]).all():
         raise FloatingPointError("non-finite values in the input")
-    h = x2d
-    dense_idx = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for pos, (kind, _) in enumerate(params.arch.layers):
-            if kind == "dense":
-                h = h @ params.weights[dense_idx] + params.biases[dense_idx]
-                dense_idx += 1
-            elif kind == "relu":
-                h = np.maximum(h, 0)
-            if not np.isfinite(h).all():
-                raise FloatingPointError(f"non-finite activations after layer {pos} ({kind})")
-    raise FloatingPointError("non-finite values detected")  # pragma: no cover
+    outputs = [saved for _, saved in dense[1:]] + [logits]
+    for (pos, _), out in zip(dense, outputs):
+        if not np.isfinite(out).all():
+            raise FloatingPointError(f"non-finite activations after layer {pos} (dense)")
 
 
 def logits_and_cache(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, list]:
@@ -239,7 +244,7 @@ def logits_and_cache(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, li
                 cache.append(("relu", h > 0))
                 np.maximum(h, 0, out=h)
     if not np.isfinite(h).all():
-        _raise_non_finite(params, x2d.astype(params.dtype, copy=False))
+        _raise_non_finite(cache, h)
     return h, cache
 
 

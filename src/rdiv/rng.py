@@ -76,9 +76,6 @@ class SubKey:
     i: int
     tag: int
 
-    def to_hex(self) -> str:
-        return f"{self.value:016x}"
-
 
 @dataclass(frozen=True)
 class RngState:

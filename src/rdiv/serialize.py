@@ -14,7 +14,8 @@ order, and keys as 16 lowercase hex digits. An arch is a layer count, then
 per layer a kind byte, plus fan_in and fan_out for dense layers.
 
 Model blob ("RDIV"):
-    arch | per dense layer: weights then biases | model subkey hex.
+    arch | per dense layer: weights then biases | key fingerprint hex.
+    The fingerprint (`_key_fingerprint`) is one-way; a subkey is not.
 
 System file ("RDIV"):
     mode byte | per-color byte (0/1) | I N m | master key hex | arch |
@@ -49,7 +50,7 @@ import numpy as np
 from .attacks import ATTACK_KINDS, AdvSet, AttackConfig
 from .nn import ArchSpec, ModelParams
 from .rng import MasterKey, SubKey, hex16_value
-from .system import MODES, SystemSpec, build_system, mode_groups
+from .system import MODE_TABLE, MODES, SystemSpec, build_system
 
 MODEL_MAGIC = b"RDIV"
 ADV_MAGIC = b"RADV"
@@ -71,6 +72,9 @@ _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 
 _ATTACK_CODES = {name: code for code, name in enumerate(ATTACK_KINDS)}
 _ATTACK_NAMES = {v: k for k, v in _ATTACK_CODES.items()}
+
+# Hashed before a model blob's key (see `_key_fingerprint`).
+_FINGERPRINT_TAG = b"rdiv model key fingerprint"
 
 # Mode byte, per-color byte, I, N, m.
 _SYSTEM_HEADER = struct.Struct("<BBIII")
@@ -279,9 +283,19 @@ def _read_tensors(frame: _Frame, arch: ArchSpec) -> ModelParams:
     return ModelParams(arch, tuple(weights), tuple(biases))
 
 
+def _key_fingerprint(key: SubKey) -> int:
+    """First 8 bytes of SHA-256 over the tag and the key as a little-endian u64.
+
+    A subkey itself would invert to its master key: SplitMix64 steps are
+    bijections.
+    """
+    digest = hashlib.sha256(_FINGERPRINT_TAG + struct.pack("<Q", key.value)).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def _params_frame(params: ModelParams, key: SubKey) -> tuple:
     return _seal(MODEL_MAGIC, _dump_arch(params.arch), *_tensors(params),
-                 f"{key.value:016x}".encode("ascii"))
+                 f"{_key_fingerprint(key):016x}".encode("ascii"))
 
 
 def _parse_params(frame: _Frame) -> tuple[ModelParams, int]:
@@ -307,7 +321,7 @@ def _parse_system(frame: _Frame) -> tuple[tuple, bool, list[ModelParams]]:
         raise BlobFormatError(f"{frame.label}: per-color byte {per_color}, expected 0 or 1")
     master = MasterKey(frame.key_hex())
     arch = _read_arch(frame)
-    groups = mode_groups(mode)
+    groups = MODE_TABLE[mode].groups
     params = [_read_tensors(frame, arch) for _ in range(groups * branches)]
     return (mode, master, groups, branches, arch, size, colors), bool(per_color), params
 
@@ -396,7 +410,7 @@ def save_params(path: str | Path, params: ModelParams, key: SubKey) -> None:
 
 
 def read_params(path: str | Path) -> tuple[ModelParams, int]:
-    """Read a model blob. Returns the params and the stored subkey value."""
+    """Read a model blob. Returns the params and the stored key fingerprint."""
     return _parse(path, MODEL_MAGIC, _parse_params)
 
 

@@ -9,7 +9,8 @@ with a dense layer, so the two give the same scores. All keys derive from the
 system's master key, so the whole system is a deterministic function of
 (mode, master key, arch, data, hyper).
 
-Modes:
+Modes (`MODE_TABLE` holds each one's transforms kind and J, and
+`check_settings` checks a mode with `per_color` and a reject threshold):
   identity                  - J=1, passthrough channels (keyless baseline)
   direct-permutation        - J=1, keyed pixel permutations
   dct-sign-flip-3band       - J=3, keyed sign flips in sub-bands V, H, D
@@ -21,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,35 +31,56 @@ from .nn import ArchSpec, Hyper, ModelParams, forward, init_params, train
 from .rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
 from .transforms import (
     Preprocessor,
+    check_batch,
     fold_into_weights,
     make_preprocessor,
     preprocess_batch,
     subband_rect,
 )
 
-MODES = ("identity", "direct-permutation", "dct-sign-flip-3band",
-         "dct-hard-threshold-3band")
 
-# Group index -> sub-band for the 3-band modes.
+class ModeSpec(NamedTuple):
+    """What a mode builds: every channel's transforms kind, and J."""
+
+    kind: str
+    groups: int
+
+
+# Every mode, described once. Group j of a DCT mode acts on sub-band
+# GROUP_BANDS[j]; a system file's mode byte is the mode's index in MODES.
+MODE_TABLE = {
+    "identity": ModeSpec("identity", 1),
+    "direct-permutation": ModeSpec("direct-permutation", 1),
+    "dct-sign-flip-3band": ModeSpec("dct-sign-flip", 3),
+    "dct-hard-threshold-3band": ModeSpec("dct-hard-threshold", 3),
+}
+MODES = tuple(MODE_TABLE)
+
 GROUP_BANDS = ("V", "H", "D")
 
 REJECT = -1
 
 
-def mode_groups(mode: str) -> int:
-    """J, the number of transform groups a mode's grid has."""
+def check_settings(mode: str, per_color: bool, reject_threshold: float | None) -> None:
+    """Refuse a mode, `per_color` or reject threshold that no system has.
+
+    The one check of these settings: `build_system` runs it, and the CLI
+    runs it on the config before any data is read.
+    """
     if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    return 3 if mode.endswith("3band") else 1
-
-
-def _channel_kind(mode: str) -> str:
-    return {
-        "identity": "identity",
-        "direct-permutation": "direct-permutation",
-        "dct-sign-flip-3band": "dct-sign-flip",
-        "dct-hard-threshold-3band": "dct-hard-threshold",
-    }[mode]
+        raise ValueError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
+    # A quoted "no" is a non-empty string, which bool() would call true.
+    if not isinstance(per_color, bool):
+        raise ValueError(f"per_color must be true or false, got {per_color!r}")
+    if per_color and mode != "direct-permutation":
+        raise ValueError(f"per_color applies to direct-permutation only, not mode {mode!r}")
+    # bool is an int subclass, so `true` must be ruled out by name.
+    if reject_threshold is not None and (
+            isinstance(reject_threshold, bool)
+            or not isinstance(reject_threshold, (int, float))
+            or not 0.0 <= reject_threshold <= 1.0):
+        raise ValueError(f"reject_threshold must be a number in [0, 1], "
+                         f"got {reject_threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -89,16 +112,12 @@ class SystemSpec:
 
     @property
     def groups(self) -> int:
-        return mode_groups(self.mode)
+        return MODE_TABLE[self.mode].groups
 
     @property
     def branches(self) -> int:
         """I, the number of branches in each group."""
         return len(self.channels) // self.groups
-
-    @property
-    def classes(self) -> int:
-        return self.arch.classes
 
 
 def build_system(mode: str, master: MasterKey, groups: int, branches: int,
@@ -108,13 +127,15 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
                  params: Sequence[ModelParams] | None = None) -> SystemSpec:
     """Create the J x I channel grid with keyed preprocessors and init params.
 
-    `groups` must equal `mode_groups(mode)`. Channel (j, i) derives its
-    preprocessor, its weight init, and later its shuffle order from lineage
-    (j, i) under the master key. `per_color` applies to direct-permutation
-    only. `params`, when given, supplies every channel's weights in grid
+    `groups` must equal the mode's J in `MODE_TABLE`, and `check_settings`
+    refuses the mode, `per_color` and `reject_threshold` a system cannot
+    have. Channel (j, i) derives its preprocessor, its weight init, and
+    later its shuffle order from lineage (j, i) under the master key.
+    `params`, when given, supplies every channel's weights of `arch` in grid
     order instead of the keyed init; loading a saved system uses it.
     """
-    expected_groups = mode_groups(mode)
+    check_settings(mode, per_color, reject_threshold)
+    kind, expected_groups = MODE_TABLE[mode]
     if groups != expected_groups:
         raise ValueError(f"mode {mode!r} requires {expected_groups} group(s), got {groups}")
     if branches < 1:
@@ -122,14 +143,13 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
     if arch.input_dim != size * size * colors:
         raise ValueError(f"arch input_dim {arch.input_dim} does not match "
                          f"{size}x{size}x{colors} images")
-    if per_color and mode != "direct-permutation":
-        raise ValueError(f"per_color applies to direct-permutation only, not {mode!r}")
-    if reject_threshold is not None and not 0.0 <= reject_threshold <= 1.0:
-        raise ValueError(f"reject threshold {reject_threshold} is outside [0, 1]")
     if params is not None and len(params) != groups * branches:
         raise ValueError(f"got {len(params)} parameter sets for "
                          f"{groups * branches} channels")
-    kind = _channel_kind(mode)
+    other = next((p.arch for p in params or () if p.arch != arch), None)
+    if other is not None:
+        raise ValueError(f"params hold a {other.widths} network, the arch is "
+                         f"{arch.widths}")
     channels = []
     for j in range(groups):
         band = subband_rect(GROUP_BANDS[j], size) if kind.startswith("dct") else None
@@ -193,11 +213,7 @@ def channel_scores(system: SystemSpec, images: np.ndarray) -> list[np.ndarray]:
     its classifier with the keyed transform folded into its first-layer
     weights (`fold_into_weights`).
     """
-    images = np.asarray(images)
-    expected = (system.size, system.size, system.colors)
-    if images.ndim != 4 or images.shape[1:] != expected:
-        raise ValueError(f"expected batch of shape (B, {system.size}, {system.size}, "
-                         f"{system.colors}), got {images.shape}")
+    images = check_batch(images, system.size, system.colors)
     flat = images.reshape(len(images), system.arch.input_dim)
     scores = []
     for channel in system.channels:

@@ -94,6 +94,15 @@ def subband_rect(band_id: str, size: int) -> tuple[int, int, int, int]:
     }[band_id]
 
 
+def check_batch(images, size: int, colors: int) -> np.ndarray:
+    """`images` as an array, refused unless it is a (B, N, N, m) batch."""
+    images = np.asarray(images)
+    if images.ndim != 4 or images.shape[1:] != (size, size, colors):
+        raise ValueError(f"expected batch of shape (B, {size}, {size}, {colors}), "
+                         f"got {images.shape}")
+    return images
+
+
 @dataclass(frozen=True)
 class Preprocessor:
     """One channel's keyed mapping, immutable after construction.
@@ -185,11 +194,7 @@ def preprocess_batch(p: Preprocessor, images: np.ndarray) -> np.ndarray:
     whatever the batch size; every image's result is bitwise that of a
     whole-batch round trip.
     """
-    images = np.asarray(images)
-    expected = (p.size, p.size, p.colors)
-    if images.ndim != 4 or images.shape[1:] != expected:
-        raise ValueError(f"expected batch of shape (B, {p.size}, {p.size}, {p.colors}), "
-                         f"got {images.shape}")
+    images = check_batch(images, p.size, p.colors)
     if p.mask is None:
         # `take` writes image-major rows; `flat[:, perm]` would come back
         # pixel-major.

@@ -30,7 +30,7 @@ from rdiv.nn import (
     mlp_arch,
 )
 from rdiv.rng import TAG_INIT, MasterKey, derive_subkey
-from rdiv.system import build_system, classify_batch, train_system
+from rdiv.system import build_system, classify_batch, decision_errors, train_system
 
 SIZE = 8
 COLORS = 1
@@ -507,6 +507,21 @@ def test_craft_adv_set_fields(surrogate):
     assert np.array_equal(adv.preds_after, expected_after)
     assert adv.surrogate_success_pct == pytest.approx(
         100.0 * np.mean(adv.preds_after != data.labels))
+
+
+def test_surrogate_success_pct_counts_through_decision_errors():
+    # The error counter every command uses, and bit for bit the mean of the
+    # error indicator that the property once took.
+    for count in range(1, 65):
+        labels = np.zeros(count, np.int64)
+        images = np.zeros((count, 1, 1, 1), np.float32)
+        for errors in range(count + 1):
+            preds = (np.arange(count) < errors).astype(np.int64)
+            adv = AdvSet(AttackConfig("fgsm"), np.arange(count), labels, images,
+                         images, preds)
+            pct = adv.surrogate_success_pct
+            assert pct == decision_errors(preds, labels) / count * 100.0
+            assert pct == float(np.mean(preds != labels) * 100.0), (errors, count)
 
 
 @pytest.mark.parametrize("config", [

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from rdiv import cli
+from rdiv.attacks import AdvSet
 from rdiv.cli import ConfigError, _pct, parse_config
 from rdiv.dataio import load_idx
 from rdiv.nn import init_params, mlp_arch
@@ -653,6 +654,29 @@ def test_attack_refuses_a_surrogate_of_another_arch(pipeline, data_dir, tmp_path
         "images than dataset 'synth' or with other hidden widths: it holds a "
         "784-16-10 network, the config gives 784-8-10; rerun the surrogate command\n")
     assert not list(fresh.glob("*.radv"))
+
+
+def test_attack_prints_exact_half_up_percentages(pipeline, data_dir, tmp_path,
+                                                  monkeypatch, capsys):
+    # One success in 32 is 3.125%: `eval`, `report` and `surrogate` print
+    # 3.13, as `attack` must; a float format printed 3.12.
+    _, out_dir = pipeline
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    shutil.copy(out_dir / "surrogate.rdiv", fresh)
+    config = write_config(tmp_path / "c.yaml", data_dir, fresh, eval={"limit": 32},
+                          attacks=[{"kind": "fgsm", "eps": 0.0}])
+
+    def one_success(params, dataset, attack):
+        preds = dataset.labels.copy()
+        preds[0] = (preds[0] + 1) % 10
+        return AdvSet(attack, np.arange(len(dataset)), dataset.labels.copy(),
+                      dataset.images.copy(), dataset.images.copy(), preds)
+
+    monkeypatch.setattr(cli, "craft_adv_set", one_success)
+    assert run("attack", "--config", config) == 0
+    assert capsys.readouterr().out == (
+        f"fgsm: surrogate error 3.13% on 32 samples -> {fresh / 'adv-fgsm.radv'}\n")
 
 
 @pytest.mark.parametrize("name", ["system-i2.rdiv", "adv-pgd-linf.radv"])

@@ -223,9 +223,24 @@ class TestLossAndGrads:
 
     def test_non_finite_input_reported(self):
         params = random_params(tiny_arch(), 6)
-        bad = np.array([[1.0, np.inf, 0.0, 0.0]])
-        with pytest.raises(FloatingPointError):
-            batch_loss_and_grads(params, bad, np.array([0]))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(FloatingPointError, match="^non-finite values in the input$"):
+                batch_loss_and_grads(params, np.array([[1.0, bad, 0.0, 0.0]]), np.array([0]))
+
+    def test_non_finite_activations_name_their_dense_layer(self):
+        # Layer 0 gives 4.0 everywhere, and layer 2 overflows float32 to
+        # +inf, which the ReLU at layer 3 keeps.
+        arch = mlp_arch(4, (5, 3), 2)
+        weights = (np.ones((4, 5), np.float32), np.full((5, 3), 1e38, np.float32),
+                   np.ones((3, 2), np.float32))
+        biases = tuple(np.zeros(width, np.float32) for width in (5, 3, 2))
+        params = ModelParams(arch, weights, biases)
+        x = np.ones((2, 4), np.float32)
+        for run in (lambda: forward(params, x),
+                    lambda: batch_loss_and_grads(params, x, np.array([0, 1]))):
+            with pytest.raises(FloatingPointError,
+                               match=r"^non-finite activations after layer 2 \(dense\)$"):
+                run()
 
 
 class TestGradTargets:

@@ -24,10 +24,10 @@ from rdiv.serialize import (
     save_system,
 )
 from rdiv.system import (
+    MODE_TABLE,
     build_system,
     classify_batch,
     first_branches,
-    mode_groups,
     train_system,
 )
 
@@ -61,7 +61,7 @@ def quick_hyper(epochs=2):
                                         "dct-sign-flip-3band", "dct-hard-threshold-3band"])
 def trained_system(request):
     mode = request.param
-    system = build_system(mode, MASTER, mode_groups(mode), 2, toy_arch(), SIZE, COLORS)
+    system = build_system(mode, MASTER, MODE_TABLE[mode].groups, 2, toy_arch(), SIZE, COLORS)
     return train_system(system, toy_set(), quick_hyper())
 
 
@@ -83,7 +83,14 @@ def test_model_blob_round_trip(tmp_path):
     loaded, key_value = read_params(tmp_path / "model.rdiv")
     assert loaded.equal(params)
     assert loaded.dtype == np.float32
-    assert key_value == key.value
+    # A subkey inverts to its master key, so the blob holds a one-way
+    # fingerprint of it instead, and neither key appears.
+    digest = hashlib.sha256(b"rdiv model key fingerprint"
+                            + struct.pack("<Q", key.value)).digest()
+    assert key_value == int.from_bytes(digest[:8], "big")
+    assert blob[-48:-32] == digest[:8].hex().encode()
+    for secret in (key.value, MASTER.value):
+        assert f"{secret:016x}".encode() not in blob
 
 
 def test_model_blob_is_deterministic(tmp_path):
@@ -194,7 +201,7 @@ def saved_system_sha256(directory, system) -> str:
 
 def untrained_system(mode="direct-permutation", branches=2):
     """A grid with its keyed init weights; save_system accepts it as is."""
-    return build_system(mode, MASTER, mode_groups(mode), branches, toy_arch(),
+    return build_system(mode, MASTER, MODE_TABLE[mode].groups, branches, toy_arch(),
                         SIZE, COLORS)
 
 

@@ -9,6 +9,7 @@ from rdiv.nn import ArchSpec, Hyper, ModelParams, forward, init_params, mlp_arch
 from rdiv.rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
 from rdiv.system import (
     GROUP_BANDS,
+    MODE_TABLE,
     MODES,
     REJECT,
     SystemSpec,
@@ -16,7 +17,6 @@ from rdiv.system import (
     classify_batch,
     error_count,
     first_branches,
-    mode_groups,
     nested_decisions,
     predict_batch,
     rebuild_preprocessors,
@@ -69,12 +69,16 @@ def test_mode_group_counts():
         ]
 
 
-def test_mode_groups_derives_j():
-    assert [mode_groups(mode) for mode in MODES] == [1, 1, 3, 3]
-    with pytest.raises(ValueError):
-        mode_groups("no-such-mode")
-    system = build_system("dct-hard-threshold-3band", MASTER, 3, 1, toy_arch(), SIZE, COLORS)
-    assert system.groups == 3
+def test_every_modes_j_and_channel_kinds_come_from_the_table():
+    assert [(mode, *MODE_TABLE[mode]) for mode in MODES] == [
+        ("identity", "identity", 1),
+        ("direct-permutation", "direct-permutation", 1),
+        ("dct-sign-flip-3band", "dct-sign-flip", 3),
+        ("dct-hard-threshold-3band", "dct-hard-threshold", 3)]
+    for mode, (kind, groups) in MODE_TABLE.items():
+        system = build_system(mode, MASTER, groups, 2, toy_arch(), SIZE, COLORS)
+        assert system.groups == groups and system.branches == 2
+        assert {c.preprocessor.kind for c in system.channels} == {kind}
 
 
 def test_wrong_group_count_rejected():
@@ -83,7 +87,7 @@ def test_wrong_group_count_rejected():
         build_system("direct-permutation", MASTER, 3, 2, arch, SIZE, COLORS)
     with pytest.raises(ValueError):
         build_system("dct-sign-flip-3band", MASTER, 1, 2, arch, SIZE, COLORS)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown mode 'no-such-mode'"):
         build_system("no-such-mode", MASTER, 1, 2, arch, SIZE, COLORS)
     with pytest.raises(ValueError):
         build_system("identity", MASTER, 1, 0, arch, SIZE, COLORS)
@@ -92,19 +96,32 @@ def test_wrong_group_count_rejected():
 def test_per_color_rejected_outside_direct_permutation():
     arch = toy_arch()
     for mode in ("identity", "dct-sign-flip-3band", "dct-hard-threshold-3band"):
-        groups = 3 if mode.endswith("3band") else 1
         with pytest.raises(ValueError, match="per_color"):
-            build_system(mode, MASTER, groups, 1, arch, SIZE, COLORS, per_color=True)
+            build_system(mode, MASTER, MODE_TABLE[mode].groups, 1, arch, SIZE, COLORS,
+                         per_color=True)
+    # A quoted "no" once built per-colour permutations that save_system
+    # could not pack.
+    with pytest.raises(ValueError, match="per_color must be true or false, got 'no'"):
+        build_system("direct-permutation", MASTER, 1, 1, arch, SIZE, COLORS, per_color="no")
 
 
 def test_reject_threshold_outside_unit_interval_rejected():
-    for threshold in (-0.01, 1.01, float("nan")):
-        with pytest.raises(ValueError, match="reject threshold"):
+    # A quoted "0.5" once raised TypeError inside the range check.
+    for threshold in (-0.01, 1.01, float("nan"), "0.5", True):
+        with pytest.raises(ValueError, match="reject_threshold must be a number in"):
             build_system("identity", MASTER, 1, 1, toy_arch(), SIZE, COLORS,
                          reject_threshold=threshold)
-    for threshold in (0.0, 1.0):
+    for threshold in (0.0, 1.0, 1):
         build_system("identity", MASTER, 1, 1, toy_arch(), SIZE, COLORS,
                      reject_threshold=threshold)
+
+
+def test_build_system_refuses_params_of_another_arch():
+    # They were once taken, and the saved file then failed to read back.
+    arch, other = mlp_arch(16, (8,), 4), mlp_arch(16, (5,), 4)
+    params = [init_params(other, derive_subkey(MASTER, 0, 0, TAG_INIT))]
+    with pytest.raises(ValueError, match="params hold a 16-5-4 network, the arch is 16-8-4"):
+        build_system("identity", MASTER, 1, 1, arch, 4, 1, params=params)
 
 
 def test_branches_is_derived_from_the_channels():
@@ -138,7 +155,7 @@ def test_first_branches_equals_training_the_smaller_grid(mode, groups):
 @pytest.mark.parametrize("mode", MODES)
 def test_nested_decisions_equal_classifying_each_sub_grid(mode):
     hyper = Hyper(learning_rate=5e-3, batch_size=16, epochs=1)
-    full = train_system(build_system(mode, MASTER, mode_groups(mode), 2, toy_arch(),
+    full = train_system(build_system(mode, MASTER, MODE_TABLE[mode].groups, 2, toy_arch(),
                                      SIZE, COLORS), toy_set(), hyper)
     images = toy_set(count=40, seed=9).images
     # A threshold at the median normalized top score rejects about half.
@@ -238,7 +255,7 @@ def per_channel_scores(system, images):
 ])
 def test_predict_batch_folds_transforms_into_first_layer(mode, colors, per_color):
     system = train_system(
-        build_system(mode, MASTER, mode_groups(mode), 2, toy_arch(colors), SIZE,
+        build_system(mode, MASTER, MODE_TABLE[mode].groups, 2, toy_arch(colors), SIZE,
                      colors, per_color=per_color),
         toy_set(colors=colors), toy_hyper())
     images = toy_set(count=40, seed=9, colors=colors).images
@@ -347,10 +364,10 @@ def test_rebuild_preprocessors_swaps_key_keeps_params(trained_perm_system):
 @pytest.mark.parametrize("mode, per_color", [(m, False) for m in MODES]
                          + [("direct-permutation", True)])
 def test_rebuild_preprocessors_equals_build_under_other_key(mode, per_color):
-    system = build_system(mode, MASTER, mode_groups(mode), 2, toy_arch(), SIZE,
+    system = build_system(mode, MASTER, MODE_TABLE[mode].groups, 2, toy_arch(), SIZE,
                           COLORS, reject_threshold=0.5, per_color=per_color)
     other = rebuild_preprocessors(system, MasterKey(0x5))
-    fresh = build_system(mode, MasterKey(0x5), mode_groups(mode), 2, toy_arch(),
+    fresh = build_system(mode, MasterKey(0x5), MODE_TABLE[mode].groups, 2, toy_arch(),
                          SIZE, COLORS, per_color=per_color)
     assert other.reject_threshold == 0.5
     assert system.per_color == other.per_color == per_color
