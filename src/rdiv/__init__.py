@@ -5,7 +5,9 @@ a secret keyed preprocessor (pixel permutation or a DCT sub-band operator)
 and classifies with its own from-scratch MLP; the system sums per-channel
 softmax vectors and takes the argmax. The secret master key is the only
 information advantage over a gray-box attacker, who is left crafting
-adversarial examples on a keyless surrogate and hoping they transfer.
+adversarial examples on a surrogate without the keyed transforms and hoping
+they transfer. (The surrogate the CLI trains still shares the defender's
+master key, and so channel (0, 0)'s init and shuffle.)
 
 Modules: rng (keyed SplitMix64 streams), transforms (DCT + keyed operators),
 nn (MLP training and gradients), dataio (IDX / CIFAR-10 binary loaders),

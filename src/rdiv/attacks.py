@@ -1,8 +1,11 @@
 """White-box attacks on a surrogate classifier and gray-box transfer runs.
 
 The threat model: the attacker knows the architecture and training data but
-not the secret key. Adversarial examples are crafted against a keyless
-surrogate and then replayed against the keyed system.
+not the secret key. Adversarial examples are crafted against a surrogate
+with no keyed transform and then replayed against the keyed system. The
+surrogate is trained under the defender's master key, though, so its
+initial weights and batch order are those of the defender's channel (0, 0):
+the attacker does not yet hold a key of their own.
 
 Attack kinds:
   fgsm      - one signed-gradient step of size eps: pgd-linf with one step
@@ -147,10 +150,12 @@ def rescore_adv_set(adv: AdvSet, params: ModelParams) -> AdvSet:
 
 def train_surrogate(trainset: LabeledSet, arch: ArchSpec, hyper: Hyper,
                     master: MasterKey) -> ModelParams:
-    """Train the keyless baseline classifier the attacker optimizes against.
+    """Train the baseline classifier the attacker optimizes against.
 
     It is the single channel of an identity-mode I=1 system trained under
-    `master`.
+    `master`. Given the defender's master key, as the CLI passes it, that
+    channel's init and shuffle keys are those of the defender's channel
+    (0, 0); only the keyed transform is missing.
     """
     system = build_system("identity", master, 1, 1, arch, trainset.size,
                           trainset.colors)

@@ -8,7 +8,8 @@ cannot silently fall back to defaults.
 Subcommands:
   train      train the largest system grid once, write one system file per
              grid value (its first I branches), print clean error
-  surrogate  train the keyless baseline model and write it
+  surrogate  train the attacker's baseline model (no keyed transform, but
+             the defender's master key) and write it
   attack     craft adversarial sets against the surrogate
   eval       print clean / adversarial error for the trained systems
   gradcheck  finite-difference gradient check, prints max relative error
@@ -24,7 +25,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -283,8 +284,7 @@ def _validate(raw: dict) -> RunConfig:
     hidden = tuple(_count(h, "hidden layer width") for h in hidden)
 
     train = _section(raw, "train")
-    _require_keys(train, {"learning_rate", "batch_size", "epochs", "optimizer",
-                          "beta1", "beta2", "eps", "weight_decay"}, "train")
+    _require_keys(train, {field.name for field in fields(Hyper)}, "train")
     try:
         hyper = Hyper(**train)
     except (TypeError, ValueError) as exc:
@@ -436,10 +436,10 @@ def cmd_surrogate(config: RunConfig) -> int:
     testset = _load_split(config, "test")
     arch = _arch_for(config, trainset)
     config.out_dir.mkdir(parents=True, exist_ok=True)
+    slice_ = take_first(testset, config.limit)
     params = train_surrogate(trainset, arch, config.hyper, config.master)
     path = _surrogate_path(config)
     save_params(path, params, derive_subkey(config.master, 0, 0, TAG_INIT))
-    slice_ = take_first(testset, config.limit)
     preds = forward(params, slice_.images.reshape(config.limit, -1)).argmax(axis=1)
     errors = decision_errors(preds, slice_.labels)
     print(f"surrogate: clean error {_pct(errors, config.limit)}% "
@@ -475,6 +475,9 @@ def _read_grid_file(config: RunConfig, branches: int, slice_: LabeledSet) -> Sys
         system = replace(system, reject_threshold=config.reject_threshold)
     if system.mode != config.mode or system.branches != branches:
         raise ConfigError(f"{path} does not match the configured mode/grid")
+    if system.per_color != config.per_color:
+        raise ConfigError(f"{path} was trained with per_color {system.per_color!r} "
+                          f"(configured {config.per_color!r}); rerun the train command")
     if (system.size, system.colors) != (slice_.size, slice_.colors):
         raise ConfigError(f"{path} was trained on differently shaped "
                           f"images than dataset {config.dataset_name!r}")
@@ -620,8 +623,9 @@ def main(argv: list[str] | None = None) -> int:
         raw = _load_yaml(text)
         _apply_flags(raw, args)
         return _COMMANDS[args.command](_validate(raw))
-    # ConfigError, BlobFormatError and DatasetFormatError are ValueErrors.
-    except (ValueError, OSError) as exc:
+    # ConfigError, BlobFormatError and DatasetFormatError are ValueErrors;
+    # training that diverges or overflows raises FloatingPointError.
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

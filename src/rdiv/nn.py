@@ -147,36 +147,22 @@ def require_finite(config, name: str) -> None:
 
 @dataclass(frozen=True)
 class Hyper:
-    """First-order training settings."""
+    """Training settings. Every run trains with Adam, with `_ADAM`'s constants."""
 
     learning_rate: float = 1e-3
     batch_size: int = 64
     epochs: int = 5
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
 
     def __post_init__(self):
         for name in ("batch_size", "epochs"):
             require_int(self, name)
-        for name in ("learning_rate", "beta1", "beta2", "eps", "weight_decay"):
-            require_finite(self, name)
-        for name in ("learning_rate", "eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
+        require_finite(self, "learning_rate")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def init_params(arch: ArchSpec, key: SubKey) -> ModelParams:
@@ -336,15 +322,19 @@ def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray,
     return loss, dweights, dbiases, dx
 
 
-# Elements per block of the optimizer sweep (see `_apply_update`).
+# Adam's moment decay rates beta1 and beta2 and its epsilon, the textbook
+# values (Kingma & Ba, arXiv 1412.6980).
+_ADAM = (0.9, 0.999, 1e-8)
+
+# Elements per block of the Adam sweep (see `_apply_update`).
 _BLOCK = 1 << 16
 
 
 @dataclass
 class _AdamSlots:
-    """Optimizer state: Adam moments per tensor plus one scratch pair.
+    """Adam state: moments per tensor plus one scratch pair.
 
-    Both scratch buffers are flat and hold one block of the optimizer sweep,
+    Both scratch buffers are flat and hold one block of the Adam sweep,
     or the largest tensor if that is smaller; every update writes its
     temporaries into views of them instead of allocating.
     """
@@ -406,7 +396,7 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
             if not np.isfinite(loss):
                 raise FloatingPointError(f"training diverged at epoch {epoch}: loss={loss}")
             epoch_loss += loss * len(idx)
-            _apply_update(weights, biases, dw, db, hyper, slots, lr)
+            _apply_update(weights, biases, dw, db, slots, lr)
         epoch_loss /= count
         if first_epoch_loss is None:
             first_epoch_loss = epoch_loss
@@ -420,8 +410,8 @@ def _keyed_order(state: RngState, count: int) -> np.ndarray:
     return fisher_yates(state, count)
 
 
-def _apply_update(weights, biases, dw, db, hyper: Hyper, slots: _AdamSlots, lr):
-    """One optimizer step, in place on `weights` and `biases`.
+def _apply_update(weights, biases, dw, db, slots: _AdamSlots, lr):
+    """One Adam step, in place on `weights` and `biases`.
 
     Each tensor is swept in blocks of `_BLOCK` elements of its flat view,
     and every formula runs over one block before the next block starts. A
@@ -434,39 +424,23 @@ def _apply_update(weights, biases, dw, db, hyper: Hyper, slots: _AdamSlots, lr):
     same as evaluating them directly on whole tensors.
     """
     dtype = weights[0].dtype
-    decay = dtype.type(hyper.weight_decay) if hyper.weight_decay else None
-    adam = hyper.optimizer == "adam"
-    if adam:
-        slots.t += 1
-        b1, b2 = dtype.type(hyper.beta1), dtype.type(hyper.beta2)
-        one_minus_b1, one_minus_b2 = 1 - b1, 1 - b2
-        eps = dtype.type(hyper.eps)
-        correction1 = dtype.type(1.0 - hyper.beta1 ** slots.t)
-        correction2 = dtype.type(1.0 - hyper.beta2 ** slots.t)
-    tensors = ([(dw[k], weights[k], slots.m_w[k], slots.v_w[k], decay)
-                for k in range(len(weights))]
-               + [(db[k], biases[k], slots.m_b[k], slots.v_b[k], None)
-                  for k in range(len(biases))])
-    for grad, value, m, v, wd in tensors:
+    beta1, beta2, epsilon = _ADAM
+    slots.t += 1
+    b1, b2 = dtype.type(beta1), dtype.type(beta2)
+    one_minus_b1, one_minus_b2 = 1 - b1, 1 - b2
+    eps = dtype.type(epsilon)
+    correction1 = dtype.type(1.0 - beta1 ** slots.t)
+    correction2 = dtype.type(1.0 - beta2 ** slots.t)
+    for grad, value, m, v in [*zip(dw, weights, slots.m_w, slots.v_w),
+                              *zip(db, biases, slots.m_b, slots.v_b)]:
         grad = grad.astype(dtype, copy=False).reshape(-1)
         # Parameters and moments are C-contiguous, so these flat views write through.
         value, m, v = value.reshape(-1), m.reshape(-1), v.reshape(-1)
         for start in range(0, value.size, _BLOCK):
             block = slice(start, start + _BLOCK)
-            val, g = value[block], grad[block]
+            val, g, mb, vb = value[block], grad[block], m[block], v[block]
             tmp = slots.scratch[0][:val.size]
             step = slots.scratch[1][:val.size]
-            if wd is not None:
-                # g = g + weight_decay * value, held in `step` until `g`'s last use
-                np.multiply(wd, val, out=step)
-                step += g
-                g = step
-            if not adam:
-                # value -= lr * g
-                np.multiply(lr, g, out=step)
-                val -= step
-                continue
-            mb, vb = m[block], v[block]
             # m = b1 * m + (1 - b1) * g
             mb *= b1
             np.multiply(one_minus_b1, g, out=tmp)
@@ -486,14 +460,14 @@ def _apply_update(weights, biases, dw, db, hyper: Hyper, slots: _AdamSlots, lr):
             val -= step
 
 
-def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int,
-                                step: float = 1e-3) -> float:
+def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
-    Everything is evaluated in float64. Relative error is
-    |a - b| / max(1e-8, |a| + |b|), the worst case over every parameter and
-    every input entry.
+    Everything is evaluated in float64, with central differences of step
+    1e-3. Relative error is |a - b| / max(1e-8, |a| + |b|), the worst case
+    over every parameter and every input entry.
     """
+    step = 1e-3
     p64 = params.astype(np.float64)
     x64 = np.array(x, dtype=np.float64).reshape(1, -1)
     labels = check_labels([label], 1, params.arch.classes)

@@ -14,7 +14,8 @@ Modes (`MODE_TABLE` holds each one's transforms kind and J, and
   identity                  - J=1, passthrough channels (keyless baseline)
   direct-permutation        - J=1, keyed pixel permutations
   dct-sign-flip-3band       - J=3, keyed sign flips in sub-bands V, H, D
-  dct-hard-threshold-3band  - J=3, zeroed sub-bands V, H, D
+  dct-hard-threshold-3band  - J=3, zeroed sub-bands V, H, D; no key enters the
+                              transform, only each channel's init and shuffle
 """
 
 from __future__ import annotations

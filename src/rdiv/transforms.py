@@ -15,7 +15,9 @@ Supported operator kinds:
                              transform domain involved.
 * ``dct-sign-flip``        - keyed sign flips of DCT coefficients inside one
                              sub-band (or the whole plane), an involution.
-* ``dct-hard-threshold``   - zero the DCT coefficients of one sub-band.
+* ``dct-hard-threshold``   - zero the DCT coefficients of one sub-band. The
+                             mask takes no key: it is the same for every
+                             master key and every branch.
 
 Every kind has one of two payloads. The direct-domain kinds are an index map
 into the flattened (N, N, m) image (for identity, the identity map). Both

@@ -1,7 +1,9 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from rdiv import cli
 from rdiv.attacks import AdvSet
 from rdiv.cli import ConfigError, _pct, parse_config
 from rdiv.dataio import load_idx
-from rdiv.nn import init_params, mlp_arch
+from rdiv.nn import Hyper, init_params, mlp_arch
 from rdiv.rng import TAG_INIT, MasterKey, derive_subkey
 from rdiv.serialize import read_adv_set, read_system, save_params, save_system
 from rdiv.system import build_system, train_system
@@ -182,7 +184,8 @@ def test_parse_config_refuses_bad_attack_and_train_values(data_dir, tmp_path):
     # float step count raised TypeError inside `rdiv attack`, `true` ran one
     # iteration, a quoted "no" ran a targeted attack, a targeted pgd-linf
     # ran untargeted, a NaN learning rate died in training and beta1 = 1.5
-    # trained a useless model.
+    # trained a useless model. Adam's constants are no longer settings, so
+    # beta1 and the others are now refused as unknown keys.
     good = config_dict(data_dir, tmp_path)
     nan, inf = float("nan"), float("inf")
     for section, field, value in (
@@ -191,15 +194,17 @@ def test_parse_config_refuses_bad_attack_and_train_values(data_dir, tmp_path):
             ("attacks", "eps", nan),
             ("attacks", "alpha", inf), ("attacks", "c", True),
             ("attacks", "step_size", nan), ("attacks", "kappa", -inf),
-            ("train", "learning_rate", nan), ("train", "learning_rate", inf),
-            ("train", "beta1", 1.5), ("train", "beta2", 1.0),
-            ("train", "beta1", -0.1), ("train", "eps", 0.0),
-            ("train", "eps", nan), ("train", "weight_decay", -0.01),
-            ("train", "weight_decay", inf)):
+            ("train", "learning_rate", nan), ("train", "learning_rate", inf)):
         bad = yaml.safe_load(yaml.safe_dump(good))
         (bad["attacks"][1] if section == "attacks" else bad["train"])[field] = value
         where = r"attacks\[1\]" if section == "attacks" else "train"
         with pytest.raises(ConfigError, match=f"{where}: {field}"):
+            parse_config(yaml.safe_dump(bad))
+    for field, value in (("beta1", 1.5), ("beta2", 0.999), ("eps", 1e-8),
+                         ("weight_decay", 0.0), ("optimizer", "adam")):
+        bad = yaml.safe_load(yaml.safe_dump(good))
+        bad["train"][field] = value
+        with pytest.raises(ConfigError, match=rf"^unknown key\(s\) in train: {field}$"):
             parse_config(yaml.safe_dump(bad))
 
 
@@ -221,6 +226,17 @@ def test_parse_config_rejects_reject_threshold_outside_unit_interval(data_dir, t
             parse_config(yaml.safe_dump(config))
     config["system"]["reject_threshold"] = 1.0
     assert parse_config(yaml.safe_dump(config)).reject_threshold == 1.0
+
+
+def test_readme_config_is_valid():
+    # The README's one YAML block is the full config it documents.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    config = parse_config(blocks[0])
+    train = yaml.safe_load(blocks[0])["train"]
+    assert set(train) <= {field.name for field in fields(Hyper)}
+    assert config.hyper == Hyper(**train)
 
 
 def test_flags_are_checked_like_config_values(tmp_path, capsys):
@@ -342,6 +358,16 @@ def test_pct_rounds_half_up_exactly():
 def test_missing_config_file(capsys):
     assert run("train", "--config", "/nonexistent/config.yaml") == 1
     assert "config file not found" in capsys.readouterr().err
+
+
+def test_non_finite_training_ends_in_an_error_line(data_dir, tmp_path, capsys):
+    # Adam's first step at this rate overflows the next forward pass.
+    config = write_config(tmp_path / "c.yaml", data_dir, tmp_path / "out",
+                          train={"learning_rate": 1.0e30, "batch_size": 32, "epochs": 1})
+    assert run("train", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite activations after layer ")
+    assert "Traceback" not in err
 
 
 def test_train_needs_master_key(data_dir, tmp_path, capsys):
@@ -557,6 +583,15 @@ def test_train_refuses_non_square_images(data_dir, tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out").exists()
 
 
+def test_surrogate_checks_the_eval_slice_before_training(data_dir, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "c.yaml", data_dir, out_dir, eval={"limit": 500})
+    assert run("surrogate", "--config", config) == 1
+    assert capsys.readouterr().err == (
+        f"error: requested 500 samples, set has {TEST_COUNT}\n")
+    assert not (out_dir / "surrogate.rdiv").exists()
+
+
 def test_attack_requires_surrogate(data_dir, tmp_path, capsys):
     config = write_config(tmp_path / "c.yaml", data_dir, tmp_path / "empty")
     (tmp_path / "empty").mkdir()
@@ -640,6 +675,21 @@ def test_eval_refuses_system_files_of_another_arch(pipeline, data_dir, tmp_path,
             f"error: {out_dir / 'system-i2.rdiv'} was trained on differently shaped "
             "images than dataset 'synth' or with other hidden widths: it holds a "
             "784-16-10 network, the config gives 784-8-10; rerun the train command\n")
+
+
+def test_eval_refuses_system_files_of_another_per_color(pipeline, data_dir, tmp_path,
+                                                       capsys):
+    # The files were trained with shared permutations; their rows say
+    # nothing about per-colour ones.
+    _, out_dir = pipeline
+    system = config_dict(data_dir, out_dir)["system"] | {"per_color": True}
+    path = write_config(tmp_path / "per-color.yaml", data_dir, out_dir, system=system)
+    for command in ("eval", "report"):
+        capsys.readouterr()
+        assert run(command, "--config", path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out_dir / 'system-i2.rdiv'} was trained with per_color False "
+            "(configured True); rerun the train command\n")
 
 
 def test_attack_refuses_a_surrogate_of_another_arch(pipeline, data_dir, tmp_path, capsys):
