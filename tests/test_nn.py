@@ -438,7 +438,10 @@ def reference_train(params, x, y, hyper, key):
 
 REFERENCE_HYPERS = pytest.mark.parametrize("hyper", [
     Hyper(learning_rate=0.01, batch_size=16, epochs=3),
-], ids=["adam"])
+    Hyper(learning_rate=0.05, batch_size=16, epochs=2),
+    Hyper(learning_rate=0.01, batch_size=7, epochs=2),  # 70 rows, no short batch
+    Hyper(learning_rate=0.01, batch_size=128, epochs=4),  # one short batch per epoch
+], ids=["adam", "adam-lr-0.05", "adam-batch-divides-set", "adam-batch-over-set"])
 
 
 class TestTrainMatchesReference:
@@ -483,6 +486,9 @@ class TestHyper:
     @pytest.mark.parametrize("field, value", [
         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
         ("learning_rate", -1e-3), ("learning_rate", True), ("learning_rate", "0.1"),
+        ("learning_rate", 0.0), ("learning_rate", float("-inf")),
+        ("batch_size", True), ("batch_size", 1.5), ("batch_size", "16"),
+        ("epochs", -1), ("epochs", True), ("epochs", 2.0), ("epochs", "3"),
     ])
     def test_refuses_non_finite_and_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -496,7 +502,9 @@ class TestHyper:
             Hyper(learning_rate=0.0)
         with pytest.raises(ValueError):
             Hyper(batch_size=0)
-        # Adam is the one update, and its constants are not settings.
-        for removed in ("optimizer", "beta1", "beta2", "eps", "weight_decay"):
-            with pytest.raises(TypeError, match=removed):
-                Hyper(**{removed: 0.9})
+
+    # Adam is the one update, and its constants are not settings.
+    @pytest.mark.parametrize("removed", ["optimizer", "beta1", "beta2", "eps", "weight_decay"])
+    def test_refuses_removed_settings(self, removed):
+        with pytest.raises(TypeError, match=removed):
+            Hyper(**{removed: 0.9})
