@@ -50,7 +50,6 @@ from .serialize import (
     save_system,
 )
 from .system import (
-    GROUP_BANDS,
     MODE_TABLE,
     MODES,
     REJECT,
@@ -63,6 +62,7 @@ from .system import (
     train_system,
 )
 from .transforms import (
+    SUBBAND_IDS,
     Preprocessor,
     fold_into_weights,
     make_preprocessor,
@@ -79,7 +79,6 @@ __all__ = [
     "AttackConfig",
     "BlobFormatError",
     "DatasetFormatError",
-    "GROUP_BANDS",
     "Hyper",
     "LabeledSet",
     "MODE_TABLE",
@@ -88,6 +87,7 @@ __all__ = [
     "ModelParams",
     "Preprocessor",
     "REJECT",
+    "SUBBAND_IDS",
     "SubKey",
     "SystemSpec",
     "build_system",

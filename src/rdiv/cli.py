@@ -166,8 +166,7 @@ def _parse_attacks(raw: dict) -> tuple[tuple[str, AttackConfig], ...]:
     entries = raw.get("attacks") or []
     if not isinstance(entries, list):
         raise ConfigError("attacks must be a list")
-    allowed = {"name", "kind", "eps", "alpha", "steps", "c", "iterations",
-               "step_size", "kappa", "targeted", "target"}
+    allowed = {"name"} | {field.name for field in fields(AttackConfig)}
     out = []
     seen = set()
     for pos, entry in enumerate(entries):
@@ -176,9 +175,9 @@ def _parse_attacks(raw: dict) -> tuple[tuple[str, AttackConfig], ...]:
         _require_keys(entry, allowed, f"attacks[{pos}]")
         if "kind" not in entry:
             raise ConfigError(f"attacks[{pos}] needs a kind")
-        fields = {k: v for k, v in entry.items() if k != "name"}
+        settings = {k: v for k, v in entry.items() if k != "name"}
         try:
-            config = AttackConfig(**fields)
+            config = AttackConfig(**settings)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"attacks[{pos}]: {exc}") from None
         name = entry.get("name", entry["kind"])
@@ -405,13 +404,20 @@ def _load_adv_for(config: RunConfig, name: str, attack: AttackConfig,
     return adv
 
 
-def cmd_train(config: RunConfig) -> int:
+def _training_inputs(config: RunConfig) -> tuple[LabeledSet, LabeledSet, ArchSpec]:
+    """The train split, eval slice and arch that train and surrogate start
+    from, with the output directory made; the slice is taken before anything
+    trains, so a limit the test split cannot fill is refused first."""
     _need(config, "dataset", "master", "out")
     trainset = _load_split(config, "train")
     testset = _load_split(config, "test")
     arch = _arch_for(config, trainset)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    slice_ = take_first(testset, config.limit)
+    return trainset, take_first(testset, config.limit), arch
+
+
+def cmd_train(config: RunConfig) -> int:
+    trainset, slice_, arch = _training_inputs(config)
     # Channel (j, i) depends only on the master key and its lineage, so the
     # largest grid holds every smaller one: train each lineage once.
     full = build_system(config.mode, config.master, MODE_TABLE[config.mode].groups,
@@ -431,12 +437,7 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def cmd_surrogate(config: RunConfig) -> int:
-    _need(config, "dataset", "master", "out")
-    trainset = _load_split(config, "train")
-    testset = _load_split(config, "test")
-    arch = _arch_for(config, trainset)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    slice_ = take_first(testset, config.limit)
+    trainset, slice_, arch = _training_inputs(config)
     params = train_surrogate(trainset, arch, config.hyper, config.master)
     path = _surrogate_path(config)
     save_params(path, params, derive_subkey(config.master, 0, 0, TAG_INIT))
@@ -474,7 +475,9 @@ def _read_grid_file(config: RunConfig, branches: int, slice_: LabeledSet) -> Sys
     if config.reject_threshold is not None:
         system = replace(system, reject_threshold=config.reject_threshold)
     if system.mode != config.mode or system.branches != branches:
-        raise ConfigError(f"{path} does not match the configured mode/grid")
+        raise ConfigError(f"{path} was trained with mode {system.mode!r} and "
+                          f"I={system.branches} (configured mode {config.mode!r} "
+                          f"and I={branches}); rerun the train command")
     if system.per_color != config.per_color:
         raise ConfigError(f"{path} was trained with per_color {system.per_color!r} "
                           f"(configured {config.per_color!r}); rerun the train command")

@@ -332,28 +332,25 @@ _BLOCK = 1 << 16
 
 @dataclass
 class _AdamSlots:
-    """Adam state: moments per tensor plus one scratch pair.
+    """Adam state: both moments per tensor plus one scratch pair.
 
+    `m` and `v` hold one array per tensor, the weights then the biases.
     Both scratch buffers are flat and hold one block of the Adam sweep,
     or the largest tensor if that is smaller; every update writes its
     temporaries into views of them instead of allocating.
     """
 
-    m_w: list
-    v_w: list
-    m_b: list
-    v_b: list
+    m: list
+    v: list
     scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
 
     @classmethod
-    def zeros(cls, weights: list, biases: list) -> "_AdamSlots":
-        largest = min(max(t.size for t in weights + biases), _BLOCK)
-        dtype = weights[0].dtype
-        return cls([np.zeros_like(w) for w in weights],
-                   [np.zeros_like(w) for w in weights],
-                   [np.zeros_like(b) for b in biases],
-                   [np.zeros_like(b) for b in biases],
+    def zeros(cls, tensors: list) -> "_AdamSlots":
+        largest = min(max(t.size for t in tensors), _BLOCK)
+        dtype = tensors[0].dtype
+        return cls([np.zeros_like(t) for t in tensors],
+                   [np.zeros_like(t) for t in tensors],
                    (np.empty(largest, dtype), np.empty(largest, dtype)))
 
 
@@ -363,7 +360,8 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
 
     The per-epoch visit order comes from a Fisher-Yates shuffle over the
     key's stream (the stream continues across epochs), so two runs with the
-    same inputs produce bit-identical parameters.
+    same inputs produce bit-identical parameters. A forward pass that
+    overflows raises FloatingPointError naming the epoch.
     """
     images, labels = dataset
     images = np.asarray(images)
@@ -379,11 +377,10 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
                                dtype=params.dtype)
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
-    slots = _AdamSlots.zeros(weights, biases)
+    slots = _AdamSlots.zeros(weights + biases)
     state = RngState(key.value)
     lr = params.dtype.type(hyper.learning_rate)
 
-    first_epoch_loss = None
     for epoch in range(hyper.epochs):
         order = _keyed_order(state, count)
         state = skip(state, max(count - 1, 0))
@@ -391,17 +388,14 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
         for start in range(0, count, hyper.batch_size):
             idx = order[start:start + hyper.batch_size]
             current = ModelParams(params.arch, tuple(weights), tuple(biases))
-            loss, dw, db, _ = batch_loss_and_grads(current, x2d[idx], labels[idx],
-                                                   wrt="params")
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"training diverged at epoch {epoch}: loss={loss}")
+            try:
+                loss, dw, db, _ = batch_loss_and_grads(current, x2d[idx], labels[idx],
+                                                       wrt="params")
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"{exc} in epoch {epoch}") from None
             epoch_loss += loss * len(idx)
             _apply_update(weights, biases, dw, db, slots, lr)
-        epoch_loss /= count
-        if first_epoch_loss is None:
-            first_epoch_loss = epoch_loss
-        logger.debug("epoch %d: mean loss %.6f", epoch, epoch_loss)
-    logger.debug("training loss %.6f -> %.6f", first_epoch_loss, epoch_loss)
+        logger.debug("epoch %d: mean loss %.6f", epoch, epoch_loss / count)
     return ModelParams(params.arch, tuple(weights), tuple(biases))
 
 
@@ -431,8 +425,7 @@ def _apply_update(weights, biases, dw, db, slots: _AdamSlots, lr):
     eps = dtype.type(epsilon)
     correction1 = dtype.type(1.0 - beta1 ** slots.t)
     correction2 = dtype.type(1.0 - beta2 ** slots.t)
-    for grad, value, m, v in [*zip(dw, weights, slots.m_w, slots.v_w),
-                              *zip(db, biases, slots.m_b, slots.v_b)]:
+    for grad, value, m, v in zip(dw + db, weights + biases, slots.m, slots.v):
         grad = grad.astype(dtype, copy=False).reshape(-1)
         # Parameters and moments are C-contiguous, so these flat views write through.
         value, m, v = value.reshape(-1), m.reshape(-1), v.reshape(-1)

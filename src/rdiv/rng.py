@@ -72,9 +72,6 @@ class SubKey:
     """Key derived from a master key for one (group, branch, purpose) lineage."""
 
     value: int
-    j: int
-    i: int
-    tag: int
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ def derive_subkey(master: MasterKey, j: int, i: int, tag: int) -> SubKey:
             ^ ((i * _BRANCH_C) & _MASK64)
             ^ tag) & _MASK64
     value, _ = next_u64(RngState(seed))
-    return SubKey(value, j, i, tag)
+    return SubKey(value)
 
 
 # Draws per block of the `uniform_floats` sweep: each block's uint64

@@ -13,6 +13,13 @@ integers and floats, float32 parameter and pixel tensors in row-major
 order, and keys as 16 lowercase hex digits. An arch is a layer count, then
 per layer a kind byte, plus fan_in and fan_out for dense layers.
 
+Every kind byte is the kind's index in the tuple that lists the kinds: a
+layer's in `nn.LAYER_KINDS` plus 1 (dense 1, relu 2, softmax-output 3), a
+mode's in `system.MODES` (identity 0, direct-permutation 1,
+dct-sign-flip-3band 2, dct-hard-threshold-3band 3) and an attack's in
+`attacks.ATTACK_KINDS` (fgsm 0, pgd-linf 1, cw-l2 2). A new kind goes at
+the end of its tuple, so the files written before it still read.
+
 Model blob ("RDIV"):
     arch | per dense layer: weights then biases | key fingerprint hex.
     The fingerprint (`_key_fingerprint`) is one-way; a subkey is not.
@@ -48,7 +55,7 @@ from typing import BinaryIO, TypeVar
 import numpy as np
 
 from .attacks import ATTACK_KINDS, AdvSet, AttackConfig
-from .nn import ArchSpec, ModelParams
+from .nn import LAYER_KINDS, ArchSpec, ModelParams
 from .rng import MasterKey, SubKey, hex16_value
 from .system import MODE_TABLE, MODES, SystemSpec, build_system
 
@@ -62,16 +69,7 @@ _HEADER_SIZE = 5  # magic and version byte
 # into the returned arrays, and of unread body hashed per read by `verify`.
 _CHUNK_BYTES = 1 << 18
 
-_LAYER_CODES = {"dense": 1, "relu": 2, "softmax-output": 3}
-_LAYER_NAMES = {v: k for k, v in _LAYER_CODES.items()}
-
 _MAX_LAYER_DIM = 1 << 20
-
-_MODE_CODES = {name: code for code, name in enumerate(MODES)}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
-
-_ATTACK_CODES = {name: code for code, name in enumerate(ATTACK_KINDS)}
-_ATTACK_NAMES = {v: k for k, v in _ATTACK_CODES.items()}
 
 # Hashed before a model blob's key (see `_key_fingerprint`).
 _FINGERPRINT_TAG = b"rdiv model key fingerprint"
@@ -242,7 +240,7 @@ def _tensors(params: ModelParams) -> list[memoryview]:
 def _dump_arch(arch: ArchSpec) -> bytes:
     out = bytearray(struct.pack("<I", len(arch.layers)))
     for kind, dims in arch.layers:
-        out += struct.pack("<B", _LAYER_CODES[kind])
+        out += struct.pack("<B", LAYER_KINDS.index(kind) + 1)
         if kind == "dense":
             out += struct.pack("<II", *dims)
     return bytes(out)
@@ -255,9 +253,9 @@ def _read_arch(frame: _Frame) -> ArchSpec:
     layers = []
     for _ in range(layer_count):
         code = frame.u8()
-        if code not in _LAYER_NAMES:
+        if not 1 <= code <= len(LAYER_KINDS):
             raise BlobFormatError(f"{frame.label}: unknown layer code {code}")
-        kind = _LAYER_NAMES[code]
+        kind = LAYER_KINDS[code - 1]
         if kind == "dense":
             fan_in, fan_out = frame.u32(), frame.u32()
             if not (1 <= fan_in <= _MAX_LAYER_DIM and 1 <= fan_out <= _MAX_LAYER_DIM):
@@ -304,7 +302,7 @@ def _parse_params(frame: _Frame) -> tuple[ModelParams, int]:
 
 
 def _system_frame(system: SystemSpec) -> tuple:
-    header = _SYSTEM_HEADER.pack(_MODE_CODES[system.mode], system.per_color,
+    header = _SYSTEM_HEADER.pack(MODES.index(system.mode), system.per_color,
                                  system.branches, system.size, system.colors)
     return _seal(MODEL_MAGIC, header, system.master.to_hex().encode("ascii"),
                  _dump_arch(system.arch),
@@ -314,9 +312,9 @@ def _system_frame(system: SystemSpec) -> tuple:
 
 def _parse_system(frame: _Frame) -> tuple[tuple, bool, list[ModelParams]]:
     mode_code, per_color, branches, size, colors = frame.fields(_SYSTEM_HEADER)
-    if mode_code not in _MODE_NAMES:
+    if mode_code >= len(MODES):
         raise BlobFormatError(f"{frame.label}: unknown mode byte {mode_code}")
-    mode = _MODE_NAMES[mode_code]
+    mode = MODES[mode_code]
     if per_color not in (0, 1):
         raise BlobFormatError(f"{frame.label}: per-color byte {per_color}, expected 0 or 1")
     master = MasterKey(frame.key_hex())
@@ -362,7 +360,7 @@ def _adv_frame(adv: AdvSet) -> tuple:
     records["label"] = adv.labels
     records["original"] = adv.originals
     records["adversarial"] = adv.adversarials
-    header = _ADV_HEADER.pack(_ATTACK_CODES[config.kind], config.eps, config.alpha,
+    header = _ADV_HEADER.pack(ATTACK_KINDS.index(config.kind), config.eps, config.alpha,
                               config.steps, config.c, config.iterations,
                               config.step_size, config.kappa,
                               int(config.targeted), config.target,
@@ -373,10 +371,10 @@ def _adv_frame(adv: AdvSet) -> tuple:
 def _parse_adv_set(frame: _Frame) -> AdvSet:
     (kind_code, eps, alpha, steps, c, iterations, step_size, kappa, targeted,
      target, count, size, colors) = frame.fields(_ADV_HEADER)
-    if kind_code not in _ATTACK_NAMES:
+    if kind_code >= len(ATTACK_KINDS):
         raise BlobFormatError(f"{frame.label}: unknown attack code {kind_code}")
     try:
-        config = AttackConfig(kind=_ATTACK_NAMES[kind_code], eps=eps,
+        config = AttackConfig(kind=ATTACK_KINDS[kind_code], eps=eps,
                               alpha=alpha, steps=steps, c=c,
                               iterations=iterations, step_size=step_size,
                               kappa=kappa, targeted=bool(targeted), target=target)

@@ -31,6 +31,7 @@ from .dataio import LabeledSet
 from .nn import ArchSpec, Hyper, ModelParams, forward, init_params, train
 from .rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
 from .transforms import (
+    SUBBAND_IDS,
     Preprocessor,
     check_batch,
     fold_into_weights,
@@ -48,7 +49,7 @@ class ModeSpec(NamedTuple):
 
 
 # Every mode, described once. Group j of a DCT mode acts on sub-band
-# GROUP_BANDS[j]; a system file's mode byte is the mode's index in MODES.
+# SUBBAND_IDS[j]; a system file's mode byte is the mode's index in MODES.
 MODE_TABLE = {
     "identity": ModeSpec("identity", 1),
     "direct-permutation": ModeSpec("direct-permutation", 1),
@@ -56,8 +57,6 @@ MODE_TABLE = {
     "dct-hard-threshold-3band": ModeSpec("dct-hard-threshold", 3),
 }
 MODES = tuple(MODE_TABLE)
-
-GROUP_BANDS = ("V", "H", "D")
 
 REJECT = -1
 
@@ -153,7 +152,7 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
                          f"{arch.widths}")
     channels = []
     for j in range(groups):
-        band = subband_rect(GROUP_BANDS[j], size) if kind.startswith("dct") else None
+        band = subband_rect(SUBBAND_IDS[j], size) if kind.startswith("dct") else None
         for i in range(branches):
             pre = make_preprocessor(kind, master, j, i, size, colors,
                                     subband=band, per_color=per_color)
@@ -184,8 +183,12 @@ def train_system(system: SystemSpec, trainset: LabeledSet, hyper: Hyper,
 
     Channels share nothing mutable, so they may train in parallel; the
     result is identical either way because each channel's randomness comes
-    only from its own derived keys.
+    only from its own derived keys. A channel whose training overflows
+    raises FloatingPointError naming the epoch and the channel.
     """
+    # bool is an int subclass, so `True` must be ruled out by name.
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive int, got {workers!r}")
     if not system.channels:
         raise ValueError("system has no channels")
     if len(trainset) == 0:
@@ -196,7 +199,11 @@ def train_system(system: SystemSpec, trainset: LabeledSet, hyper: Hyper,
     def train_one(channel: ChannelSpec) -> ChannelSpec:
         inputs = preprocess_batch(channel.preprocessor, trainset.images)
         key = derive_subkey(system.master, channel.j, channel.i, TAG_SHUFFLE)
-        params = train(channel.params, (inputs, trainset.labels), hyper, key)
+        try:
+            params = train(channel.params, (inputs, trainset.labels), hyper, key)
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"{exc} of channel ({channel.j}, {channel.i})") from None
         return replace(channel, params=params)
 
     if workers > 1:

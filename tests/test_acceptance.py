@@ -30,7 +30,6 @@ from rdiv.dataio import DatasetFormatError, load_cifar10, load_idx, take_first
 from rdiv.nn import Hyper, finite_difference_max_error, forward, init_params, mlp_arch
 from rdiv.rng import TAG_INIT, MasterKey, derive_subkey, uniform_floats
 from rdiv.system import (
-    GROUP_BANDS,
     build_system,
     classify_batch,
     error_count,
@@ -38,7 +37,14 @@ from rdiv.system import (
     rebuild_preprocessors,
     train_system,
 )
-from rdiv.transforms import dct2, dct_basis, idct2, make_preprocessor, subband_rect
+from rdiv.transforms import (
+    SUBBAND_IDS,
+    dct2,
+    dct_basis,
+    idct2,
+    make_preprocessor,
+    subband_rect,
+)
 
 from _helpers import preprocess
 from _synth import ensure_dataset, make_dataset, write_idx
@@ -174,7 +180,7 @@ def test_criterion_02_operator_algebra():
     perm_exact = True
     for case in range(100):
         image = _random_images(1, 100 + case)[0][:, :, np.newaxis]
-        band = subband_rect(GROUP_BANDS[case % 3], SIZE)
+        band = subband_rect(SUBBAND_IDS[case % 3], SIZE)
 
         flip = make_preprocessor("dct-sign-flip", MASTER, 0, case, SIZE, 1,
                                  subband=band)

@@ -364,10 +364,13 @@ def test_non_finite_training_ends_in_an_error_line(data_dir, tmp_path, capsys):
     # Adam's first step at this rate overflows the next forward pass.
     config = write_config(tmp_path / "c.yaml", data_dir, tmp_path / "out",
                           train={"learning_rate": 1.0e30, "batch_size": 32, "epochs": 1})
-    assert run("train", "--config", config) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: non-finite activations after layer ")
-    assert "Traceback" not in err
+    # The surrogate is channel (0, 0) of an identity grid, and says so too.
+    for command in ("train", "surrogate"):
+        assert run(command, "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite activations after layer ")
+        assert err.endswith(" in epoch 0 of channel (0, 0)\n")
+        assert "Traceback" not in err
 
 
 def test_train_needs_master_key(data_dir, tmp_path, capsys):
@@ -690,6 +693,31 @@ def test_eval_refuses_system_files_of_another_per_color(pipeline, data_dir, tmp_
         assert capsys.readouterr().err == (
             f"error: {out_dir / 'system-i2.rdiv'} was trained with per_color False "
             "(configured True); rerun the train command\n")
+
+
+def test_eval_names_the_stored_and_configured_mode_and_grid(pipeline, data_dir, tmp_path,
+                                                           capsys):
+    _, out_dir = pipeline
+    path = write_config(tmp_path / "c.yaml", data_dir, out_dir, attacks=[])
+    for command in ("eval", "report"):
+        capsys.readouterr()
+        assert run(command, "--config", path, "--mode", "identity") == 1
+        assert capsys.readouterr().err == (
+            f"error: {out_dir / 'system-i2.rdiv'} was trained with mode "
+            "'direct-permutation' and I=2 (configured mode 'identity' and I=2); "
+            "rerun the train command\n")
+    # A file named for I=2 that holds the I=1 grid.
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    shutil.copy(out_dir / "system-i1.rdiv", fresh / "system-i2.rdiv")
+    path = write_config(tmp_path / "fresh.yaml", data_dir, fresh, attacks=[],
+                        system={"mode": "direct-permutation", "branches": 2,
+                                "master_key": KEY})
+    assert run("eval", "--config", path) == 1
+    assert capsys.readouterr().err == (
+        f"error: {fresh / 'system-i2.rdiv'} was trained with mode "
+        "'direct-permutation' and I=1 (configured mode 'direct-permutation' and "
+        "I=2); rerun the train command\n")
 
 
 def test_attack_refuses_a_surrogate_of_another_arch(pipeline, data_dir, tmp_path, capsys):

@@ -21,7 +21,7 @@ from rdiv.nn import (
 )
 from rdiv.rng import RngState, SubKey, skip
 
-KEY = SubKey(0x1234, 0, 0, 1)
+KEY = SubKey(0x1234)
 
 
 def tiny_arch():
@@ -29,7 +29,7 @@ def tiny_arch():
 
 
 def random_params(arch, seed):
-    return init_params(arch, SubKey(seed, 0, 0, 1))
+    return init_params(arch, SubKey(seed))
 
 
 def ce_loss_via_forward(params, x, label):
@@ -119,8 +119,8 @@ class TestInit:
 
     def test_different_keys_differ(self):
         arch = tiny_arch()
-        assert not init_params(arch, SubKey(1, 0, 0, 1)).equal(
-            init_params(arch, SubKey(2, 0, 0, 1)))
+        assert not init_params(arch, SubKey(1)).equal(
+            init_params(arch, SubKey(2)))
 
 
 class TestForward:
@@ -352,7 +352,7 @@ class TestTrain:
         params = init_params(arch, KEY)
         x, y = self.separable_set()
         hyper = Hyper(learning_rate=0.01, batch_size=16, epochs=50)
-        trained = train(params, (x, y), hyper, SubKey(77, 0, 0, 2))
+        trained = train(params, (x, y), hyper, SubKey(77))
         preds = forward(trained, x).argmax(axis=1)
         assert np.mean(preds != y) == 0.0
 
@@ -361,8 +361,8 @@ class TestTrain:
         params = init_params(arch, KEY)
         x, y = self.separable_set()
         hyper = Hyper(epochs=3, batch_size=16)
-        a = train(params, (x, y), hyper, SubKey(5, 0, 0, 2))
-        b = train(params, (x, y), hyper, SubKey(5, 0, 0, 2))
+        a = train(params, (x, y), hyper, SubKey(5))
+        b = train(params, (x, y), hyper, SubKey(5))
         assert a.equal(b)
 
     def test_adam_learns_at_both_rates(self):
@@ -370,7 +370,7 @@ class TestTrain:
         x, y = self.separable_set()
         for lr in (0.05, 0.01):
             hyper = Hyper(learning_rate=lr, batch_size=16, epochs=30)
-            trained = train(init_params(arch, KEY), (x, y), hyper, SubKey(6, 0, 0, 2))
+            trained = train(init_params(arch, KEY), (x, y), hyper, SubKey(6))
             preds = forward(trained, x).argmax(axis=1)
             assert np.mean(preds != y) <= 0.05
 
@@ -379,8 +379,28 @@ class TestTrain:
         params = init_params(arch, KEY)
         x, y = self.separable_set()
         hyper = Hyper(learning_rate=1e30, batch_size=16, epochs=5)
-        with pytest.raises(FloatingPointError):
-            train(params, (x * 1e6, y), hyper, SubKey(7, 0, 0, 2))
+        with pytest.raises(FloatingPointError, match=r"^non-finite activations after "
+                                                     r"layer 2 \(dense\) in epoch 0$"):
+            train(params, (x * 1e6, y), hyper, SubKey(7))
+
+    def test_divergence_names_a_later_epoch(self, monkeypatch):
+        # 80 samples in batches of 16 make 5 steps an epoch, so the 13th
+        # step is the third of epoch 2.
+        x, y = self.separable_set()
+        steps = []
+        real = batch_loss_and_grads
+
+        def overflow_at_step_13(*args, **kwargs):
+            steps.append(None)
+            if len(steps) == 13:
+                raise FloatingPointError("non-finite activations after layer 0 (dense)")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("rdiv.nn.batch_loss_and_grads", overflow_at_step_13)
+        hyper = Hyper(learning_rate=0.01, batch_size=16, epochs=5)
+        with pytest.raises(FloatingPointError, match=r"^non-finite activations after "
+                                                     r"layer 0 \(dense\) in epoch 2$"):
+            train(init_params(mlp_arch(2, (8,), 2), KEY), (x, y), hyper, SubKey(7))
 
     def test_empty_dataset_rejected(self):
         params = random_params(tiny_arch(), 1)
@@ -451,7 +471,7 @@ class TestTrainMatchesReference:
 
     def check(self, arch, x, y, hyper, dtype):
         params = init_params(arch, KEY).astype(dtype)
-        shuffle = SubKey(21, 0, 0, 2)
+        shuffle = SubKey(21)
         got = train(params, (x, y), hyper, shuffle)
         want = reference_train(params, np.array(x, dtype=dtype), y, hyper, shuffle)
         assert got.dtype == dtype

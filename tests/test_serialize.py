@@ -2,6 +2,7 @@ import hashlib
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -253,7 +254,6 @@ def test_adv_set_bytes_golden(tmp_path):
     blob = saved_bytes(path, save_adv_set, handmade_adv_set())
     assert sha256(blob) == GOLDEN_ADV_SET_SHA256
     assert saved_bytes(tmp_path / "again.radv", save_adv_set, read_adv_set(path)) == blob
-    from dataclasses import replace
     negative = replace(handmade_adv_set(), labels=np.array([1, 0, 2, 2, -1]))
     with pytest.raises(ValueError, match="u32"):
         save_adv_set(tmp_path / "negative.radv", negative)
@@ -309,6 +309,42 @@ def test_system_header_rejected_by_build_system_is_a_format_error(tmp_path):
     cut = bytes(no_branches[:-32 - tensor_bytes]) + blob[-32:]
     with pytest.raises(BlobFormatError, match=f"^{re.escape(str(path))}: .*branch"):
         read_written(path, read_system, _reseal(cut))
+
+
+def test_kind_bytes_are_pinned(tmp_path):
+    """Every kind byte files hold: the kind's index in its tuple, plus 1 for
+    layers. A reordered tuple would change them and fail here."""
+    key = derive_subkey(MASTER, 0, 0, TAG_INIT)
+    path = tmp_path / "model.rdiv"
+    blob = saved_bytes(path, save_params, init_params(toy_arch(), key), key)
+    # Layer count, then dense 1 (64x12), relu 2, dense 1 (12x3), softmax-output 3.
+    arch = struct.pack("<IBIIBBIIB", 4, 1, 64, 12, 2, 1, 12, 3, 3)
+    assert blob[5:5 + len(arch)] == arch
+    for code in (0, 4):
+        bad = bytearray(blob)
+        bad[9] = code
+        with pytest.raises(BlobFormatError, match=f"unknown layer code {code}$"):
+            read_written(path, read_params, _reseal(bytes(bad)))
+
+    path = tmp_path / "system.rdiv"
+    for mode, code in (("identity", 0), ("direct-permutation", 1),
+                       ("dct-sign-flip-3band", 2), ("dct-hard-threshold-3band", 3)):
+        assert saved_bytes(path, save_system, untrained_system(mode))[5] == code
+    bad = bytearray(saved_bytes(path, save_system, untrained_system()))
+    bad[5] = 4
+    with pytest.raises(BlobFormatError, match="unknown mode byte 4$"):
+        read_written(path, read_system, _reseal(bytes(bad)))
+
+    path = tmp_path / "adv.radv"
+    adv = handmade_adv_set()
+    for kind, code in (("fgsm", 0), ("pgd-linf", 1), ("cw-l2", 2)):
+        blob = saved_bytes(path, save_adv_set, replace(adv, config=AttackConfig(kind)))
+        assert blob[5] == code
+        assert read_adv_set(path).config.kind == kind
+    bad = bytearray(blob)
+    bad[5] = 3
+    with pytest.raises(BlobFormatError, match="unknown attack code 3$"):
+        read_written(path, read_adv_set, _reseal(bytes(bad)))
 
 
 def _flip_one_byte(blob: bytes, data) -> bytes:

@@ -8,7 +8,6 @@ from rdiv.dataio import LabeledSet
 from rdiv.nn import ArchSpec, Hyper, ModelParams, forward, init_params, mlp_arch, train
 from rdiv.rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
 from rdiv.system import (
-    GROUP_BANDS,
     MODE_TABLE,
     MODES,
     REJECT,
@@ -22,7 +21,7 @@ from rdiv.system import (
     rebuild_preprocessors,
     train_system,
 )
-from rdiv.transforms import fold_into_weights, preprocess_batch, subband_rect
+from rdiv.transforms import SUBBAND_IDS, fold_into_weights, preprocess_batch, subband_rect
 
 from _helpers import loop_fold, pixel_orders
 
@@ -186,9 +185,9 @@ def test_branches_get_distinct_permutations():
 
 def test_sign_flip_groups_cover_three_bands():
     system = build_system("dct-sign-flip-3band", MASTER, 3, 1, toy_arch(), SIZE, COLORS)
-    assert GROUP_BANDS == ("V", "H", "D")
+    assert SUBBAND_IDS == ("V", "H", "D")
     for channel in system.channels:
-        r0, r1, c0, c1 = subband_rect(GROUP_BANDS[channel.j], SIZE)
+        r0, r1, c0, c1 = subband_rect(SUBBAND_IDS[channel.j], SIZE)
         mask = channel.preprocessor.mask.copy()
         assert np.any(mask[r0:r1, c0:c1] == -1.0)
         mask[r0:r1, c0:c1] = 1.0
@@ -209,6 +208,18 @@ def test_parallel_training_matches_serial(trained_perm_system):
         toy_set(), toy_hyper(), workers=4)
     for a, b in zip(trained_perm_system.channels, parallel.channels):
         assert a.params.equal(b.params)
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 1.5])
+def test_train_system_refuses_workers_that_are_not_positive_ints(workers, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a channel trained")
+
+    monkeypatch.setattr("rdiv.system.train", no_training)
+    system = build_system("direct-permutation", MASTER, 1, 2, toy_arch(), SIZE, COLORS)
+    with pytest.raises(ValueError,
+                       match=rf"^workers must be a positive int, got {workers!r}$"):
+        train_system(system, toy_set(), toy_hyper(), workers=workers)
 
 
 def test_identity_system_equals_plain_classifier():
