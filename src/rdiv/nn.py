@@ -354,14 +354,34 @@ class _AdamSlots:
                    (np.empty(largest, dtype), np.empty(largest, dtype)))
 
 
+def _check_columns(columns, input_dim: int) -> np.ndarray:
+    """`columns` as an index map over `input_dim` input entries, or refused."""
+    columns = np.asarray(columns)
+    if columns.shape != (input_dim,) or columns.dtype.kind not in "iu":
+        raise ValueError(f"columns must be a 1-D integer array of length {input_dim}, "
+                         f"got {columns.dtype} columns of shape {columns.shape}")
+    if np.any((columns < 0) | (columns >= input_dim)):
+        raise ValueError(f"columns must be in [0, {input_dim})")
+    return columns
+
+
 def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
-          hyper: Hyper, key: SubKey) -> ModelParams:
+          hyper: Hyper, key: SubKey, columns: np.ndarray | None = None) -> ModelParams:
     """Mini-batch training with keyed shuffling; returns updated params.
 
     The per-epoch visit order comes from a Fisher-Yates shuffle over the
     key's stream (the stream continues across epochs), so two runs with the
-    same inputs produce bit-identical parameters. A forward pass that
-    overflows raises FloatingPointError naming the epoch.
+    same inputs produce bit-identical parameters.
+
+    `columns`, when given, is an index map over the flattened inputs: the
+    network trains on `x[:, columns]`, which each mini-batch gathers from
+    its own rows, so no mapped copy of the set is ever made. Every batch
+    is bitwise the rows of `np.take(x, columns, axis=1)` it replaces.
+
+    A forward pass that overflows, or an Adam step that overflows or makes
+    a NaN, raises FloatingPointError naming the epoch. The last step's
+    weights get one forward pass over the last batch, so a run that ends
+    on a breaking step fails here, not when the network is first used.
     """
     images, labels = dataset
     images = np.asarray(images)
@@ -369,6 +389,8 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
     if count == 0:
         raise ValueError("dataset is empty")
     labels = check_labels(labels, count, params.arch.classes)
+    if columns is not None:
+        columns = _check_columns(columns, params.arch.input_dim)
     if hyper.epochs == 0:
         return params
 
@@ -381,22 +403,31 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
     state = RngState(key.value)
     lr = params.dtype.type(hyper.learning_rate)
 
-    for epoch in range(hyper.epochs):
-        order = _keyed_order(state, count)
-        state = skip(state, max(count - 1, 0))
-        epoch_loss = 0.0
-        for start in range(0, count, hyper.batch_size):
-            idx = order[start:start + hyper.batch_size]
-            current = ModelParams(params.arch, tuple(weights), tuple(biases))
-            try:
-                loss, dw, db, _ = batch_loss_and_grads(current, x2d[idx], labels[idx],
+    try:
+        for epoch in range(hyper.epochs):
+            order = _keyed_order(state, count)
+            state = skip(state, max(count - 1, 0))
+            epoch_loss = 0.0
+            for start in range(0, count, hyper.batch_size):
+                idx = order[start:start + hyper.batch_size]
+                batch = x2d[idx]
+                if columns is not None:
+                    batch = np.take(batch, columns, axis=1)
+                current = ModelParams(params.arch, tuple(weights), tuple(biases))
+                loss, dw, db, _ = batch_loss_and_grads(current, batch, labels[idx],
                                                        wrt="params")
-            except FloatingPointError as exc:
-                raise FloatingPointError(f"{exc} in epoch {epoch}") from None
-            epoch_loss += loss * len(idx)
-            _apply_update(weights, biases, dw, db, slots, lr)
-        logger.debug("epoch %d: mean loss %.6f", epoch, epoch_loss / count)
-    return ModelParams(params.arch, tuple(weights), tuple(biases))
+                epoch_loss += loss * len(idx)
+                try:
+                    with np.errstate(over="raise", invalid="raise"):
+                        _apply_update(weights, biases, dw, db, slots, lr)
+                except FloatingPointError as exc:
+                    raise FloatingPointError(f"Adam update: {exc}") from None
+            logger.debug("epoch %d: mean loss %.6f", epoch, epoch_loss / count)
+        trained = ModelParams(params.arch, tuple(weights), tuple(biases))
+        logits_and_cache(trained, batch)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{exc} in epoch {epoch}") from None
+    return trained
 
 
 def _keyed_order(state: RngState, count: int) -> np.ndarray:

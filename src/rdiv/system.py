@@ -181,10 +181,15 @@ def train_system(system: SystemSpec, trainset: LabeledSet, hyper: Hyper,
                  workers: int = 1) -> SystemSpec:
     """Train every channel independently on its preprocessed inputs.
 
-    Channels share nothing mutable, so they may train in parallel; the
-    result is identical either way because each channel's randomness comes
-    only from its own derived keys. A channel whose training overflows
-    raises FloatingPointError naming the epoch and the channel.
+    An index-map channel (identity, direct-permutation) trains on the one
+    loaded `trainset`, each mini-batch gathered through its map inside
+    `train`, so no mapped copy of the set is made. A DCT channel maps the
+    whole set through its round trip once, into one float32 copy, since a
+    per-batch round trip would repeat every epoch. Channels share nothing
+    mutable, so they may train in parallel; the result is identical either
+    way because each channel's randomness comes only from its own derived
+    keys. A channel whose training overflows raises FloatingPointError
+    naming the epoch and the channel.
     """
     # bool is an int subclass, so `True` must be ruled out by name.
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
@@ -197,10 +202,15 @@ def train_system(system: SystemSpec, trainset: LabeledSet, hyper: Hyper,
         raise ValueError("training set shape does not match the system")
 
     def train_one(channel: ChannelSpec) -> ChannelSpec:
-        inputs = preprocess_batch(channel.preprocessor, trainset.images)
+        pre = channel.preprocessor
+        if pre.mask is None:
+            inputs, columns = trainset.images, pre.permutation
+        else:
+            inputs, columns = preprocess_batch(pre, trainset.images), None
         key = derive_subkey(system.master, channel.j, channel.i, TAG_SHUFFLE)
         try:
-            params = train(channel.params, (inputs, trainset.labels), hyper, key)
+            params = train(channel.params, (inputs, trainset.labels), hyper, key,
+                           columns)
         except FloatingPointError as exc:
             raise FloatingPointError(
                 f"{exc} of channel ({channel.j}, {channel.i})") from None

@@ -373,6 +373,33 @@ def test_non_finite_training_ends_in_an_error_line(data_dir, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_adam_overflow_ends_in_an_error_line_and_saves_nothing(data_dir, tmp_path, capsys):
+    # Weights near 1e10 in three dense layers overflow Adam's second moment
+    # while every forward pass stays finite.
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "c.yaml", data_dir, out_dir, arch={"hidden": [32, 16]},
+                          train={"learning_rate": 1.0e10, "batch_size": 16, "epochs": 3})
+    assert run("train", "--config", config) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: Adam update: overflow encountered in \w+ "
+                        r"in epoch \d+ of channel \(0, 0\)\n", err)
+    assert not list(out_dir.iterdir())
+
+
+def test_a_breaking_last_step_fails_inside_training(data_dir, tmp_path, capsys):
+    # One batch holds the whole training split, so the run's one step is its
+    # last, and only the final check in `train` runs the network after it.
+    config = write_config(tmp_path / "c.yaml", data_dir, tmp_path / "out",
+                          train={"learning_rate": 1.0e30, "batch_size": TRAIN_COUNT,
+                                 "epochs": 1})
+    for command in ("train", "surrogate"):
+        assert run(command, "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite activations after layer ")
+        assert err.endswith(" in epoch 0 of channel (0, 0)\n")
+    assert not list((tmp_path / "out").iterdir())
+
+
 def test_train_needs_master_key(data_dir, tmp_path, capsys):
     config = config_dict(data_dir, tmp_path)
     del config["system"]["master_key"]

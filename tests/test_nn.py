@@ -21,6 +21,8 @@ from rdiv.nn import (
 )
 from rdiv.rng import RngState, SubKey, skip
 
+from _synth import make_dataset
+
 KEY = SubKey(0x1234)
 
 
@@ -401,6 +403,54 @@ class TestTrain:
         with pytest.raises(FloatingPointError, match=r"^non-finite activations after "
                                                      r"layer 0 \(dense\) in epoch 2$"):
             train(init_params(mlp_arch(2, (8,), 2), KEY), (x, y), hyper, SubKey(7))
+
+    def test_adam_overflow_raises(self):
+        # Weights near 1e10 in three dense layers give gradients whose
+        # squares overflow float32 in Adam's second moment, while every
+        # forward pass stays finite.
+        pixels, labels = make_dataset(64, seed=11)
+        x = (pixels.reshape(64, -1) / 255).astype(np.float32)
+        hyper = Hyper(learning_rate=1e10, batch_size=16, epochs=3)
+        with pytest.raises(FloatingPointError, match=r"^Adam update: overflow encountered "
+                                                     r"in \w+ in epoch 0$"):
+            train(init_params(mlp_arch(784, (32, 16), 10), KEY), (x, labels), hyper,
+                  SubKey(7))
+
+    def test_a_breaking_last_step_raises_inside_train(self):
+        # One batch holds the whole set, so no forward pass follows the one
+        # step in the loop; the final check of the last batch names the epoch.
+        x, y = self.separable_set()
+        hyper = Hyper(learning_rate=1e30, batch_size=80, epochs=1)
+        with pytest.raises(FloatingPointError, match=r"^non-finite activations after "
+                                                     r"layer 2 \(dense\) in epoch 0$"):
+            train(init_params(mlp_arch(2, (8,), 2), KEY), (x, y), hyper, SubKey(7))
+
+    def test_columns_train_on_the_mapped_inputs(self):
+        x, y = self.separable_set()
+        x = np.concatenate([x, -x, 2 * x], axis=1)
+        columns = np.array([4, 0, 5, 1, 3, 2])
+        params = init_params(mlp_arch(6, (8,), 2), KEY)
+        hyper = Hyper(learning_rate=0.01, batch_size=16, epochs=2)
+        mapped = train(params, (np.take(x, columns, axis=1), y), hyper, SubKey(5))
+        assert train(params, (x, y), hyper, SubKey(5), columns).equal(mapped)
+
+    @pytest.mark.parametrize("columns, message", [
+        (np.arange(4).reshape(2, 2), "1-D integer array of length 4"),
+        (np.arange(4.0), "1-D integer array of length 4"),
+        (np.ones(4, dtype=bool), "1-D integer array of length 4"),
+        (np.arange(3), "1-D integer array of length 4"),
+        (np.array([0, 1, 2, -1]), r"in \[0, 4\)"),
+        (np.array([0, 1, 2, 4]), r"in \[0, 4\)"),
+    ], ids=["2-d", "float", "bool", "short", "negative", "past-the-end"])
+    def test_bad_columns_rejected_before_any_step(self, columns, message, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr("rdiv.nn._apply_update", no_step)
+        params = random_params(tiny_arch(), 1)
+        x = np.zeros((20, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match=rf"^columns must be .*{message}"):
+            train(params, (x, np.zeros(20, dtype=int)), Hyper(epochs=1), KEY, columns)
 
     def test_empty_dataset_rejected(self):
         params = random_params(tiny_arch(), 1)

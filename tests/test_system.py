@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -208,6 +209,39 @@ def test_parallel_training_matches_serial(trained_perm_system):
         toy_set(), toy_hyper(), workers=4)
     for a, b in zip(trained_perm_system.channels, parallel.channels):
         assert a.params.equal(b.params)
+
+
+@pytest.mark.parametrize("mode, colors, per_color", [
+    ("identity", 1, False),
+    ("direct-permutation", 1, False),
+    ("direct-permutation", 3, False),
+    ("direct-permutation", 3, True),
+    ("dct-sign-flip-3band", 1, False),
+])
+def test_each_channel_trains_as_on_its_preprocessed_set(mode, colors, per_color):
+    # The reference maps the whole set once and trains on that copy; index-map
+    # channels instead gather each batch through the map inside `train`.
+    data = toy_set(colors=colors)
+    system = build_system(mode, MASTER, MODE_TABLE[mode].groups, 2, toy_arch(colors),
+                          SIZE, colors, per_color=per_color)
+    trained = train_system(system, data, toy_hyper())
+    for before, after in zip(system.channels, trained.channels, strict=True):
+        inputs = preprocess_batch(before.preprocessor, data.images)
+        key = derive_subkey(MASTER, before.j, before.i, TAG_SHUFFLE)
+        reference = train(before.params, (inputs, data.labels), toy_hyper(), key)
+        assert after.params.equal(reference)
+
+
+def test_index_map_training_holds_no_copy_of_the_set():
+    data = toy_set(count=4000)
+    system = build_system("direct-permutation", MASTER, 1, 1, toy_arch(), SIZE, COLORS)
+    tracemalloc.start()
+    try:
+        train_system(system, data, Hyper(learning_rate=5e-3, batch_size=64, epochs=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < data.images.nbytes
 
 
 @pytest.mark.parametrize("workers", [0, -3, True, 1.5])
