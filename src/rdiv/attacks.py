@@ -30,6 +30,8 @@ from .nn import (
     ArchSpec,
     Hyper,
     ModelParams,
+    adam_block,
+    adam_scalars,
     backward_from_logits,
     batch_loss_and_grads,
     check_labels,
@@ -374,7 +376,7 @@ def _cw_chunk(work: ModelParams, x: np.ndarray, labels: np.ndarray,
             np.copyto(best, adv, where=better)
             break
         _, _, dadv = backward_from_logits(work, cache, config.c * seed, wrt="input")
-        correction1, correction2 = 1.0 - 0.9 ** it, 1.0 - 0.999 ** it
+        scalars = adam_scalars(w.dtype, it, config.step_size)
         for b in blocks:
             np.copyto(best[b], adv[b], where=better[b])
             t, s, xb = scratch(b)
@@ -387,23 +389,8 @@ def _cw_chunk(work: ModelParams, x: np.ndarray, labels: np.ndarray,
             np.subtract(1.0, t, out=t)
             dw *= t
             dw *= 0.5
-            # m = 0.9 * m + 0.1 * dw
-            m[b] *= 0.9
-            np.multiply(0.1, dw, out=t)
-            m[b] += t
-            # v = 0.999 * v + 0.001 * dw ** 2
-            v[b] *= 0.999
-            np.square(dw, out=t)
-            t *= 0.001
-            v[b] += t
-            # w -= step_size * (m / (1 - 0.9 ** it)) / (sqrt(v / (1 - 0.999 ** it)) + 1e-8)
-            np.divide(v[b], correction2, out=t)
-            np.sqrt(t, out=t)
-            t += 1e-8
-            np.divide(m[b], correction1, out=s)
-            s *= config.step_size
-            s /= t
-            w[b] -= s
+            # One Adam step on w, at learning rate step_size.
+            adam_block(w[b], dw, m[b], v[b], t, s, scalars)
             next_iterate(b, t, xb)
         # The next forward and backward passes run without this pass's cache
         # and gradient.

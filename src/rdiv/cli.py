@@ -482,8 +482,8 @@ def _read_grid_file(config: RunConfig, branches: int, slice_: LabeledSet) -> Sys
         raise ConfigError(f"{path} was trained with per_color {system.per_color!r} "
                           f"(configured {config.per_color!r}); rerun the train command")
     if (system.size, system.colors) != (slice_.size, slice_.colors):
-        raise ConfigError(f"{path} was trained on differently shaped "
-                          f"images than dataset {config.dataset_name!r}")
+        raise ConfigError(f"{path} was trained on differently shaped images than "
+                          f"dataset {config.dataset_name!r}; rerun the train command")
     _require_arch(path, system.arch, config, slice_, "train")
     return system
 

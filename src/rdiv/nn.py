@@ -439,49 +439,59 @@ def _apply_update(weights, biases, dw, db, slots: _AdamSlots, lr):
     """One Adam step, in place on `weights` and `biases`.
 
     Each tensor is swept in blocks of `_BLOCK` elements of its flat view,
-    and every formula runs over one block before the next block starts. A
-    block's parameters, moments, gradient and the slots' scratch pair then
-    stay in cache across the formula's passes; whole tensors the size of a
-    784x256 first layer overflow L2 between passes. Below 64 Ki elements
-    the cost of the extra NumPy calls outweighs the cache gain. The float
-    operations and their order are those of the textbook formulas in the
-    comments, and every one is elementwise, so the result is bitwise the
-    same as evaluating them directly on whole tensors.
+    and `adam_block` runs every formula over one block before the next
+    block starts. A block's parameters, moments, gradient and the slots'
+    scratch pair then stay in cache across the formula's passes; whole
+    tensors the size of a 784x256 first layer overflow L2 between passes.
+    Below 64 Ki elements the cost of the extra NumPy calls outweighs the
+    cache gain.
     """
     dtype = weights[0].dtype
-    beta1, beta2, epsilon = _ADAM
     slots.t += 1
-    b1, b2 = dtype.type(beta1), dtype.type(beta2)
-    one_minus_b1, one_minus_b2 = 1 - b1, 1 - b2
-    eps = dtype.type(epsilon)
-    correction1 = dtype.type(1.0 - beta1 ** slots.t)
-    correction2 = dtype.type(1.0 - beta2 ** slots.t)
+    scalars = adam_scalars(dtype, slots.t, lr)
     for grad, value, m, v in zip(dw + db, weights + biases, slots.m, slots.v):
         grad = grad.astype(dtype, copy=False).reshape(-1)
         # Parameters and moments are C-contiguous, so these flat views write through.
         value, m, v = value.reshape(-1), m.reshape(-1), v.reshape(-1)
         for start in range(0, value.size, _BLOCK):
             block = slice(start, start + _BLOCK)
-            val, g, mb, vb = value[block], grad[block], m[block], v[block]
-            tmp = slots.scratch[0][:val.size]
-            step = slots.scratch[1][:val.size]
-            # m = b1 * m + (1 - b1) * g
-            mb *= b1
-            np.multiply(one_minus_b1, g, out=tmp)
-            mb += tmp
-            # v = b2 * v + (1 - b2) * g * g
-            vb *= b2
-            np.multiply(one_minus_b2, g, out=tmp)
-            tmp *= g
-            vb += tmp
-            # value -= lr * (m / correction1) / (sqrt(v / correction2) + eps)
-            np.divide(vb, correction2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += eps
-            np.divide(mb, correction1, out=step)
-            np.multiply(lr, step, out=step)
-            step /= tmp
-            val -= step
+            val = value[block]
+            adam_block(val, grad[block], m[block], v[block],
+                       slots.scratch[0][:val.size], slots.scratch[1][:val.size], scalars)
+
+
+def adam_scalars(dtype: np.dtype, t: int, lr) -> tuple:
+    """Step `t`'s scalars for `adam_block`, in `dtype`: b1, 1 - b1, b2, 1 - b2,
+    eps, both bias corrections and `lr`."""
+    beta1, beta2, epsilon = _ADAM
+    b1, b2 = dtype.type(beta1), dtype.type(beta2)
+    return (b1, 1 - b1, b2, 1 - b2, dtype.type(epsilon),
+            dtype.type(1.0 - beta1 ** t), dtype.type(1.0 - beta2 ** t), dtype.type(lr))
+
+
+def adam_block(value, grad, m, v, tmp, step, scalars: tuple) -> None:
+    """One Adam step in place on `value` and its moments `m` and `v`, with
+    scratch `tmp` and `step` of their shape. The float operations and their
+    order are those of the textbook formulas in the comments; all are
+    elementwise, so any split into blocks is bitwise the whole-tensor step."""
+    b1, one_minus_b1, b2, one_minus_b2, eps, correction1, correction2, lr = scalars
+    # m = b1 * m + (1 - b1) * g
+    m *= b1
+    np.multiply(one_minus_b1, grad, out=tmp)
+    m += tmp
+    # v = b2 * v + (1 - b2) * g * g
+    v *= b2
+    np.multiply(one_minus_b2, grad, out=tmp)
+    tmp *= grad
+    v += tmp
+    # value -= lr * (m / correction1) / (sqrt(v / correction2) + eps)
+    np.divide(v, correction2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    np.divide(m, correction1, out=step)
+    np.multiply(lr, step, out=step)
+    step /= tmp
+    value -= step
 
 
 def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int) -> float:

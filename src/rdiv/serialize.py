@@ -33,13 +33,16 @@ System file ("RDIV"):
     are not stored; `build_system` re-derives them on read.
 
 Adversarial set ("RADV"):
-    attack kind byte | config fields | count N m | count packed records:
-    u32 index, u32 label, original pixels, adversarial pixels.
+    attack kind byte | config fields | count N m | indices u32[count] |
+    labels u32[count] | originals, then adversarials, f32[count,N,N,m].
+
+The version byte is 2 for "RDIV" and 3 for "RADV" (its version 2 packed
+each sample into one record); no other version is read.
 
 All writes go through a temp file in the target directory plus an atomic
 rename, so readers never observe a partial file. `save_*` write a frame's
-parts into that file one after another, so the body is never copied into
-one joined buffer.
+header fields and array views into that file one after another, so no body
+is ever copied into one joined buffer.
 """
 
 from __future__ import annotations
@@ -61,12 +64,12 @@ from .system import MODE_TABLE, MODES, SystemSpec, build_system
 
 MODEL_MAGIC = b"RDIV"
 ADV_MAGIC = b"RADV"
-FORMAT_VERSION = 2
+# The format version byte of each magic.
+FORMAT_VERSIONS = {MODEL_MAGIC: 2, ADV_MAGIC: 3}
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
 _HEADER_SIZE = 5  # magic and version byte
-# Bytes of adversarial-set records read per piece before they are copied
-# into the returned arrays, and of unread body hashed per read by `verify`.
+# Bytes of unread body hashed per read by `verify`.
 _CHUNK_BYTES = 1 << 18
 
 _MAX_LAYER_DIM = 1 << 20
@@ -110,7 +113,7 @@ def _seal(magic: bytes, *body: bytes | memoryview) -> tuple[bytes | memoryview, 
     The frame comes back as its parts, with the body parts as given, so a
     `save_*` writes them straight into its file without joining them.
     """
-    head = magic + struct.pack("<B", FORMAT_VERSION)
+    head = magic + struct.pack("<B", FORMAT_VERSIONS[magic])
     digest = hashlib.sha256(head)
     for part in body:
         digest.update(part)
@@ -138,7 +141,7 @@ class _Frame:
             raise BlobFormatError(f"{label}: bad magic {head[:4]!r}")
         if size < _HEADER_SIZE + _DIGEST_SIZE:
             raise BlobFormatError(f"{label}: truncated at byte {size}")
-        if head[4] != FORMAT_VERSION:
+        if head[4] != FORMAT_VERSIONS[magic]:
             raise BlobFormatError(f"{label}: unsupported version {head[4]}")
         self.digest = hashlib.sha256(head)
         self.pos = _HEADER_SIZE
@@ -180,21 +183,24 @@ class _Frame:
         except ValueError:
             raise BlobFormatError(f"{self.label}: bad key hex {text!r}") from None
 
-    def check_room(self, dtype: np.dtype, count: int, unit: str) -> None:
-        """Refuse `count` items of `dtype`, called `unit` in the error, that
+    def check_room(self, count: int, itemsize: int, unit: str) -> None:
+        """Refuse `count` items of `itemsize` bytes (`unit` in the error) that
         the bytes left cannot hold, so nothing is allocated for them."""
-        need = count * dtype.itemsize
+        need = count * itemsize
         if need > self.end - self.pos:
             raise BlobFormatError(f"{self.label}: truncated at byte {self.pos}, "
                                   f"{count} {unit} need {need} bytes")
 
-    def f32_array(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A float32 tensor, checked against the remaining length first."""
-        dtype = np.dtype("<f4")
-        self.check_room(dtype, int(np.prod(shape)), "float32 values")
-        out = np.empty(shape, dtype=dtype)
+    def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A little-endian `dtype` array in native byte order, checked
+        against the remaining length first."""
+        dtype = np.dtype(dtype)
+        count = int(np.prod(shape))
+        self.check_room(count, dtype.itemsize, f"{dtype.name} values")
+        # Flat, since a memoryview cannot cast a shape that holds a zero.
+        out = np.empty(count, dtype=dtype)
         self.fill(out)
-        return out.astype(np.float32, copy=False)
+        return out.reshape(shape).astype(dtype.newbyteorder("="), copy=False)
 
     def expect_end(self) -> None:
         if self.pos != self.end:
@@ -231,10 +237,14 @@ def _parse(path: str | Path, magic: bytes, body: Callable[[_Frame], T]) -> T:
     return result
 
 
+def _view(array: np.ndarray, dtype: str) -> memoryview:
+    """`array` as a row-major `dtype` buffer, copied only if it is not one."""
+    return np.ascontiguousarray(array, dtype=dtype).data
+
+
 def _tensors(params: ModelParams) -> list[memoryview]:
     """Each layer's weights then biases as little-endian float32 buffers."""
-    return [np.ascontiguousarray(t, dtype="<f4").data
-            for pair in zip(params.weights, params.biases) for t in pair]
+    return [_view(t, "<f4") for pair in zip(params.weights, params.biases) for t in pair]
 
 
 def _dump_arch(arch: ArchSpec) -> bytes:
@@ -276,8 +286,8 @@ def _read_tensors(frame: _Frame, arch: ArchSpec) -> ModelParams:
     weights = []
     biases = []
     for fan_in, fan_out in arch.dense_shapes:
-        weights.append(frame.f32_array((fan_in, fan_out)))
-        biases.append(frame.f32_array((fan_out,)))
+        weights.append(frame.array("<f4", (fan_in, fan_out)))
+        biases.append(frame.array("<f4", (fan_out,)))
     return ModelParams(arch, tuple(weights), tuple(biases))
 
 
@@ -339,12 +349,6 @@ def system_file_equals(path: str | Path, system: SystemSpec) -> bool:
         return all(handle.read(len(part)) == part for part in parts)
 
 
-def _adv_record_dtype(size: int, colors: int) -> np.dtype:
-    image = ("<f4", (size, size, colors))
-    return np.dtype([("index", "<u4"), ("label", "<u4"),
-                     ("original",) + image, ("adversarial",) + image])
-
-
 def _adv_frame(adv: AdvSet) -> tuple:
     config = adv.config
     count = len(adv)
@@ -355,17 +359,13 @@ def _adv_frame(adv: AdvSet) -> tuple:
         values = np.asarray(getattr(adv, name))
         if count and not (0 <= values.min() and values.max() < 1 << 32):
             raise ValueError(f"adversarial set {name} do not fit in u32")
-    records = np.empty(count, dtype=_adv_record_dtype(size, colors))
-    records["index"] = adv.indices
-    records["label"] = adv.labels
-    records["original"] = adv.originals
-    records["adversarial"] = adv.adversarials
     header = _ADV_HEADER.pack(ATTACK_KINDS.index(config.kind), config.eps, config.alpha,
                               config.steps, config.c, config.iterations,
                               config.step_size, config.kappa,
                               int(config.targeted), config.target,
                               count, size, colors)
-    return _seal(ADV_MAGIC, header, records.data)
+    return _seal(ADV_MAGIC, header, _view(adv.indices, "<u4"), _view(adv.labels, "<u4"),
+                 _view(adv.originals, "<f4"), _view(adv.adversarials, "<f4"))
 
 
 def _parse_adv_set(frame: _Frame) -> AdvSet:
@@ -383,24 +383,13 @@ def _parse_adv_set(frame: _Frame) -> AdvSet:
     # No dense layer takes more inputs, so no model could read a larger image.
     if size * size * colors > _MAX_LAYER_DIM:
         raise BlobFormatError(f"{frame.label}: image dims {size}x{size}x{colors} out of range")
-    record = _adv_record_dtype(size, colors)
-    frame.check_room(record, count, "records")
-    indices = np.empty(count, dtype=np.int64)
-    labels = np.empty(count, dtype=np.int64)
-    originals = np.empty((count, size, size, colors), dtype=np.float32)
-    adversarials = np.empty_like(originals)
-    # Records come in pieces of at most _CHUNK_BYTES through one buffer.
-    step = max(1, _CHUNK_BYTES // record.itemsize)
-    buffer = np.empty(min(step, count), dtype=record)
-    for start in range(0, count, step):
-        records = buffer[:count - start]
-        frame.fill(records)
-        rows = slice(start, start + len(records))
-        indices[rows] = records["index"]
-        labels[rows] = records["label"]
-        originals[rows] = records["original"]
-        adversarials[rows] = records["adversarial"]
-    return AdvSet(config, indices, labels, originals, adversarials)
+    # Each sample takes a u32 index, a u32 label and two float32 images.
+    frame.check_room(count, 8 + 8 * size * size * colors, "records")
+    indices = frame.array("<u4", (count,)).astype(np.int64)
+    labels = frame.array("<u4", (count,)).astype(np.int64)
+    shape = (count, size, size, colors)
+    return AdvSet(config, indices, labels, frame.array("<f4", shape),
+                  frame.array("<f4", shape))
 
 
 def save_params(path: str | Path, params: ModelParams, key: SubKey) -> None:

@@ -265,8 +265,8 @@ def reference_cw_l2(params, images, labels, config):
                                    config.targeted, config.target)
         _, _, dadv = backward_from_logits(work, cache, config.c * seed)
         dw = (dadv + 2.0 * (adv - x)) * (1.0 - tanh_w ** 2) / 2.0
-        m = 0.9 * m + 0.1 * dw
-        v = 0.999 * v + 0.001 * dw ** 2
+        m = 0.9 * m + (1 - 0.9) * dw
+        v = 0.999 * v + (1 - 0.999) * dw * dw
         m_hat = m / (1.0 - 0.9 ** it)
         v_hat = v / (1.0 - 0.999 ** it)
         w = w - config.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
@@ -307,8 +307,8 @@ def textbook_cw_points(params, images, labels, config):
                                    config.targeted, config.target)
         _, _, dadv = backward_from_logits(work, cache, config.c * seed)
         dw = (dadv + 2.0 * (adv - x)) * (1.0 - tanh_w ** 2) / 2.0
-        m = 0.9 * m + 0.1 * dw
-        v = 0.999 * v + 0.001 * dw ** 2
+        m = 0.9 * m + (1 - 0.9) * dw
+        v = 0.999 * v + (1 - 0.999) * dw * dw
         m_hat = m / (1.0 - 0.9 ** it)
         v_hat = v / (1.0 - 0.999 ** it)
         w = w - config.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)

@@ -707,6 +707,24 @@ def test_eval_refuses_system_files_of_another_arch(pipeline, data_dir, tmp_path,
             "784-16-10 network, the config gives 784-8-10; rerun the train command\n")
 
 
+def test_eval_refuses_system_files_of_another_image_shape(pipeline, data_dir, tmp_path,
+                                                         capsys):
+    # The files were trained on 28x28 digits; the test set now holds 16x16 ones.
+    _, out_dir = pipeline
+    pixels, labels = make_dataset(TEST_COUNT, seed=12)
+    images_path, labels_path = write_idx(tmp_path, "test", pixels[:, :16, :16], labels)
+    small = config_dict(data_dir, out_dir, attacks=[])
+    small["dataset"].update(test_images=str(images_path), test_labels=str(labels_path))
+    path = tmp_path / "small.yaml"
+    path.write_text(yaml.safe_dump(small))
+    for command in ("eval", "report"):
+        capsys.readouterr()
+        assert run(command, "--config", str(path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out_dir / 'system-i2.rdiv'} was trained on differently shaped "
+            "images than dataset 'synth'; rerun the train command\n")
+
+
 def test_eval_refuses_system_files_of_another_per_color(pipeline, data_dir, tmp_path,
                                                        capsys):
     # The files were trained with shared permutations; their rows say

@@ -189,7 +189,7 @@ GOLDEN_SYSTEM_SHA256 = {
 GOLDEN_PER_COLOR_SHA256 = "a1f1a4f8fa4778fcae9c100a5a71ce1dd008d87ab8354dae8cca6045e477c960"
 GOLDEN_SHARED_RGB_SHA256 = "949d5b94252226f7dfb177a466deee94a0e78cdd975a3443a02d0d479fbcbc77"
 GOLDEN_UNTRAINED_SHA256 = "8a17c9cfe2d58a9a598e64325fb1930dc47f94b2b364367748f2cbafd58e8fcf"
-GOLDEN_ADV_SET_SHA256 = "94f92950ca6ecc30ab29acee545a13eb4731bb81b872a02014ce35a5b14d6c21"
+GOLDEN_ADV_SET_SHA256 = "7ef57584cca4c9c6c561ecc85021e6648bed3327cc6ab2fb2d349b66d2e9c441"
 
 
 def sha256(blob: bytes) -> str:
@@ -313,10 +313,12 @@ def test_system_header_rejected_by_build_system_is_a_format_error(tmp_path):
 
 def test_kind_bytes_are_pinned(tmp_path):
     """Every kind byte files hold: the kind's index in its tuple, plus 1 for
-    layers. A reordered tuple would change them and fail here."""
+    layers. A reordered tuple would change them and fail here. The version
+    byte is pinned per magic: 2 for RDIV, 3 for RADV."""
     key = derive_subkey(MASTER, 0, 0, TAG_INIT)
     path = tmp_path / "model.rdiv"
     blob = saved_bytes(path, save_params, init_params(toy_arch(), key), key)
+    assert blob[:5] == b"RDIV\x02"
     # Layer count, then dense 1 (64x12), relu 2, dense 1 (12x3), softmax-output 3.
     arch = struct.pack("<IBIIBBIIB", 4, 1, 64, 12, 2, 1, 12, 3, 3)
     assert blob[5:5 + len(arch)] == arch
@@ -329,7 +331,8 @@ def test_kind_bytes_are_pinned(tmp_path):
     path = tmp_path / "system.rdiv"
     for mode, code in (("identity", 0), ("direct-permutation", 1),
                        ("dct-sign-flip-3band", 2), ("dct-hard-threshold-3band", 3)):
-        assert saved_bytes(path, save_system, untrained_system(mode))[5] == code
+        assert saved_bytes(path, save_system, untrained_system(mode))[:6] == \
+            b"RDIV\x02" + bytes([code])
     bad = bytearray(saved_bytes(path, save_system, untrained_system()))
     bad[5] = 4
     with pytest.raises(BlobFormatError, match="unknown mode byte 4$"):
@@ -339,7 +342,7 @@ def test_kind_bytes_are_pinned(tmp_path):
     adv = handmade_adv_set()
     for kind, code in (("fgsm", 0), ("pgd-linf", 1), ("cw-l2", 2)):
         blob = saved_bytes(path, save_adv_set, replace(adv, config=AttackConfig(kind)))
-        assert blob[5] == code
+        assert blob[:6] == b"RADV\x03" + bytes([code])
         assert read_adv_set(path).config.kind == kind
     bad = bytearray(blob)
     bad[5] = 3
@@ -497,6 +500,8 @@ def test_adv_set_round_trip(tmp_path):
     assert blob[:4] == b"RADV"
     loaded = read_adv_set(tmp_path / "adv.radv")
     assert loaded.config == config
+    assert loaded.indices.dtype == loaded.labels.dtype == np.int64
+    assert loaded.originals.dtype == loaded.adversarials.dtype == np.float32
     assert np.array_equal(loaded.indices, adv.indices)
     assert np.array_equal(loaded.labels, adv.labels)
     assert np.array_equal(loaded.originals, adv.originals)
@@ -545,6 +550,68 @@ def test_adv_set_corrupt_count_raises_before_allocating(tmp_path):
     struct.pack_into("<III", blob, _ADV_COUNT, 4, 3, 2)
     with pytest.raises(BlobFormatError, match="trailing"):
         read_written(path, read_adv_set, _reseal(bytes(blob)))
+
+
+def test_adv_set_body_is_whole_arrays(tmp_path):
+    """After the header: indices u32, labels u32, originals, adversarials."""
+    adv = handmade_adv_set()
+    blob = saved_bytes(tmp_path / "adv.radv", save_adv_set, adv)
+    body = b"".join(np.asarray(values, dtype=dtype).tobytes()
+                    for values, dtype in ((adv.indices, "<u4"), (adv.labels, "<u4"),
+                                          (adv.originals, "<f4"),
+                                          (adv.adversarials, "<f4")))
+    assert blob[_ADV_COUNT + 12:-32] == body
+
+
+def test_v2_adv_set_rejected_by_version(tmp_path):
+    """A set of the previous layout: version byte 2 and packed records."""
+    adv = handmade_adv_set()
+    path = tmp_path / "adv.radv"
+    header = saved_bytes(path, save_adv_set, adv)[5:_ADV_COUNT + 12]
+    image = ("<f4", (3, 3, 2))
+    records = np.empty(len(adv), dtype=[("index", "<u4"), ("label", "<u4"),
+                                        ("original",) + image, ("adversarial",) + image])
+    records["index"], records["label"] = adv.indices, adv.labels
+    records["original"], records["adversarial"] = adv.originals, adv.adversarials
+    with pytest.raises(BlobFormatError) as caught:
+        read_written(path, read_adv_set,
+                     _reseal(b"RADV\x02" + header + records.tobytes() + bytes(32)))
+    assert str(caught.value) == f"{path}: unsupported version 2"
+
+
+def test_empty_adv_set_round_trip(tmp_path):
+    adv = handmade_adv_set()
+    empty = replace(adv, indices=adv.indices[:0], labels=adv.labels[:0],
+                    originals=adv.originals[:0], adversarials=adv.adversarials[:0])
+    path = tmp_path / "adv.radv"
+    blob = saved_bytes(path, save_adv_set, empty)
+    assert len(blob) == _ADV_COUNT + 12 + 32
+    loaded = read_adv_set(path)
+    assert len(loaded) == 0
+    assert loaded.originals.shape == loaded.adversarials.shape == (0, 3, 3, 2)
+    assert loaded.config == adv.config
+    assert saved_bytes(tmp_path / "again.radv", save_adv_set, loaded) == blob
+
+
+def test_adv_set_save_makes_no_copy_of_the_images(tmp_path):
+    """Saving seals views of the arrays; a packed copy of the records would
+    peak at the size of both image arrays."""
+    rng = np.random.default_rng(8)
+    originals = rng.random((2000, 28, 28, 1), dtype=np.float32)
+    adv = AdvSet(AttackConfig(kind="fgsm", eps=0.1), np.arange(2000),
+                 rng.integers(0, CLASSES, size=2000), originals,
+                 np.clip(originals + np.float32(0.1), 0.0, 1.0))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_adv_set(tmp_path / "adv.radv", adv)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    image_bytes = adv.originals.nbytes + adv.adversarials.nbytes
+    assert peak < image_bytes / 10, f"peak {peak} bytes for {image_bytes} image bytes"
+    assert read_adv_set(tmp_path / "adv.radv").adversarials.tobytes() == \
+        adv.adversarials.tobytes()
 
 
 def test_file_round_trip_and_atomicity(tmp_path, trained_system):
