@@ -39,7 +39,7 @@ from .nn import (
     mlp_arch,
     train,
 )
-from .rng import MasterKey, SubKey, derive_subkey
+from .rng import MasterKey, derive_subkey
 from .serialize import (
     BlobFormatError,
     read_adv_set,
@@ -71,55 +71,3 @@ from .transforms import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ATTACK_KINDS",
-    "AdvSet",
-    "ArchSpec",
-    "AttackConfig",
-    "BlobFormatError",
-    "DatasetFormatError",
-    "Hyper",
-    "LabeledSet",
-    "MODE_TABLE",
-    "MODES",
-    "MasterKey",
-    "ModelParams",
-    "Preprocessor",
-    "REJECT",
-    "SUBBAND_IDS",
-    "SubKey",
-    "SystemSpec",
-    "build_system",
-    "classify_batch",
-    "craft_adv_set",
-    "cw_l2_batch",
-    "derive_subkey",
-    "error_count",
-    "fgsm_batch",
-    "finite_difference_max_error",
-    "fold_into_weights",
-    "forward",
-    "init_params",
-    "load_cifar10",
-    "load_idx",
-    "make_preprocessor",
-    "mlp_arch",
-    "pgd_linf_batch",
-    "predict_batch",
-    "preprocess_batch",
-    "read_adv_set",
-    "read_params",
-    "read_system",
-    "rebuild_preprocessors",
-    "rescore_adv_set",
-    "save_adv_set",
-    "save_params",
-    "save_system",
-    "subband_rect",
-    "take_first",
-    "train",
-    "train_surrogate",
-    "train_system",
-    "transfer_eval",
-]

@@ -37,6 +37,8 @@ from .nn import (
     check_labels,
     forward,
     logits_and_cache,
+    require_bool,
+    require_count,
     require_finite,
     require_int,
 )
@@ -83,9 +85,7 @@ class AttackConfig:
             require_int(self, name)
         for name in ("eps", "alpha", "c", "step_size", "kappa"):
             require_finite(self, name)
-        # A quoted "no" is a non-empty string, which bool() would call true.
-        if not isinstance(self.targeted, bool):
-            raise ValueError(f"targeted must be true or false, got {self.targeted!r}")
+        require_bool(self.targeted, "targeted")
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
         if self.alpha <= 0 or self.steps < 1:
@@ -424,9 +424,7 @@ def transfer_eval(system: SystemSpec, surrogate: ModelParams,
     all in percent over the first `limit` test samples, plus the adversarial
     set so callers can reuse it instead of re-crafting.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-    subset = take_first(testset, limit)
+    subset = take_first(testset, require_count(limit, "limit"))
     if adv is None:
         adv = craft_adv_set(surrogate, subset, config)
     elif len(adv) != limit:

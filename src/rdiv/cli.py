@@ -34,7 +34,15 @@ import yaml
 
 from .attacks import AdvSet, AttackConfig, craft_adv_set, train_surrogate
 from .dataio import LabeledSet, load_cifar10, load_idx, take_first
-from .nn import ArchSpec, Hyper, finite_difference_max_error, forward, init_params, mlp_arch
+from .nn import (
+    ArchSpec,
+    Hyper,
+    finite_difference_max_error,
+    forward,
+    init_params,
+    mlp_arch,
+    require_count,
+)
 from .rng import TAG_INIT, MasterKey, derive_subkey, uniform_floats
 from .serialize import (
     atomic_write_bytes,
@@ -97,11 +105,12 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
 
 
 def _count(value, what: str) -> int:
-    """`value` as a positive int; YAML booleans, floats and strings are refused."""
-    # bool is an int subclass, so `true` must be ruled out by name.
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{what} must be a positive int, got {value!r}")
-    return value
+    """`value` as a positive int (`require_count`); YAML booleans, floats and
+    strings are refused."""
+    try:
+        return require_count(value, what)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _path(value, what: str) -> Path:

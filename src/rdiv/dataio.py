@@ -147,6 +147,9 @@ def load_cifar10(batch_paths: list[str | Path], name: str = "cifar10") -> Labele
 
 def take_first(dataset: LabeledSet, n: int) -> LabeledSet:
     """Prefix slice of the first n samples in stored order."""
+    # bool is an int subclass, so `True` must be ruled out by name.
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"a sample count must be an int, got {n!r}")
     if n < 0:
         raise ValueError(f"requested {n} samples, a count cannot be negative")
     if n > len(dataset):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngState, SubKey, fisher_yates, skip, uniform_floats
+from .rng import fisher_yates, skip, uniform_floats
 
 logger = logging.getLogger(__name__)
 
@@ -137,6 +137,25 @@ def require_int(config, name: str) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def require_count(value, what: str) -> int:
+    """`value` as a positive int; bools, floats and strings are refused.
+
+    bool is an int subclass, so `True` must be ruled out by name.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive int, got {value!r}")
+    return value
+
+
+def require_bool(value, what: str) -> None:
+    """Refuse a flag that is not True or False.
+
+    A quoted "no" is a non-empty string, which bool() would call true.
+    """
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+
+
 def require_finite(config, name: str) -> None:
     """Refuse a field of `config` that is not a finite int or float (nor a bool)."""
     value = getattr(config, name)
@@ -165,7 +184,7 @@ class Hyper:
             raise ValueError("epochs must be non-negative")
 
 
-def init_params(arch: ArchSpec, key: SubKey) -> ModelParams:
+def init_params(arch: ArchSpec, key: int) -> ModelParams:
     """Keyed Glorot-uniform weights, zero biases.
 
     Each weight matrix is filled row-major from one continuous keyed stream,
@@ -366,7 +385,7 @@ def _check_columns(columns, input_dim: int) -> np.ndarray:
 
 
 def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
-          hyper: Hyper, key: SubKey, columns: np.ndarray | None = None) -> ModelParams:
+          hyper: Hyper, key: int, columns: np.ndarray | None = None) -> ModelParams:
     """Mini-batch training with keyed shuffling; returns updated params.
 
     The per-epoch visit order comes from a Fisher-Yates shuffle over the
@@ -400,13 +419,12 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
     weights = [w.copy() for w in params.weights]
     biases = [b.copy() for b in params.biases]
     slots = _AdamSlots.zeros(weights + biases)
-    state = RngState(key.value)
     lr = params.dtype.type(hyper.learning_rate)
 
     try:
         for epoch in range(hyper.epochs):
-            order = _keyed_order(state, count)
-            state = skip(state, max(count - 1, 0))
+            order = _keyed_order(key, count)
+            key = skip(key, max(count - 1, 0))
             epoch_loss = 0.0
             for start in range(0, count, hyper.batch_size):
                 idx = order[start:start + hyper.batch_size]
@@ -430,7 +448,7 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
     return trained
 
 
-def _keyed_order(state: RngState, count: int) -> np.ndarray:
+def _keyed_order(state: int, count: int) -> np.ndarray:
     """One epoch's visit order: the Fisher-Yates shuffle of the stream at `state`."""
     return fisher_yates(state, count)
 

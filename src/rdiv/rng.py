@@ -10,7 +10,8 @@ shuffle are part of the wire-level contract; saved models are only valid as
 long as these stay fixed.
 
 There is no cryptographic claim here and no hidden global state: all
-functions are pure, and the RNG state is passed by value.
+functions are pure. Derived keys and stream states are plain 64-bit ints,
+passed by value: a key is the state its stream starts from.
 """
 
 from __future__ import annotations
@@ -67,21 +68,7 @@ class MasterKey:
         return f"{self.value:016x}"
 
 
-@dataclass(frozen=True)
-class SubKey:
-    """Key derived from a master key for one (group, branch, purpose) lineage."""
-
-    value: int
-
-
-@dataclass(frozen=True)
-class RngState:
-    """SplitMix64 state. next_u64 is a pure transition on this value."""
-
-    state: int
-
-
-def next_u64(state: RngState) -> tuple[int, RngState]:
+def next_u64(state: int) -> tuple[int, int]:
     """Advance SplitMix64 one step; returns (output, next state).
 
     Bit-exact recurrence, all arithmetic mod 2**64:
@@ -91,14 +78,14 @@ def next_u64(state: RngState) -> tuple[int, RngState]:
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB
         output = z ^ (z >> 31)
     """
-    s = (state.state + _GAMMA) & _MASK64
+    s = (state + _GAMMA) & _MASK64
     z = s
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31), RngState(s)
+    return z ^ (z >> 31), s
 
 
-def u64_stream(state: RngState, count: int) -> np.ndarray:
+def u64_stream(state: int, count: int) -> np.ndarray:
     """Vectorized SplitMix64: the next `count` outputs as a uint64 array.
 
     Produces exactly the values of `count` sequential next_u64 calls. The
@@ -110,7 +97,7 @@ def u64_stream(state: RngState, count: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         z = np.arange(1, count + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)
-        z += np.uint64(state.state)
+        z += np.uint64(state)
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
         z ^= z >> np.uint64(27)
@@ -119,12 +106,12 @@ def u64_stream(state: RngState, count: int) -> np.ndarray:
         return z
 
 
-def skip(state: RngState, count: int) -> RngState:
+def skip(state: int, count: int) -> int:
     """State after `count` next_u64 steps, in O(1)."""
-    return RngState((state.state + count * _GAMMA) & _MASK64)
+    return (state + count * _GAMMA) & _MASK64
 
 
-def derive_subkey(master: MasterKey, j: int, i: int, tag: int) -> SubKey:
+def derive_subkey(master: MasterKey, j: int, i: int, tag: int) -> int:
     """Derive the sub-key for lineage (j, i, tag).
 
     One SplitMix64 step from state master ^ (j * gamma) ^ (i * branch_c) ^ tag.
@@ -137,8 +124,7 @@ def derive_subkey(master: MasterKey, j: int, i: int, tag: int) -> SubKey:
             ^ ((j * _GAMMA) & _MASK64)
             ^ ((i * _BRANCH_C) & _MASK64)
             ^ tag) & _MASK64
-    value, _ = next_u64(RngState(seed))
-    return SubKey(value)
+    return next_u64(seed)[0]
 
 
 # Draws per block of the `uniform_floats` sweep: each block's uint64
@@ -146,47 +132,47 @@ def derive_subkey(master: MasterKey, j: int, i: int, tag: int) -> SubKey:
 _STREAM_BLOCK = 1 << 15
 
 
-def uniform_floats(key: SubKey, count: int) -> np.ndarray:
+def uniform_floats(key: int, count: int) -> np.ndarray:
     """`count` keyed floats in [0, 1), float64, from the key's stream.
 
     Uses the top 53 bits of each draw so every value is exactly
     representable. The stream is drawn in blocks of `_STREAM_BLOCK`.
     """
     out = np.empty(count, dtype=np.float64)
-    state = RngState(key.value)
     for start in range(0, count, _STREAM_BLOCK):
-        raw = u64_stream(state, min(_STREAM_BLOCK, count - start))
+        raw = u64_stream(key, min(_STREAM_BLOCK, count - start))
         raw >>= np.uint64(11)
         out[start:start + raw.size] = raw
-        state = skip(state, raw.size)
+        key = skip(key, raw.size)
     out *= 2.0**-53
     return out
 
 
-def fisher_yates(state: RngState, n: int) -> np.ndarray:
+def fisher_yates(state: int, n: int) -> np.ndarray:
     """Keyed shuffle of [0..n-1] as an int64 array, drawn from `state`.
 
     Descending Fisher-Yates over the next n-1 outputs of the stream with
     swap index draw mod (i+1). Modulo (not rejection) sampling: the bias is
     below n / 2**64 per swap and the output is fully pinned down by the
-    state.
+    state. Every swap target is computed in one vectorized step; the swaps
+    run in order through a memoryview of the returned array.
     """
-    perm = list(range(n))
-    draws = u64_stream(state, max(n - 1, 0)).tolist()
-    for k, i in enumerate(range(n - 1, 0, -1)):
-        j = draws[k] % (i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return np.asarray(perm, dtype=np.int64)
+    perm = np.arange(n, dtype=np.int64)
+    targets = u64_stream(state, max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+    view = memoryview(perm)
+    for i, j in zip(range(n - 1, 0, -1), targets.tolist()):
+        view[i], view[j] = view[j], view[i]
+    return perm
 
 
-def keyed_permutation(key: SubKey, n: int) -> np.ndarray:
+def keyed_permutation(key: int, n: int) -> np.ndarray:
     """Keyed bijection of [0..n-1]: fisher_yates over the key's stream."""
     if n < 1:
         raise ValueError("permutation length must be at least 1")
-    return fisher_yates(RngState(key.value), n)
+    return fisher_yates(key, n)
 
 
-def keyed_sign_mask(key: SubKey, shape: tuple[int, int],
+def keyed_sign_mask(key: int, shape: tuple[int, int],
                     region: tuple[int, int, int, int]) -> np.ndarray:
     """Keyed {-1,+1} mask over `shape`, flipping only inside `region`.
 
@@ -202,7 +188,7 @@ def keyed_sign_mask(key: SubKey, shape: tuple[int, int],
     count = (r1 - r0) * (c1 - c0)
     if count == 0:
         return mask
-    bits = u64_stream(RngState(key.value), count) & np.uint64(1)
+    bits = u64_stream(key, count) & np.uint64(1)
     block = 1.0 - 2.0 * bits.astype(np.float64)  # bit 1 -> -1, bit 0 -> +1
     mask[r0:r1, c0:c1] = block.reshape(r1 - r0, c1 - c0)
     return mask

@@ -59,7 +59,7 @@ import numpy as np
 
 from .attacks import ATTACK_KINDS, AdvSet, AttackConfig
 from .nn import LAYER_KINDS, ArchSpec, ModelParams
-from .rng import MasterKey, SubKey, hex16_value
+from .rng import MasterKey, hex16_value
 from .system import MODE_TABLE, MODES, SystemSpec, build_system
 
 MODEL_MAGIC = b"RDIV"
@@ -291,17 +291,17 @@ def _read_tensors(frame: _Frame, arch: ArchSpec) -> ModelParams:
     return ModelParams(arch, tuple(weights), tuple(biases))
 
 
-def _key_fingerprint(key: SubKey) -> int:
+def _key_fingerprint(key: int) -> int:
     """First 8 bytes of SHA-256 over the tag and the key as a little-endian u64.
 
     A subkey itself would invert to its master key: SplitMix64 steps are
     bijections.
     """
-    digest = hashlib.sha256(_FINGERPRINT_TAG + struct.pack("<Q", key.value)).digest()
+    digest = hashlib.sha256(_FINGERPRINT_TAG + struct.pack("<Q", key)).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def _params_frame(params: ModelParams, key: SubKey) -> tuple:
+def _params_frame(params: ModelParams, key: int) -> tuple:
     return _seal(MODEL_MAGIC, _dump_arch(params.arch), *_tensors(params),
                  f"{_key_fingerprint(key):016x}".encode("ascii"))
 
@@ -392,7 +392,7 @@ def _parse_adv_set(frame: _Frame) -> AdvSet:
                   frame.array("<f4", shape))
 
 
-def save_params(path: str | Path, params: ModelParams, key: SubKey) -> None:
+def save_params(path: str | Path, params: ModelParams, key: int) -> None:
     atomic_write_bytes(path, *_params_frame(params, key))
 
 

@@ -28,7 +28,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataio import LabeledSet
-from .nn import ArchSpec, Hyper, ModelParams, forward, init_params, train
+from .nn import (
+    ArchSpec,
+    Hyper,
+    ModelParams,
+    forward,
+    init_params,
+    require_bool,
+    require_count,
+    train,
+)
 from .rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
 from .transforms import (
     SUBBAND_IDS,
@@ -69,9 +78,7 @@ def check_settings(mode: str, per_color: bool, reject_threshold: float | None) -
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; pick one of {', '.join(MODES)}")
-    # A quoted "no" is a non-empty string, which bool() would call true.
-    if not isinstance(per_color, bool):
-        raise ValueError(f"per_color must be true or false, got {per_color!r}")
+    require_bool(per_color, "per_color")
     if per_color and mode != "direct-permutation":
         raise ValueError(f"per_color applies to direct-permutation only, not mode {mode!r}")
     # bool is an int subclass, so `true` must be ruled out by name.
@@ -135,11 +142,12 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
     order instead of the keyed init; loading a saved system uses it.
     """
     check_settings(mode, per_color, reject_threshold)
+    for value, what in ((groups, "groups"), (branches, "branches"),
+                        (size, "size"), (colors, "colors")):
+        require_count(value, what)
     kind, expected_groups = MODE_TABLE[mode]
     if groups != expected_groups:
         raise ValueError(f"mode {mode!r} requires {expected_groups} group(s), got {groups}")
-    if branches < 1:
-        raise ValueError("need at least one branch per group")
     if arch.input_dim != size * size * colors:
         raise ValueError(f"arch input_dim {arch.input_dim} does not match "
                          f"{size}x{size}x{colors} images")
@@ -171,7 +179,7 @@ def first_branches(system: SystemSpec, branches: int) -> SystemSpec:
     Every channel depends only on the master key and its own lineage, so
     this equals building and training the smaller grid directly.
     """
-    if not 1 <= branches <= system.branches:
+    if require_count(branches, "branches") > system.branches:
         raise ValueError(f"cannot take {branches} branches from a grid of "
                          f"{system.branches}")
     return replace(system, channels=tuple(c for c in system.channels if c.i < branches))
@@ -191,9 +199,7 @@ def train_system(system: SystemSpec, trainset: LabeledSet, hyper: Hyper,
     keys. A channel whose training overflows raises FloatingPointError
     naming the epoch and the channel.
     """
-    # bool is an int subclass, so `True` must be ruled out by name.
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive int, got {workers!r}")
+    require_count(workers, "workers")
     if not system.channels:
         raise ValueError("system has no channels")
     if len(trainset) == 0:

@@ -150,16 +150,18 @@ def make_preprocessor(kind: str, master: MasterKey, j: int, i: int,
                       size: int, colors: int,
                       subband: tuple[int, int, int, int] | None = None,
                       per_color: bool = False) -> Preprocessor:
-    """Derive the (j, i) sub-key and materialize the keyed payload.
+    """Materialize channel (j, i)'s payload.
 
-    The DCT kinds require `subband`, the half-open (r0, r1, c0, c1)
-    rectangle of the coefficient plane they act on (see `subband_rect`).
-    `per_color` gives direct-permutation an independent permutation per
-    color channel instead of the default shared one.
+    Shared direct-permutation and dct-sign-flip draw it from the lineage's
+    `TAG_PREPROCESS` sub-key, per-color permutations from one sub-key per
+    color; identity and dct-hard-threshold take no key. The DCT kinds
+    require `subband`, the half-open (r0, r1, c0, c1) rectangle of the
+    coefficient plane they act on (see `subband_rect`). `per_color` gives
+    direct-permutation an independent permutation per color channel
+    instead of the default shared one.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown preprocessor kind {kind!r}")
-    key = derive_subkey(master, j, i, TAG_PREPROCESS)
     if kind == "identity":
         return Preprocessor(kind, size, colors, permutation=np.arange(size * size * colors))
     if kind == "direct-permutation":
@@ -170,14 +172,15 @@ def make_preprocessor(kind: str, master: MasterKey, j: int, i: int,
                 for c in range(colors)
             ], axis=1)
         else:
-            perms = keyed_permutation(key, n)[:, None]
+            perms = keyed_permutation(derive_subkey(master, j, i, TAG_PREPROCESS), n)[:, None]
         # Entry k*m + c, color c of pixel k, reads color c of pixel perms[k, c].
         index = (perms * colors + np.arange(colors)).ravel()
         return Preprocessor(kind, size, colors, permutation=index)
     if subband is None:
         raise ValueError(f"{kind} requires a sub-band")
     if kind == "dct-sign-flip":
-        mask = keyed_sign_mask(key, (size, size), subband)
+        mask = keyed_sign_mask(derive_subkey(master, j, i, TAG_PREPROCESS),
+                               (size, size), subband)
     else:  # dct-hard-threshold
         r0, r1, c0, c1 = subband
         mask = np.ones((size, size))

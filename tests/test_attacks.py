@@ -593,9 +593,10 @@ def test_transfer_eval_identity_system_matches_surrogate(surrogate):
     assert again[:3] == (clean, attacked, surr)
     with pytest.raises(ValueError):
         transfer_eval(system, surrogate, data, config, 39, adv=adv)
-    # A limit below 1 would divide by zero or report negative percentages.
-    for limit in (0, -2):
-        with pytest.raises(ValueError, match="limit"):
+    # A limit below 1 would divide by zero or report negative percentages;
+    # True once scored one image.
+    for limit in (0, -2, True, 2.0):
+        with pytest.raises(ValueError, match=rf"^limit must be a positive int, got {limit!r}$"):
             transfer_eval(system, surrogate, data, config, limit)
 
 

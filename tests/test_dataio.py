@@ -183,6 +183,10 @@ def test_take_first(tmp_path):
     with pytest.raises(ValueError, match="negative"):
         take_first(data, -2)
     assert len(take_first(data, 0)) == 0
+    # True once returned one sample.
+    for n in (True, 1.5, "2"):
+        with pytest.raises(ValueError, match=rf"^a sample count must be an int, got {n!r}$"):
+            take_first(data, n)
 
 
 def test_idx_pixels_equal_the_out_of_place_division(tmp_path):

@@ -17,13 +17,15 @@ from rdiv.nn import (
     init_params,
     logits_and_cache,
     mlp_arch,
+    require_bool,
+    require_count,
     train,
 )
-from rdiv.rng import RngState, SubKey, skip
+from rdiv.rng import skip
 
 from _synth import make_dataset
 
-KEY = SubKey(0x1234)
+KEY = 0x1234
 
 
 def tiny_arch():
@@ -31,7 +33,7 @@ def tiny_arch():
 
 
 def random_params(arch, seed):
-    return init_params(arch, SubKey(seed))
+    return init_params(arch, seed)
 
 
 def ce_loss_via_forward(params, x, label):
@@ -121,8 +123,7 @@ class TestInit:
 
     def test_different_keys_differ(self):
         arch = tiny_arch()
-        assert not init_params(arch, SubKey(1)).equal(
-            init_params(arch, SubKey(2)))
+        assert not init_params(arch, 1).equal(init_params(arch, 2))
 
 
 class TestForward:
@@ -354,7 +355,7 @@ class TestTrain:
         params = init_params(arch, KEY)
         x, y = self.separable_set()
         hyper = Hyper(learning_rate=0.01, batch_size=16, epochs=50)
-        trained = train(params, (x, y), hyper, SubKey(77))
+        trained = train(params, (x, y), hyper, 77)
         preds = forward(trained, x).argmax(axis=1)
         assert np.mean(preds != y) == 0.0
 
@@ -363,8 +364,8 @@ class TestTrain:
         params = init_params(arch, KEY)
         x, y = self.separable_set()
         hyper = Hyper(epochs=3, batch_size=16)
-        a = train(params, (x, y), hyper, SubKey(5))
-        b = train(params, (x, y), hyper, SubKey(5))
+        a = train(params, (x, y), hyper, 5)
+        b = train(params, (x, y), hyper, 5)
         assert a.equal(b)
 
     def test_adam_learns_at_both_rates(self):
@@ -372,7 +373,7 @@ class TestTrain:
         x, y = self.separable_set()
         for lr in (0.05, 0.01):
             hyper = Hyper(learning_rate=lr, batch_size=16, epochs=30)
-            trained = train(init_params(arch, KEY), (x, y), hyper, SubKey(6))
+            trained = train(init_params(arch, KEY), (x, y), hyper, 6)
             preds = forward(trained, x).argmax(axis=1)
             assert np.mean(preds != y) <= 0.05
 
@@ -383,7 +384,7 @@ class TestTrain:
         hyper = Hyper(learning_rate=1e30, batch_size=16, epochs=5)
         with pytest.raises(FloatingPointError, match=r"^non-finite activations after "
                                                      r"layer 2 \(dense\) in epoch 0$"):
-            train(params, (x * 1e6, y), hyper, SubKey(7))
+            train(params, (x * 1e6, y), hyper, 7)
 
     def test_divergence_names_a_later_epoch(self, monkeypatch):
         # 80 samples in batches of 16 make 5 steps an epoch, so the 13th
@@ -402,7 +403,7 @@ class TestTrain:
         hyper = Hyper(learning_rate=0.01, batch_size=16, epochs=5)
         with pytest.raises(FloatingPointError, match=r"^non-finite activations after "
                                                      r"layer 0 \(dense\) in epoch 2$"):
-            train(init_params(mlp_arch(2, (8,), 2), KEY), (x, y), hyper, SubKey(7))
+            train(init_params(mlp_arch(2, (8,), 2), KEY), (x, y), hyper, 7)
 
     def test_adam_overflow_raises(self):
         # Weights near 1e10 in three dense layers give gradients whose
@@ -413,8 +414,7 @@ class TestTrain:
         hyper = Hyper(learning_rate=1e10, batch_size=16, epochs=3)
         with pytest.raises(FloatingPointError, match=r"^Adam update: overflow encountered "
                                                      r"in \w+ in epoch 0$"):
-            train(init_params(mlp_arch(784, (32, 16), 10), KEY), (x, labels), hyper,
-                  SubKey(7))
+            train(init_params(mlp_arch(784, (32, 16), 10), KEY), (x, labels), hyper, 7)
 
     def test_a_breaking_last_step_raises_inside_train(self):
         # One batch holds the whole set, so no forward pass follows the one
@@ -423,7 +423,7 @@ class TestTrain:
         hyper = Hyper(learning_rate=1e30, batch_size=80, epochs=1)
         with pytest.raises(FloatingPointError, match=r"^non-finite activations after "
                                                      r"layer 2 \(dense\) in epoch 0$"):
-            train(init_params(mlp_arch(2, (8,), 2), KEY), (x, y), hyper, SubKey(7))
+            train(init_params(mlp_arch(2, (8,), 2), KEY), (x, y), hyper, 7)
 
     def test_columns_train_on_the_mapped_inputs(self):
         x, y = self.separable_set()
@@ -431,8 +431,8 @@ class TestTrain:
         columns = np.array([4, 0, 5, 1, 3, 2])
         params = init_params(mlp_arch(6, (8,), 2), KEY)
         hyper = Hyper(learning_rate=0.01, batch_size=16, epochs=2)
-        mapped = train(params, (np.take(x, columns, axis=1), y), hyper, SubKey(5))
-        assert train(params, (x, y), hyper, SubKey(5), columns).equal(mapped)
+        mapped = train(params, (np.take(x, columns, axis=1), y), hyper, 5)
+        assert train(params, (x, y), hyper, 5, columns).equal(mapped)
 
     @pytest.mark.parametrize("columns, message", [
         (np.arange(4).reshape(2, 2), "1-D integer array of length 4"),
@@ -471,8 +471,21 @@ class TestTrain:
             train(params, (x, np.zeros(15, dtype=int)), Hyper(epochs=1), KEY)
 
 
+def test_count_and_flag_checks_name_the_setting():
+    # The one rule behind every count and flag a library entry point takes.
+    assert require_count(3, "width") == 3
+    for value in (0, -1, True, 2.0, "3", None):
+        with pytest.raises(ValueError, match=rf"^width must be a positive int, got {value!r}$"):
+            require_count(value, "width")
+    for value in (True, False):
+        require_bool(value, "flag")
+    for value in ("no", 1, 0, None):
+        with pytest.raises(ValueError, match=rf"^flag must be true or false, got {value!r}$"):
+            require_bool(value, "flag")
+
+
 def test_keyed_order_is_the_shared_fisher_yates():
-    assert _keyed_order(RngState(5), 10).tolist() == [3, 6, 0, 4, 5, 1, 2, 9, 7, 8]
+    assert _keyed_order(5, 10).tolist() == [3, 6, 0, 4, 5, 1, 2, 9, 7, 8]
 
 
 def reference_train(params, x, y, hyper, key):
@@ -486,7 +499,7 @@ def reference_train(params, x, y, hyper, key):
     v = [np.zeros_like(t) for t in weights + biases]
     lr = dtype.type(hyper.learning_rate)
     b1, b2, eps = dtype.type(0.9), dtype.type(0.999), dtype.type(1e-8)
-    state = RngState(key.value)
+    state = key
     step = 0
     for _ in range(hyper.epochs):
         order = _keyed_order(state, len(x))
@@ -521,7 +534,7 @@ class TestTrainMatchesReference:
 
     def check(self, arch, x, y, hyper, dtype):
         params = init_params(arch, KEY).astype(dtype)
-        shuffle = SubKey(21)
+        shuffle = 21
         got = train(params, (x, y), hyper, shuffle)
         want = reference_train(params, np.array(x, dtype=dtype), y, hyper, shuffle)
         assert got.dtype == dtype

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from rdiv.rng import (
     _STREAM_BLOCK,
     MasterKey,
-    RngState,
-    SubKey,
     derive_subkey,
     fisher_yates,
     keyed_permutation,
@@ -27,33 +25,33 @@ SEED1_FIRST3 = [0x910A2DEC89025CC1, 0xBEEB8DA1658EEC67, 0xF893A2EEFB32555E]
 
 
 def test_next_u64_seed0_golden():
-    state = RngState(0)
+    state = 0
     for expected in SEED0_FIRST3:
         value, state = next_u64(state)
         assert value == expected
 
 
 def test_next_u64_seed1_golden():
-    state = RngState(1)
+    state = 1
     for expected in SEED1_FIRST3:
         value, state = next_u64(state)
         assert value == expected
 
 
 def test_next_u64_purity():
-    a = next_u64(RngState(12345))
-    b = next_u64(RngState(12345))
+    a = next_u64(12345)
+    b = next_u64(12345)
     assert a == b
 
 
 def test_million_draws_reproduce_exactly():
-    first = u64_stream(RngState(1), 1_000_000)
-    second = u64_stream(RngState(1), 1_000_000)
+    first = u64_stream(1, 1_000_000)
+    second = u64_stream(1, 1_000_000)
     assert np.array_equal(first, second)
 
 
 def test_stream_matches_scalar_path():
-    state = RngState(987654321)
+    state = 987654321
     scalar = []
     s = state
     for _ in range(100):
@@ -65,13 +63,12 @@ def test_stream_matches_scalar_path():
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1))
 def test_stream_prefix_consistency(seed):
-    state = RngState(seed)
-    assert u64_stream(state, 7).tolist()[:3] == u64_stream(state, 3).tolist()
+    assert u64_stream(seed, 7).tolist()[:3] == u64_stream(seed, 3).tolist()
 
 
 def test_derive_subkey_golden():
-    assert derive_subkey(MasterKey(0xDEADBEEF), 0, 0, 0).value == 0x4ADFB90F68C9EB9B
-    assert derive_subkey(MasterKey(0xDEADBEEF), 1, 2, 3).value == 0x71E23A00A1D85A79
+    assert derive_subkey(MasterKey(0xDEADBEEF), 0, 0, 0) == 0x4ADFB90F68C9EB9B
+    assert derive_subkey(MasterKey(0xDEADBEEF), 1, 2, 3) == 0x71E23A00A1D85A79
 
 
 def test_derive_subkey_deterministic():
@@ -84,12 +81,12 @@ def test_derive_subkey_branches_differ():
     rng = np.random.default_rng(0)
     for value in rng.integers(0, 1 << 64, size=1000, dtype=np.uint64):
         m = MasterKey(int(value))
-        assert derive_subkey(m, 0, 0, 0).value != derive_subkey(m, 0, 1, 0).value
+        assert derive_subkey(m, 0, 0, 0) != derive_subkey(m, 0, 1, 0)
 
 
 def test_derive_subkey_grid_distinct():
     m = MasterKey(0xA5A5A5A5A5A5A5A5)
-    keys = [derive_subkey(m, j, i, 0).value for j in range(3) for i in range(5)]
+    keys = [derive_subkey(m, j, i, 0) for j in range(3) for i in range(5)]
     assert len(set(keys)) == 15
 
 
@@ -99,90 +96,90 @@ def test_derive_subkey_no_collisions_bulk():
     for _ in range(10_000):
         m = MasterKey(int(rng.integers(0, 1 << 64, dtype=np.uint64)))
         j, i = int(rng.integers(0, 8)), int(rng.integers(0, 32))
-        seen.add(derive_subkey(m, j, i, 0).value)
+        seen.add(derive_subkey(m, j, i, 0))
     assert len(seen) == 10_000
 
 
 def test_keyed_permutation_single_element():
-    assert keyed_permutation(SubKey(123), 1).tolist() == [0]
+    assert keyed_permutation(123, 1).tolist() == [0]
 
 
 def test_keyed_permutation_golden_key42():
     # Independent oracle: SplitMix64 + descending Fisher-Yates, j = draw mod (i+1).
-    assert keyed_permutation(SubKey(42), 4).tolist() == [2, 0, 3, 1]
-    assert keyed_permutation(SubKey(7), 8).tolist() == [1, 4, 5, 2, 6, 0, 3, 7]
+    assert keyed_permutation(42, 4).tolist() == [2, 0, 3, 1]
+    assert keyed_permutation(7, 8).tolist() == [1, 4, 5, 2, 6, 0, 3, 7]
 
 
 def test_keyed_permutation_rejects_empty():
     with pytest.raises(ValueError):
-        keyed_permutation(SubKey(1), 0)
+        keyed_permutation(1, 0)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 64) - 1),
        st.integers(min_value=1, max_value=200))
 @settings(max_examples=60)
 def test_keyed_permutation_is_bijection(key, n):
-    perm = keyed_permutation(SubKey(key), n)
+    perm = keyed_permutation(key, n)
     assert sorted(perm.tolist()) == list(range(n))
 
 
 def test_fisher_yates_golden():
     # Byte-identical retraining (the shuffle in `nn._keyed_order`) and the
     # permutations a saved system rebuilds on load both need these fixed.
-    order = fisher_yates(RngState(0x0123456789ABCDEF), 1000)
+    order = fisher_yates(0x0123456789ABCDEF, 1000)
     assert hashlib.sha256(order.tobytes()).hexdigest() == (
         "83920312d1df76d1d561fce9766344eb2a1b9367e98ced9e53871fb9f23a776e")
-    assert fisher_yates(RngState(5), 10).tolist() == [3, 6, 0, 4, 5, 1, 2, 9, 7, 8]
-    perm = keyed_permutation(SubKey(0xFEEDFACE), 784)
+    assert fisher_yates(5, 10).tolist() == [3, 6, 0, 4, 5, 1, 2, 9, 7, 8]
+    perm = keyed_permutation(0xFEEDFACE, 784)
     assert hashlib.sha256(perm.tobytes()).hexdigest() == (
         "7890732eac2406675c76661bb73433e008fb5dba59f486b59339a3c0dd038100")
 
 
 def test_fisher_yates_empty_and_dtype():
-    assert fisher_yates(RngState(5), 0).shape == (0,)
-    assert fisher_yates(RngState(5), 3).dtype == np.int64
+    assert fisher_yates(5, 0).shape == (0,)
+    assert fisher_yates(5, 3).dtype == np.int64
 
 
 def test_keyed_permutation_100_sorted():
-    perm = keyed_permutation(SubKey(99), 100)
+    perm = keyed_permutation(99, 100)
     assert np.array_equal(np.sort(perm), np.arange(100))
 
 
 def test_sign_mask_empty_region():
-    mask = keyed_sign_mask(SubKey(5), (8, 8), (3, 3, 0, 8))
+    mask = keyed_sign_mask(5, (8, 8), (3, 3, 0, 8))
     assert np.array_equal(mask, np.ones((8, 8)))
 
 
 def test_sign_mask_full_region_balanced():
-    mask = keyed_sign_mask(SubKey(7), (28, 28), (0, 28, 0, 28))
+    mask = keyed_sign_mask(7, (28, 28), (0, 28, 0, 28))
     frac_negative = np.mean(mask < 0)
     assert abs(frac_negative - 0.5) < 0.05
 
 
 def test_sign_mask_deterministic():
-    a = keyed_sign_mask(SubKey(11), (16, 16), (4, 12, 4, 12))
-    b = keyed_sign_mask(SubKey(11), (16, 16), (4, 12, 4, 12))
+    a = keyed_sign_mask(11, (16, 16), (4, 12, 4, 12))
+    b = keyed_sign_mask(11, (16, 16), (4, 12, 4, 12))
     assert np.array_equal(a, b)
 
 
 def test_sign_mask_outside_region_untouched():
-    mask = keyed_sign_mask(SubKey(3), (10, 10), (0, 5, 5, 10))
+    mask = keyed_sign_mask(3, (10, 10), (0, 5, 5, 10))
     assert np.all(mask[5:, :] == 1.0)
     assert np.all(mask[:, :5] == 1.0)
 
 
 def test_sign_mask_is_involution():
-    mask = keyed_sign_mask(SubKey(13), (12, 12), (0, 12, 0, 12))
+    mask = keyed_sign_mask(13, (12, 12), (0, 12, 0, 12))
     assert np.array_equal(mask * mask, np.ones((12, 12)))
 
 
 def test_sign_mask_region_out_of_bounds():
     with pytest.raises(ValueError):
-        keyed_sign_mask(SubKey(1), (8, 8), (0, 9, 0, 8))
+        keyed_sign_mask(1, (8, 8), (0, 9, 0, 8))
 
 
 def test_uniform_floats_range_and_determinism():
-    key = SubKey(0xABCDEF)
+    key = 0xABCDEF
     u = uniform_floats(key, 10_000)
     assert np.all((u >= 0.0) & (u < 1.0))
     assert np.array_equal(u, uniform_floats(key, 10_000))
@@ -193,8 +190,8 @@ def test_uniform_floats_range_and_determinism():
                                    _STREAM_BLOCK + 1, 2 * _STREAM_BLOCK + 7])
 def test_uniform_floats_matches_scalar_stream(count):
     # Reference: the top 53 bits of each sequential next_u64 draw, scaled.
-    key = SubKey(0x5EED5EED5EED5EED)
-    state = RngState(key.value)
+    key = 0x5EED5EED5EED5EED
+    state = key
     expected = []
     for _ in range(count):
         value, state = next_u64(state)

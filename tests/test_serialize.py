@@ -87,10 +87,10 @@ def test_model_blob_round_trip(tmp_path):
     # A subkey inverts to its master key, so the blob holds a one-way
     # fingerprint of it instead, and neither key appears.
     digest = hashlib.sha256(b"rdiv model key fingerprint"
-                            + struct.pack("<Q", key.value)).digest()
+                            + struct.pack("<Q", key)).digest()
     assert key_value == int.from_bytes(digest[:8], "big")
     assert blob[-48:-32] == digest[:8].hex().encode()
-    for secret in (key.value, MASTER.value):
+    for secret in (key, MASTER.value):
         assert f"{secret:016x}".encode() not in blob
 
 

@@ -116,6 +116,27 @@ def test_reject_threshold_outside_unit_interval_rejected():
                      reject_threshold=threshold)
 
 
+@pytest.mark.parametrize("setting, value", [("groups", True), ("branches", True),
+                                            ("branches", 2.0), ("size", 8.0),
+                                            ("colors", True)])
+def test_build_system_refuses_counts_that_are_not_positive_ints(setting, value):
+    # branches=True once built an I=1 grid, and 2.0 raised a bare TypeError.
+    counts = {"groups": 1, "branches": 2, "size": SIZE, "colors": COLORS, setting: value}
+    with pytest.raises(ValueError, match=rf"^{setting} must be a positive int, got {value!r}$"):
+        build_system("direct-permutation", MASTER, arch=toy_arch(), **counts)
+
+
+@pytest.mark.parametrize("branches", [True, 1.0])
+def test_sub_grids_refuse_counts_that_are_not_positive_ints(branches):
+    # True once took the first branch.
+    system = build_system("direct-permutation", MASTER, 1, 2, toy_arch(), SIZE, COLORS)
+    message = rf"^branches must be a positive int, got {branches!r}$"
+    with pytest.raises(ValueError, match=message):
+        first_branches(system, branches)
+    with pytest.raises(ValueError, match=message):
+        nested_decisions(system, [branches], toy_set(count=4).images)
+
+
 def test_build_system_refuses_params_of_another_arch():
     # They were once taken, and the saved file then failed to read back.
     arch, other = mlp_arch(16, (8,), 4), mlp_arch(16, (5,), 4)
