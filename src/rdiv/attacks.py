@@ -34,13 +34,12 @@ from .nn import (
     adam_scalars,
     backward_from_logits,
     batch_loss_and_grads,
-    check_labels,
     forward,
     logits_and_cache,
     require_bool,
     require_count,
-    require_finite,
-    require_int,
+    require_indices,
+    require_number,
 )
 from .rng import MasterKey
 from .system import SystemSpec, build_system, decision_errors, error_count, train_system
@@ -81,21 +80,14 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
-        for name in ("steps", "iterations", "target"):
-            require_int(self, name)
-        for name in ("eps", "alpha", "c", "step_size", "kappa"):
-            require_finite(self, name)
+        for name in ("eps", "kappa"):
+            require_number(getattr(self, name), name)
+        for name in ("alpha", "c", "step_size"):
+            require_number(getattr(self, name), name, positive=True)
+        for name in ("steps", "iterations"):
+            require_count(getattr(self, name), name)
+        require_count(self.target, "target", minimum=0)
         require_bool(self.targeted, "targeted")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
-        if self.alpha <= 0 or self.steps < 1:
-            raise ValueError("pgd needs alpha > 0 and steps >= 1")
-        if self.c <= 0 or self.iterations < 1 or self.step_size <= 0:
-            raise ValueError("cw needs c > 0, iterations >= 1, step_size > 0")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        if self.target < 0:
-            raise ValueError(f"target must be a non-negative int, got {self.target!r}")
         if self.targeted and self.kind != "cw-l2":
             raise ValueError(f"targeted applies to cw-l2 only, not {self.kind}")
 
@@ -193,7 +185,7 @@ def pgd_linf_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
 
     Starts at the clean image, so steps=1 with alpha=eps reproduces fgsm.
     """
-    labels = check_labels(labels, len(images), params.arch.classes)
+    labels = require_indices(labels, "labels", len(images), params.arch.classes)
     _check_pixels(images)
     low = np.maximum(images - eps, 0.0)
     high = np.minimum(images + eps, 1.0)
@@ -267,7 +259,7 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     batch = images.shape[0]
     flat_dim = params.arch.input_dim
     classes = params.arch.classes
-    labels = check_labels(labels, batch, classes)
+    labels = require_indices(labels, "labels", batch, classes)
     if config.targeted and config.target >= classes:
         raise ValueError(f"target {config.target} is not in [0, {classes})")
     _check_pixels(images)

@@ -171,7 +171,7 @@ def _parse_dataset(raw: dict) -> tuple[str, str, tuple[Path, ...], tuple[Path, .
     return name, fmt, train, test, classes
 
 
-def _parse_attacks(raw: dict) -> tuple[tuple[str, AttackConfig], ...]:
+def _parse_attacks(raw: dict, classes: int) -> tuple[tuple[str, AttackConfig], ...]:
     entries = raw.get("attacks") or []
     if not isinstance(entries, list):
         raise ConfigError("attacks must be a list")
@@ -189,6 +189,9 @@ def _parse_attacks(raw: dict) -> tuple[tuple[str, AttackConfig], ...]:
             config = AttackConfig(**settings)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"attacks[{pos}]: {exc}") from None
+        if config.targeted and config.target >= classes:
+            raise ConfigError(f"attacks[{pos}]: target {config.target} is not in "
+                              f"[0, {classes})")
         name = entry.get("name", entry["kind"])
         # The name becomes the file name adv-{name}.radv in out_dir.
         if (not isinstance(name, str) or name in ("", ".", "..")
@@ -308,7 +311,7 @@ def _validate(raw: dict) -> RunConfig:
 
     return RunConfig(name, fmt, train_paths, test_paths, classes, mode,
                      grid, master, per_color, reject, hidden, hyper,
-                     _parse_attacks(raw), limit,
+                     _parse_attacks(raw, classes), limit,
                      out_dir, workers)
 
 

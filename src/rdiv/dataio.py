@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .nn import require_count
+
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 1024 plane-major pixels
@@ -147,11 +149,6 @@ def load_cifar10(batch_paths: list[str | Path], name: str = "cifar10") -> Labele
 
 def take_first(dataset: LabeledSet, n: int) -> LabeledSet:
     """Prefix slice of the first n samples in stored order."""
-    # bool is an int subclass, so `True` must be ruled out by name.
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"a sample count must be an int, got {n!r}")
-    if n < 0:
-        raise ValueError(f"requested {n} samples, a count cannot be negative")
-    if n > len(dataset):
+    if require_count(n, "sample count", minimum=0) > len(dataset):
         raise ValueError(f"requested {n} samples, set has {len(dataset)}")
     return LabeledSet(dataset.images[:n], dataset.labels[:n], dataset.name)

@@ -42,8 +42,7 @@ class ArchSpec:
     layers: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
+        require_count(self.input_dim, "input_dim")
         if not self.layers or self.layers[-1][0] != "softmax-output":
             raise ValueError("arch must end with a softmax-output layer")
         width = self.input_dim
@@ -52,6 +51,7 @@ class ArchSpec:
                 raise ValueError(f"unknown layer kind {kind!r}")
             if kind == "dense":
                 fan_in, fan_out = dims
+                require_count(fan_out, f"layer {pos} fan_out")
                 if fan_in != width:
                     raise ValueError(f"layer {pos}: expected fan_in {width}, got {fan_in}")
                 width = fan_out
@@ -127,24 +127,26 @@ class ModelParams:
                 and all(np.array_equal(a, b) for a, b in zip(self.biases, other.biases)))
 
 
-def require_int(config, name: str) -> None:
-    """Refuse a field of `config` that is not an int.
-
-    bool is an int subclass, so YAML's `true` must be ruled out by name.
-    """
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-
-
-def require_count(value, what: str) -> int:
-    """`value` as a positive int; bools, floats and strings are refused.
+def require_count(value, what: str, minimum: int = 1) -> int:
+    """`value` as an int of at least `minimum`, 1 or 0; bools, floats and
+    strings are refused.
 
     bool is an int subclass, so `True` must be ruled out by name.
     """
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{what} must be a positive int, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        kind = "a positive" if minimum == 1 else "a non-negative"
+        raise ValueError(f"{what} must be {kind} int, got {value!r}")
     return value
+
+
+def require_number(value, what: str, positive: bool = False, high: float = math.inf) -> None:
+    """`value` as a finite int or float in [0, `high`], or in (0, `high`] if
+    `positive`; bools, strings and NaN are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or not (0 < value if positive else 0 <= value)
+            or value > high):
+        interval = f"{'(' if positive else '['}0, {high:g}{']' if high < math.inf else ')'}"
+        raise ValueError(f"{what} must be a number in {interval}, got {value!r}")
 
 
 def require_bool(value, what: str) -> None:
@@ -156,12 +158,16 @@ def require_bool(value, what: str) -> None:
         raise ValueError(f"{what} must be true or false, got {value!r}")
 
 
-def require_finite(config, name: str) -> None:
-    """Refuse a field of `config` that is not a finite int or float (nor a bool)."""
-    value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+def require_indices(values, what: str, count: int, bound: int) -> np.ndarray:
+    """`values` as a 1-D integer array of `count` entries in [0, `bound`):
+    class labels, or an index map over input entries."""
+    values = np.asarray(values)
+    if values.shape != (count,) or values.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be a 1-D integer array of length {count}, "
+                         f"got a {values.dtype} array of shape {values.shape}")
+    if np.any((values < 0) | (values >= bound)):
+        raise ValueError(f"{what} must be in [0, {bound})")
+    return values
 
 
 @dataclass(frozen=True)
@@ -173,15 +179,9 @@ class Hyper:
     epochs: int = 5
 
     def __post_init__(self):
-        for name in ("batch_size", "epochs"):
-            require_int(self, name)
-        require_finite(self, "learning_rate")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
+        require_number(self.learning_rate, "learning_rate", positive=True)
+        require_count(self.batch_size, "batch_size")
+        require_count(self.epochs, "epochs", minimum=0)
 
 
 def init_params(arch: ArchSpec, key: int) -> ModelParams:
@@ -304,17 +304,6 @@ def forward(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return _softmax(z)
 
 
-def check_labels(labels, count: int, classes: int) -> np.ndarray:
-    """`labels` as an array of `count` class indices in [0, classes)."""
-    labels = np.asarray(labels)
-    if labels.shape != (count,) or not np.issubdtype(labels.dtype, np.integer):
-        raise ValueError(f"expected {count} integer class labels, got "
-                         f"{labels.dtype} labels of shape {labels.shape}")
-    if np.any((labels < 0) | (labels >= classes)):
-        raise ValueError(f"labels must be in [0, {classes})")
-    return labels
-
-
 def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray,
                          wrt: str = "both"):
     """Mean cross-entropy over a batch, with the gradients `wrt` names.
@@ -323,7 +312,7 @@ def batch_loss_and_grads(params: ModelParams, x: np.ndarray, labels: np.ndarray,
     slots `wrt` skips (see `backward_from_logits`). Input grads come back
     per sample in the batch's (B, input_dim) shape. An empty batch has
     loss 0 and empty gradients. `labels` are not checked here: every entry
-    point that reaches this checks them once with `check_labels`.
+    point that reaches this checks them once with `require_indices`.
     """
     x2d = _as_batch(params.arch, x)
     batch = x2d.shape[0]
@@ -373,17 +362,6 @@ class _AdamSlots:
                    (np.empty(largest, dtype), np.empty(largest, dtype)))
 
 
-def _check_columns(columns, input_dim: int) -> np.ndarray:
-    """`columns` as an index map over `input_dim` input entries, or refused."""
-    columns = np.asarray(columns)
-    if columns.shape != (input_dim,) or columns.dtype.kind not in "iu":
-        raise ValueError(f"columns must be a 1-D integer array of length {input_dim}, "
-                         f"got {columns.dtype} columns of shape {columns.shape}")
-    if np.any((columns < 0) | (columns >= input_dim)):
-        raise ValueError(f"columns must be in [0, {input_dim})")
-    return columns
-
-
 def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
           hyper: Hyper, key: int, columns: np.ndarray | None = None) -> ModelParams:
     """Mini-batch training with keyed shuffling; returns updated params.
@@ -407,18 +385,20 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
     count = images.shape[0]
     if count == 0:
         raise ValueError("dataset is empty")
-    labels = check_labels(labels, count, params.arch.classes)
+    labels = require_indices(labels, "labels", count, params.arch.classes)
     if columns is not None:
-        columns = _check_columns(columns, params.arch.input_dim)
+        input_dim = params.arch.input_dim
+        columns = require_indices(columns, "columns", input_dim, input_dim)
     if hyper.epochs == 0:
         return params
 
     # Row-major, so each batch gathers whole contiguous rows.
     x2d = np.ascontiguousarray(_as_batch(params.arch, images.reshape(count, -1)),
                                dtype=params.dtype)
-    weights = [w.copy() for w in params.weights]
-    biases = [b.copy() for b in params.biases]
-    slots = _AdamSlots.zeros(weights + biases)
+    # C-contiguous copies, which every Adam step updates in place.
+    trained = ModelParams(params.arch, tuple(w.copy() for w in params.weights),
+                          tuple(b.copy() for b in params.biases))
+    slots = _AdamSlots.zeros(trained.weights + trained.biases)
     lr = params.dtype.type(hyper.learning_rate)
 
     try:
@@ -431,17 +411,15 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
                 batch = x2d[idx]
                 if columns is not None:
                     batch = np.take(batch, columns, axis=1)
-                current = ModelParams(params.arch, tuple(weights), tuple(biases))
-                loss, dw, db, _ = batch_loss_and_grads(current, batch, labels[idx],
+                loss, dw, db, _ = batch_loss_and_grads(trained, batch, labels[idx],
                                                        wrt="params")
                 epoch_loss += loss * len(idx)
                 try:
                     with np.errstate(over="raise", invalid="raise"):
-                        _apply_update(weights, biases, dw, db, slots, lr)
+                        _apply_update(trained.weights, trained.biases, dw, db, slots, lr)
                 except FloatingPointError as exc:
                     raise FloatingPointError(f"Adam update: {exc}") from None
             logger.debug("epoch %d: mean loss %.6f", epoch, epoch_loss / count)
-        trained = ModelParams(params.arch, tuple(weights), tuple(biases))
         logits_and_cache(trained, batch)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{exc} in epoch {epoch}") from None
@@ -522,7 +500,7 @@ def finite_difference_max_error(params: ModelParams, x: np.ndarray, label: int) 
     step = 1e-3
     p64 = params.astype(np.float64)
     x64 = np.array(x, dtype=np.float64).reshape(1, -1)
-    labels = check_labels([label], 1, params.arch.classes)
+    labels = require_indices([label], "labels", 1, params.arch.classes)
     _, dweights, dbiases, dx = batch_loss_and_grads(p64, x64, labels)
 
     def loss_at(p, xv):

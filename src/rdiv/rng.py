@@ -11,7 +11,10 @@ long as these stay fixed.
 
 There is no cryptographic claim here and no hidden global state: all
 functions are pure. Derived keys and stream states are plain 64-bit ints,
-passed by value: a key is the state its stream starts from.
+passed by value: a key is the state its stream starts from. `require_u64`
+is the one check of such a value: a master key, a lineage index or a
+stream state that is not an int in [0, 2**64) is refused where it enters,
+not reduced mod 2**64.
 """
 
 from __future__ import annotations
@@ -38,6 +41,16 @@ TAG_SHUFFLE = 2
 TAG_PER_COLOR_BASE = 16  # per-color permutations use TAG_PER_COLOR_BASE + c
 
 
+def require_u64(value, what: str) -> int:
+    """`value` as an int in [0, 2**64); bools, floats and strings are refused.
+
+    bool is an int subclass, so `True` must be ruled out by name.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= _MASK64:
+        raise ValueError(f"{what} must be a 64-bit unsigned int, got {value!r}")
+    return value
+
+
 def hex16_value(text: str) -> int:
     """The value of a key's serialized form: exactly 16 hex digits.
 
@@ -56,8 +69,7 @@ class MasterKey:
     value: int
 
     def __post_init__(self):
-        if not 0 <= self.value <= _MASK64:
-            raise ValueError(f"master key must be a 64-bit unsigned value, got {self.value}")
+        require_u64(self.value, "master key")
 
     @classmethod
     def from_hex(cls, text: str) -> "MasterKey":
@@ -78,7 +90,7 @@ def next_u64(state: int) -> tuple[int, int]:
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB
         output = z ^ (z >> 31)
     """
-    s = (state + _GAMMA) & _MASK64
+    s = (require_u64(state, "state") + _GAMMA) & _MASK64
     z = s
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -92,12 +104,11 @@ def u64_stream(state: int, count: int) -> np.ndarray:
     state sequence is the arithmetic progression state + k * gamma, so the
     whole stream can be mixed elementwise.
     """
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    require_u64(count, "count")
     with np.errstate(over="ignore"):
         z = np.arange(1, count + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)
-        z += np.uint64(state)
+        z += np.uint64(require_u64(state, "state"))
         z ^= z >> np.uint64(30)
         z *= np.uint64(_MIX1)
         z ^= z >> np.uint64(27)
@@ -108,7 +119,7 @@ def u64_stream(state: int, count: int) -> np.ndarray:
 
 def skip(state: int, count: int) -> int:
     """State after `count` next_u64 steps, in O(1)."""
-    return (state + count * _GAMMA) & _MASK64
+    return (require_u64(state, "state") + require_u64(count, "count") * _GAMMA) & _MASK64
 
 
 def derive_subkey(master: MasterKey, j: int, i: int, tag: int) -> int:
@@ -116,10 +127,11 @@ def derive_subkey(master: MasterKey, j: int, i: int, tag: int) -> int:
 
     One SplitMix64 step from state master ^ (j * gamma) ^ (i * branch_c) ^ tag.
     Pure in its inputs; distinct lineages give distinct keys with
-    overwhelming probability.
+    overwhelming probability. Each index must be below 2**64: j and
+    j + 2**64 would give the same key.
     """
-    if j < 0 or i < 0 or tag < 0:
-        raise ValueError("lineage indices must be non-negative")
+    for value, what in ((j, "j"), (i, "i"), (tag, "tag")):
+        require_u64(value, f"lineage index {what}")
     seed = (master.value
             ^ ((j * _GAMMA) & _MASK64)
             ^ ((i * _BRANCH_C) & _MASK64)

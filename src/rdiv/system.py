@@ -36,6 +36,7 @@ from .nn import (
     init_params,
     require_bool,
     require_count,
+    require_number,
     train,
 )
 from .rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
@@ -81,13 +82,8 @@ def check_settings(mode: str, per_color: bool, reject_threshold: float | None) -
     require_bool(per_color, "per_color")
     if per_color and mode != "direct-permutation":
         raise ValueError(f"per_color applies to direct-permutation only, not mode {mode!r}")
-    # bool is an int subclass, so `true` must be ruled out by name.
-    if reject_threshold is not None and (
-            isinstance(reject_threshold, bool)
-            or not isinstance(reject_threshold, (int, float))
-            or not 0.0 <= reject_threshold <= 1.0):
-        raise ValueError(f"reject_threshold must be a number in [0, 1], "
-                         f"got {reject_threshold!r}")
+    if reject_threshold is not None:
+        require_number(reject_threshold, "reject_threshold", high=1.0)
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,16 @@ def traced_names() -> set[tuple[str, str]]:
     return {(entry.elts[0].value, entry.elts[1].value) for entry in table.elts}
 
 
-def readme_names() -> set[tuple[str, str]]:
-    """The names the README's "Library use" example imports from rdiv."""
+def readme_example() -> ast.Module:
+    """The README's "Library use" example, the block CI runs as it stands."""
     text = (ROOT / "README.md").read_text()
     block = re.search(r"^## Library use\n\n```python\n(.*?)^```$", text, re.M | re.S).group(1)
-    return {("", alias.name) for node in ast.walk(ast.parse(block))
+    return ast.parse(block)
+
+
+def readme_names() -> set[tuple[str, str]]:
+    """The names the README's "Library use" example imports from rdiv."""
+    return {("", alias.name) for node in ast.walk(readme_example())
             if isinstance(node, ast.ImportFrom) and node.module == "rdiv"
             for alias in node.names}
 
@@ -60,3 +65,11 @@ def test_the_names_perfbench_and_the_readme_use_resolve():
                      for module, name in used
                      if not hasattr(getattr(rdiv, module) if module else rdiv, name))
     assert missing == []
+
+
+def test_the_readme_example_uses_every_name_it_imports():
+    tree = readme_example()
+    imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported and sorted(imported - used) == []

@@ -373,6 +373,27 @@ def test_non_finite_training_ends_in_an_error_line(data_dir, tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_a_cw_target_outside_the_classes_is_refused_before_any_artifact(data_dir, tmp_path,
+                                                                         capsys):
+    # `target: 12` with 10 classes once parsed; `attack` then wrote
+    # adv-fgsm0.radv before the cw entry failed.
+    config = config_dict(data_dir, tmp_path / "out")
+    config["attacks"].append({"name": "cw", "kind": "cw-l2", "targeted": True, "target": 12,
+                              "iterations": 2})
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(config))
+    for command in ("train", "surrogate", "attack", "eval", "report"):
+        assert run(command, "--config", str(path)) == 1
+        assert capsys.readouterr().err == "error: attacks[2]: target 12 is not in [0, 10)\n"
+    assert not (tmp_path / "out").exists()
+    config["attacks"][2]["target"] = 9
+    config["dataset"]["classes"] = 9
+    with pytest.raises(ConfigError, match=r"^attacks\[2\]: target 9 is not in \[0, 9\)$"):
+        parse_config(yaml.safe_dump(config))
+    config["attacks"][2]["targeted"] = False
+    assert parse_config(yaml.safe_dump(config)).attacks[2][1].target == 9
+
+
 def test_adam_overflow_ends_in_an_error_line_and_saves_nothing(data_dir, tmp_path, capsys):
     # Weights near 1e10 in three dense layers overflow Adam's second moment
     # while every forward pass stays finite.

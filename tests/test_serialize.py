@@ -152,6 +152,19 @@ def test_system_round_trip(tmp_path, trained_system):
                           classify_batch(trained_system, images))
 
 
+def test_every_width_mlp_arch_builds_is_one_read_system_takes(tmp_path):
+    # mlp_arch(16, (0,), 4) once built a system that save_system wrote and
+    # read_system refused as "dense dims 16x0 out of range".
+    for hidden, classes in (((1,), 1), ((1, 2), 1), ((), 1)):
+        arch = mlp_arch(SIZE * SIZE * COLORS, hidden, classes)
+        system = build_system("identity", MASTER, 1, 1, arch, SIZE, COLORS)
+        save_system(tmp_path / "narrow.rdiv", system)
+        assert read_system(tmp_path / "narrow.rdiv").arch == arch
+    for hidden, classes, layer in (((0,), 4, 0), ((4,), 0, 2), ((4, -2), 4, 2)):
+        with pytest.raises(ValueError, match=rf"^layer {layer} fan_out must be a positive int"):
+            mlp_arch(16, hidden, classes)
+
+
 def test_system_load_draws_no_weight_init(tmp_path, trained_system, monkeypatch):
     import rdiv.system
 
