@@ -99,18 +99,11 @@ class RunConfig:
 
 
 def _require_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(section) - allowed)
+    # A key that is not a string (YAML 1, true or null) is named by its repr.
+    unknown = sorted(key if isinstance(key, str) else repr(key)
+                     for key in section if key not in allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _count(value, what: str) -> int:
-    """`value` as a positive int (`require_count`); YAML booleans, floats and
-    strings are refused."""
-    try:
-        return require_count(value, what)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _path(value, what: str) -> Path:
@@ -129,7 +122,8 @@ def _path_list(value, what: str) -> tuple[Path, ...]:
 
 
 def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name) or {}
+    # Only an absent section or YAML null means "use the defaults".
+    value = {} if raw.get(name) is None else raw[name]
     if not isinstance(value, dict):
         raise ConfigError(f"section {name!r} must be a mapping")
     return value
@@ -148,7 +142,7 @@ def _parse_dataset(raw: dict) -> tuple[str, str, tuple[Path, ...], tuple[Path, .
     if not isinstance(name, str) or not name or fmt not in ("idx", "cifar10"):
         raise ConfigError(f"dataset needs a non-empty name string and format "
                           f"idx or cifar10, got name {name!r}, format {fmt!r}")
-    classes = _count(section.get("classes", 10), "dataset classes")
+    classes = require_count(section.get("classes", 10), "dataset classes")
     if fmt == "idx":
         missing = [k for k in ("train_images", "train_labels",
                                "test_images", "test_labels") if k not in section]
@@ -172,7 +166,7 @@ def _parse_dataset(raw: dict) -> tuple[str, str, tuple[Path, ...], tuple[Path, .
 
 
 def _parse_attacks(raw: dict, classes: int) -> tuple[tuple[str, AttackConfig], ...]:
-    entries = raw.get("attacks") or []
+    entries = [] if raw.get("attacks") is None else raw["attacks"]
     if not isinstance(entries, list):
         raise ConfigError("attacks must be a list")
     allowed = {"name"} | {field.name for field in fields(AttackConfig)}
@@ -249,7 +243,16 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(raw: dict) -> RunConfig:
-    """The one set of checks, for config values and command-line flags alike."""
+    """The one set of checks, for config values and command-line flags alike,
+    and the config's one error boundary: a library check's ValueError
+    leaves here as a `ConfigError` with the same message."""
+    try:
+        return _resolve(raw)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _resolve(raw: dict) -> RunConfig:
     _require_keys(raw, {"dataset", "system", "arch", "train", "attacks",
                         "eval", "out_dir", "workers"}, "config")
 
@@ -261,15 +264,12 @@ def _validate(raw: dict) -> RunConfig:
     mode = system.get("mode", "direct-permutation")
     per_color = system.get("per_color", False)
     reject = system.get("reject_threshold")
-    try:
-        check_settings(mode, per_color, reject)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    check_settings(mode, per_color, reject)
     branches = system.get("branches", 1)
     grid = tuple(branches) if isinstance(branches, list) else (branches,)
     if not grid:
         raise ConfigError("branches must be an int or a non-empty list of ints")
-    grid = tuple(_count(b, "branches") for b in grid)
+    grid = tuple(require_count(b, "branches") for b in grid)
     repeated = [b for k, b in enumerate(grid) if b in grid[:k]]
     if repeated:
         raise ConfigError(f"branches lists {repeated[0]} more than once")
@@ -281,10 +281,7 @@ def _validate(raw: dict) -> RunConfig:
         if not isinstance(key, str):
             raise ConfigError(f"master_key must be 16 hex digits in quotes; "
                               f"unquoted, YAML read it as {type(key).__name__}")
-        try:
-            master = MasterKey.from_hex(key)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        master = MasterKey.from_hex(key)
     reject = None if reject is None else float(reject)
 
     arch = _section(raw, "arch")
@@ -292,7 +289,7 @@ def _validate(raw: dict) -> RunConfig:
     hidden = arch.get("hidden", DEFAULT_HIDDEN)
     if not isinstance(hidden, (list, tuple)):
         raise ConfigError(f"hidden must be a list of layer widths, got {hidden!r}")
-    hidden = tuple(_count(h, "hidden layer width") for h in hidden)
+    hidden = tuple(require_count(h, "hidden layer width") for h in hidden)
 
     train = _section(raw, "train")
     _require_keys(train, {field.name for field in fields(Hyper)}, "train")
@@ -303,11 +300,11 @@ def _validate(raw: dict) -> RunConfig:
 
     eval_section = _section(raw, "eval")
     _require_keys(eval_section, {"limit"}, "eval")
-    limit = _count(eval_section.get("limit", DEFAULT_LIMIT), "eval limit")
+    limit = require_count(eval_section.get("limit", DEFAULT_LIMIT), "eval limit")
 
     out_dir = raw.get("out_dir")
     out_dir = None if out_dir is None else _path(out_dir, "out_dir")
-    workers = _count(raw.get("workers", 1), "workers")
+    workers = require_count(raw.get("workers", 1), "workers")
 
     return RunConfig(name, fmt, train_paths, test_paths, classes, mode,
                      grid, master, per_color, reject, hidden, hyper,

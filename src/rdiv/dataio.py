@@ -8,6 +8,7 @@ array a loader returns, so a load holds no second full-size float copy.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +69,25 @@ class LabeledSet:
         return self.images.shape[3]
 
 
+def _read_idx(path: str | Path, magic: int, what: str) -> np.ndarray:
+    """The uint8 array of the IDX file at `path`, shaped by its header:
+    `magic`, whose low byte is the dimension count, then one big-endian u32
+    size per dimension. `what` names the entries in an error."""
+    data = Path(path).read_bytes()
+    header = 4 + 4 * (magic & 0xFF)
+    if len(data) < header:
+        raise DatasetFormatError(f"{path}: too short for an IDX {what} header")
+    found, *shape = struct.unpack(f">{header // 4}I", data[:header])
+    if found != magic:
+        raise DatasetFormatError(f"{path}: bad {what} magic 0x{found:08x}, "
+                                 f"expected 0x{magic:08x}")
+    expected = header + math.prod(shape)
+    if len(data) != expected:
+        raise DatasetFormatError(
+            f"{path}: expected {expected} bytes for {shape[0]} {what}s, got {len(data)}")
+    return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(shape)
+
+
 def load_idx(images_path: str | Path, labels_path: str | Path,
              name: str = "idx") -> LabeledSet:
     """Parse a big-endian IDX image/label file pair.
@@ -77,41 +97,14 @@ def load_idx(images_path: str | Path, labels_path: str | Path,
     count, then count label bytes. Truncated files and count mismatches are
     rejected outright; there is no partial load.
     """
-    image_bytes = Path(images_path).read_bytes()
-    label_bytes = Path(labels_path).read_bytes()
-
-    if len(image_bytes) < 16:
-        raise DatasetFormatError(f"{images_path}: too short for an IDX image header")
-    magic, count, rows, cols = struct.unpack(">IIII", image_bytes[:16])
-    if magic != IDX_IMAGE_MAGIC:
+    pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
+    if len(labels) != len(pixels):
         raise DatasetFormatError(
-            f"{images_path}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
-    expected = 16 + count * rows * cols
-    if len(image_bytes) != expected:
-        raise DatasetFormatError(
-            f"{images_path}: expected {expected} bytes for {count} images, "
-            f"got {len(image_bytes)}")
-
-    if len(label_bytes) < 8:
-        raise DatasetFormatError(f"{labels_path}: too short for an IDX label header")
-    label_magic, label_count = struct.unpack(">II", label_bytes[:8])
-    if label_magic != IDX_LABEL_MAGIC:
-        raise DatasetFormatError(
-            f"{labels_path}: bad label magic 0x{label_magic:08x}, "
-            f"expected 0x{IDX_LABEL_MAGIC:08x}")
-    if len(label_bytes) != 8 + label_count:
-        raise DatasetFormatError(
-            f"{labels_path}: expected {8 + label_count} bytes for {label_count} labels, "
-            f"got {len(label_bytes)}")
-    if label_count != count:
-        raise DatasetFormatError(
-            f"image count {count} does not match label count {label_count}")
-
-    pixels = np.frombuffer(image_bytes, dtype=np.uint8, offset=16)
-    images = pixels.reshape(count, rows, cols, 1).astype(np.float32)
+            f"image count {len(pixels)} does not match label count {len(labels)}")
+    images = pixels.reshape(*pixels.shape, 1).astype(np.float32)
     images /= 255.0
-    labels = np.frombuffer(label_bytes, dtype=np.uint8, offset=8).astype(np.int64)
-    return LabeledSet(images, labels, name)
+    return LabeledSet(images, labels.astype(np.int64), name)
 
 
 def load_cifar10(batch_paths: list[str | Path], name: str = "cifar10") -> LabeledSet:

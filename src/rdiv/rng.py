@@ -179,8 +179,8 @@ def fisher_yates(state: int, n: int) -> np.ndarray:
 
 def keyed_permutation(key: int, n: int) -> np.ndarray:
     """Keyed bijection of [0..n-1]: fisher_yates over the key's stream."""
-    if n < 1:
-        raise ValueError("permutation length must be at least 1")
+    if require_u64(n, "permutation length") < 1:
+        raise ValueError(f"permutation length must be at least 1, got {n!r}")
     return fisher_yates(key, n)
 
 

@@ -7,11 +7,12 @@ first, then parse the body in one pass straight into the arrays they
 return, hashing each byte as it is read. They compare the digest before
 they return and before they raise an error from any body field, hashing
 first whatever that error left unread, so any changed byte is rejected as
-a checksum mismatch. A read holds one copy of the artifact, and every
-error it raises begins with the file's path. Bodies use little-endian
-integers and floats, float32 parameter and pixel tensors in row-major
-order, and keys as 16 lowercase hex digits. An arch is a layer count, then
-per layer a kind byte, plus fan_in and fan_out for dense layers.
+a checksum mismatch. A read holds one copy of the artifact. `_parse` is
+its one error boundary: it turns every ValueError of the read into a
+`BlobFormatError` that begins with the file's path. Bodies use little-endian integers and floats, float32 parameter and pixel
+tensors in row-major order, flag bytes that are 0 or 1, and keys as 16
+lowercase hex digits. An arch is a layer count, then per layer a kind
+byte, plus fan_in and fan_out for dense layers.
 
 Every kind byte is the kind's index in the tuple that lists the kinds: a
 layer's in `nn.LAYER_KINDS` plus 1 (dense 1, relu 2, softmax-output 3), a
@@ -33,8 +34,9 @@ System file ("RDIV"):
     are not stored; `build_system` re-derives them on read.
 
 Adversarial set ("RADV"):
-    attack kind byte | config fields | count N m | indices u32[count] |
-    labels u32[count] | originals, then adversarials, f32[count,N,N,m].
+    attack kind byte | config fields, among them the targeted byte (0/1) |
+    count N m | indices u32[count] | labels u32[count] | originals, then
+    adversarials, f32[count,N,N,m].
 
 The version byte is 2 for "RDIV" and 3 for "RADV" (its version 2 packed
 each sample into one record); no other version is read.
@@ -123,26 +125,24 @@ def _seal(magic: bytes, *body: bytes | memoryview) -> tuple[bytes | memoryview, 
 class _Frame:
     """Sequential little-endian decoder over the frame in one open file.
 
-    `label` is the file's path, which begins every error. Construction
-    checks magic, length and version. Every later byte is read straight
-    into the value or array it becomes and fed to the running SHA-256;
-    nothing is allocated before the bytes the file has left are known to
-    fill it. `verify` hashes what the parse left unread and compares the
-    trailer.
+    Construction checks magic, length and version. Every later byte is read
+    straight into the value or array it becomes and fed to the running
+    SHA-256; nothing is allocated before the bytes the file has left are
+    known to fill it. `verify` hashes what the parse left unread and
+    compares the trailer.
     """
 
-    def __init__(self, handle: BinaryIO, magic: bytes, label: str):
+    def __init__(self, handle: BinaryIO, magic: bytes):
         self.handle = handle
-        self.label = label
         size = handle.seek(0, os.SEEK_END)
         handle.seek(0)
         head = handle.read(_HEADER_SIZE)
         if head[:4] != magic:
-            raise BlobFormatError(f"{label}: bad magic {head[:4]!r}")
+            raise ValueError(f"bad magic {head[:4]!r}")
         if size < _HEADER_SIZE + _DIGEST_SIZE:
-            raise BlobFormatError(f"{label}: truncated at byte {size}")
+            raise ValueError(f"truncated at byte {size}")
         if head[4] != FORMAT_VERSIONS[magic]:
-            raise BlobFormatError(f"{label}: unsupported version {head[4]}")
+            raise ValueError(f"unsupported version {head[4]}")
         self.digest = hashlib.sha256(head)
         self.pos = _HEADER_SIZE
         self.end = size - _DIGEST_SIZE
@@ -154,14 +154,14 @@ class _Frame:
         while done < len(view):
             got = self.handle.readinto(view[done:])
             if not got:
-                raise BlobFormatError(f"{self.label}: truncated at byte {self.pos + done}")
+                raise ValueError(f"truncated at byte {self.pos + done}")
             done += got
         self.digest.update(view)
         self.pos += done
 
     def take(self, count: int) -> bytes:
         if count > self.end - self.pos:
-            raise BlobFormatError(f"{self.label}: truncated at byte {self.pos}")
+            raise ValueError(f"truncated at byte {self.pos}")
         chunk = bytearray(count)
         self.fill(chunk)
         return bytes(chunk)
@@ -181,15 +181,14 @@ class _Frame:
             # UnicodeDecodeError is a ValueError too.
             return hex16_value(text.decode("ascii"))
         except ValueError:
-            raise BlobFormatError(f"{self.label}: bad key hex {text!r}") from None
+            raise ValueError(f"bad key hex {text!r}") from None
 
     def check_room(self, count: int, itemsize: int, unit: str) -> None:
         """Refuse `count` items of `itemsize` bytes (`unit` in the error) that
         the bytes left cannot hold, so nothing is allocated for them."""
         need = count * itemsize
         if need > self.end - self.pos:
-            raise BlobFormatError(f"{self.label}: truncated at byte {self.pos}, "
-                                  f"{count} {unit} need {need} bytes")
+            raise ValueError(f"truncated at byte {self.pos}, {count} {unit} need {need} bytes")
 
     def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
         """A little-endian `dtype` array in native byte order, checked
@@ -204,7 +203,7 @@ class _Frame:
 
     def expect_end(self) -> None:
         if self.pos != self.end:
-            raise BlobFormatError(f"{self.label}: {self.end - self.pos} trailing bytes")
+            raise ValueError(f"{self.end - self.pos} trailing bytes")
 
     def verify(self) -> None:
         """Hash the body bytes the parse left unread, then check the trailer."""
@@ -212,7 +211,14 @@ class _Frame:
         while self.pos < self.end:
             self.fill(memoryview(buffer)[:self.end - self.pos])
         if self.handle.read(_DIGEST_SIZE) != self.digest.digest():
-            raise BlobFormatError(f"{self.label}: SHA-256 checksum mismatch")
+            raise ValueError("SHA-256 checksum mismatch")
+
+
+def _flag(byte: int, what: str) -> bool:
+    """A flag byte of a header: 0 or 1, and nothing else."""
+    if byte not in (0, 1):
+        raise ValueError(f"{what} byte {byte}, expected 0 or 1")
+    return bool(byte)
 
 
 def _parse(path: str | Path, magic: bytes, body: Callable[[_Frame], T]) -> T:
@@ -221,20 +227,24 @@ def _parse(path: str | Path, magic: bytes, body: Callable[[_Frame], T]) -> T:
 
     An error from a body field is raised only after the rest of the frame
     has been hashed and the digest has matched, so a changed byte reports a
-    checksum mismatch whichever field it lands in.
+    checksum mismatch whichever field it lands in. Every ValueError of the
+    read leaves here as a `BlobFormatError` that begins with the path.
     """
     with open(path, "rb") as handle:
-        frame = _Frame(handle, magic, str(path))
-        failure = None
         try:
-            result = body(frame)
-            frame.expect_end()
-        except Exception as exc:
-            failure = exc
-        frame.verify()
-    if failure is not None:
-        raise failure
-    return result
+            frame = _Frame(handle, magic)
+            failure = None
+            try:
+                result = body(frame)
+                frame.expect_end()
+            except Exception as exc:
+                failure = exc
+            frame.verify()
+            if failure is not None:
+                raise failure
+            return result
+        except ValueError as exc:
+            raise BlobFormatError(f"{path}: {exc}") from None
 
 
 def _view(array: np.ndarray, dtype: str) -> memoryview:
@@ -259,27 +269,23 @@ def _dump_arch(arch: ArchSpec) -> bytes:
 def _read_arch(frame: _Frame) -> ArchSpec:
     layer_count = frame.u32()
     if layer_count < 1 or layer_count > 1000:
-        raise BlobFormatError(f"{frame.label}: layer count {layer_count} out of range")
+        raise ValueError(f"layer count {layer_count} out of range")
     layers = []
     for _ in range(layer_count):
         code = frame.u8()
         if not 1 <= code <= len(LAYER_KINDS):
-            raise BlobFormatError(f"{frame.label}: unknown layer code {code}")
+            raise ValueError(f"unknown layer code {code}")
         kind = LAYER_KINDS[code - 1]
         if kind == "dense":
             fan_in, fan_out = frame.u32(), frame.u32()
             if not (1 <= fan_in <= _MAX_LAYER_DIM and 1 <= fan_out <= _MAX_LAYER_DIM):
-                raise BlobFormatError(
-                    f"{frame.label}: dense dims {fan_in}x{fan_out} out of range")
+                raise ValueError(f"dense dims {fan_in}x{fan_out} out of range")
             layers.append((kind, (fan_in, fan_out)))
         else:
             layers.append((kind, ()))
     if layers[0][0] != "dense":
-        raise BlobFormatError(f"{frame.label}: arch must start with a dense layer")
-    try:
-        return ArchSpec(layers[0][1][0], tuple(layers))
-    except ValueError as exc:
-        raise BlobFormatError(f"{frame.label}: {exc}") from None
+        raise ValueError("arch must start with a dense layer")
+    return ArchSpec(layers[0][1][0], tuple(layers))
 
 
 def _read_tensors(frame: _Frame, arch: ArchSpec) -> ModelParams:
@@ -320,18 +326,18 @@ def _system_frame(system: SystemSpec) -> tuple:
                    for view in _tensors(channel.params)))
 
 
-def _parse_system(frame: _Frame) -> tuple[tuple, bool, list[ModelParams]]:
+def _parse_system(frame: _Frame) -> SystemSpec:
     mode_code, per_color, branches, size, colors = frame.fields(_SYSTEM_HEADER)
     if mode_code >= len(MODES):
-        raise BlobFormatError(f"{frame.label}: unknown mode byte {mode_code}")
+        raise ValueError(f"unknown mode byte {mode_code}")
     mode = MODES[mode_code]
-    if per_color not in (0, 1):
-        raise BlobFormatError(f"{frame.label}: per-color byte {per_color}, expected 0 or 1")
+    per_color = _flag(per_color, "per-color")
     master = MasterKey(frame.key_hex())
     arch = _read_arch(frame)
     groups = MODE_TABLE[mode].groups
     params = [_read_tensors(frame, arch) for _ in range(groups * branches)]
-    return (mode, master, groups, branches, arch, size, colors), bool(per_color), params
+    return build_system(mode, master, groups, branches, arch, size, colors,
+                        per_color=per_color, params=params)
 
 
 def system_file_equals(path: str | Path, system: SystemSpec) -> bool:
@@ -372,17 +378,13 @@ def _parse_adv_set(frame: _Frame) -> AdvSet:
     (kind_code, eps, alpha, steps, c, iterations, step_size, kappa, targeted,
      target, count, size, colors) = frame.fields(_ADV_HEADER)
     if kind_code >= len(ATTACK_KINDS):
-        raise BlobFormatError(f"{frame.label}: unknown attack code {kind_code}")
-    try:
-        config = AttackConfig(kind=ATTACK_KINDS[kind_code], eps=eps,
-                              alpha=alpha, steps=steps, c=c,
-                              iterations=iterations, step_size=step_size,
-                              kappa=kappa, targeted=bool(targeted), target=target)
-    except ValueError as exc:
-        raise BlobFormatError(f"{frame.label}: {exc}") from None
+        raise ValueError(f"unknown attack code {kind_code}")
+    config = AttackConfig(kind=ATTACK_KINDS[kind_code], eps=eps, alpha=alpha, steps=steps,
+                          c=c, iterations=iterations, step_size=step_size, kappa=kappa,
+                          targeted=_flag(targeted, "targeted"), target=target)
     # No dense layer takes more inputs, so no model could read a larger image.
     if size * size * colors > _MAX_LAYER_DIM:
-        raise BlobFormatError(f"{frame.label}: image dims {size}x{size}x{colors} out of range")
+        raise ValueError(f"image dims {size}x{size}x{colors} out of range")
     # Each sample takes a u32 index, a u32 label and two float32 images.
     frame.check_room(count, 8 + 8 * size * size * colors, "records")
     indices = frame.array("<u4", (count,)).astype(np.int64)
@@ -411,11 +413,7 @@ def read_system(path: str | Path) -> SystemSpec:
     The reject threshold is an evaluation-time setting and is not part of
     the file.
     """
-    args, per_color, params = _parse(path, MODEL_MAGIC, _parse_system)
-    try:
-        return build_system(*args, per_color=per_color, params=params)
-    except ValueError as exc:
-        raise BlobFormatError(f"{path}: {exc}") from None
+    return _parse(path, MODEL_MAGIC, _parse_system)
 
 
 def save_adv_set(path: str | Path, adv: AdvSet) -> None:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn import require_count
 from .rng import (
     TAG_PER_COLOR_BASE,
     TAG_PREPROCESS,
@@ -53,8 +54,7 @@ _BLOCK = 1 << 18
 
 def dct_basis(size: int) -> np.ndarray:
     """Orthonormal DCT-II basis C for N x N images, float64 (N, N)."""
-    if size < 1:
-        raise ValueError("basis size must be positive")
+    require_count(size, "basis size")
     n = np.arange(size)
     u = n.reshape(-1, 1)
     basis = np.sqrt(2.0 / size) * np.cos(np.pi * (2 * n + 1) * u / (2 * size))

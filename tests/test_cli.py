@@ -109,6 +109,50 @@ def test_parse_config_rejects_unknown_keys(data_dir, tmp_path):
             parse_config(yaml.safe_dump(bad))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("train: {1: 2, foo: 3}\n", "unknown key(s) in train: 1, foo"),
+    ("{1: 2, foo: 3}\n", "unknown key(s) in config: 1, foo"),
+    ("system: {null: 1}\n", "unknown key(s) in system: None"),
+], ids=["section", "root", "null"])
+def test_keys_that_are_not_strings_are_named(tmp_path, capsys, text, message):
+    # Sorting or joining them with the string keys raised a TypeError.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(text)
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    assert run("train", "--config", str(path)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("system", "0", "section 'system' must be a mapping"),
+    ("train", "false", "section 'train' must be a mapping"),
+    ("eval", '""', "section 'eval' must be a mapping"),
+    ("arch", "[]", "section 'arch' must be a mapping"),
+    ("attacks", "{}", "attacks must be a list"),
+])
+def test_only_a_null_section_means_defaults(name, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(f"{name}: {value}\n")
+    assert parse_config(f"{name}: null\n") == parse_config("")
+
+
+@pytest.mark.parametrize("check, text", [
+    ("rdiv.cli.require_count", ""),
+    ("rdiv.cli.check_settings", ""),
+    ("rdiv.rng.MasterKey.__post_init__", f"system: {{master_key: '{KEY}'}}\n"),
+])
+def test_every_library_check_error_is_a_config_error(monkeypatch, check, text):
+    """A ValueError from any library check the config runs, even one added
+    later, comes out as a ConfigError with the same message."""
+    def planted(*args, **kwargs):
+        raise ValueError("planted check")
+
+    monkeypatch.setattr(check, planted)
+    with pytest.raises(ConfigError, match="^planted check$"):
+        parse_config(text)
+
+
 def test_parse_config_validates_values(data_dir, tmp_path):
     good = config_dict(data_dir, tmp_path)
 

@@ -16,8 +16,9 @@ import pytest
 from rdiv.attacks import AttackConfig
 from rdiv.dataio import LabeledSet, take_first
 from rdiv.nn import Hyper, mlp_arch
-from rdiv.rng import MasterKey, derive_subkey, next_u64, skip, u64_stream
+from rdiv.rng import MasterKey, derive_subkey, keyed_permutation, next_u64, skip, u64_stream
 from rdiv.system import check_settings
+from rdiv.transforms import dct_basis
 
 MASTER = MasterKey(7)
 FIVE = LabeledSet(np.zeros((5, 2, 2, 1), np.float32), np.zeros(5, np.int64), "five")
@@ -64,6 +65,9 @@ SETTINGS = [
      lambda v: check_settings("identity", False, v), NOT_NUMBERS + (1.5,)),
     ("check_settings-per_color", "per_color",
      lambda v: check_settings("direct-permutation", v, None), NOT_FLAGS),
+    ("dct_basis", "basis size", dct_basis, NOT_INTS + (0,)),
+    ("keyed_permutation", "permutation length", lambda v: keyed_permutation(1, v),
+     NOT_INTS + (0,)),
 ]
 
 

@@ -324,6 +324,41 @@ def test_system_header_rejected_by_build_system_is_a_format_error(tmp_path):
         read_written(path, read_system, _reseal(cut))
 
 
+def test_flag_bytes_are_0_or_1(tmp_path):
+    """The adversarial set's targeted byte is refused like the system
+    file's per-color byte; bool() of it would read 2 as targeted."""
+    path = tmp_path / "adv.radv"
+    blob = bytearray(saved_bytes(path, save_adv_set, handmade_adv_set()))
+    targeted = 5 + struct.calcsize("<BddIdIdd")
+    assert blob[targeted] == 1
+    blob[targeted] = 2
+    with pytest.raises(BlobFormatError) as caught:
+        read_written(path, read_adv_set, _reseal(bytes(blob)))
+    assert str(caught.value) == f"{path}: targeted byte 2, expected 0 or 1"
+
+
+def _planted_check(*args, **kwargs):
+    raise ValueError("planted check")
+
+
+# A check each read calls, by artifact: the arch, the rebuilt system and
+# the attack config.
+_PLANTED = {"model.rdiv": "rdiv.nn.ArchSpec.__post_init__",
+            "system.rdiv": "rdiv.serialize.build_system",
+            "adv.radv": "rdiv.attacks.AttackConfig.__post_init__"}
+
+
+def test_every_read_error_passes_the_one_boundary(tmp_path, monkeypatch):
+    """A ValueError from any check a read calls, even one added later,
+    comes out as a BlobFormatError that begins with the file's path."""
+    for name, _, read in _written_artifacts(tmp_path):
+        with monkeypatch.context() as patch:
+            patch.setattr(_PLANTED[name], _planted_check)
+            with pytest.raises(BlobFormatError) as caught:
+                read(tmp_path / name)
+        assert str(caught.value) == f"{tmp_path / name}: planted check"
+
+
 def test_kind_bytes_are_pinned(tmp_path):
     """Every kind byte files hold: the kind's index in its tuple, plus 1 for
     layers. A reordered tuple would change them and fail here. The version
