@@ -56,7 +56,6 @@ from .system import (
     SystemSpec,
     build_system,
     classify_batch,
-    error_count,
     predict_batch,
     rebuild_preprocessors,
     train_system,

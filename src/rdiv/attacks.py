@@ -42,7 +42,7 @@ from .nn import (
     require_number,
 )
 from .rng import MasterKey
-from .system import SystemSpec, build_system, decision_errors, error_count, train_system
+from .system import SystemSpec, build_system, classify_batch, decision_errors, train_system
 
 logger = logging.getLogger(__name__)
 
@@ -414,15 +414,22 @@ def transfer_eval(system: SystemSpec, surrogate: ModelParams,
 
     Returns (clean error, adversarial error, surrogate adversarial error),
     all in percent over the first `limit` test samples, plus the adversarial
-    set so callers can reuse it instead of re-crafting.
+    set so callers can reuse it instead of re-crafting. A given `adv` must
+    have been crafted under `config` from those samples.
     """
     subset = take_first(testset, require_count(limit, "limit"))
     if adv is None:
         adv = craft_adv_set(surrogate, subset, config)
     elif len(adv) != limit:
         raise ValueError(f"adversarial set has {len(adv)} samples, need {limit}")
+    elif adv.config != config:
+        raise ValueError(f"adversarial set was crafted with {adv.config}, not {config}")
+    elif not (np.array_equal(adv.originals, subset.images)
+              and np.array_equal(adv.labels, subset.labels)):
+        raise ValueError(f"adversarial set was not crafted from the first {limit} "
+                         "test samples")
     # errors / limit * 100.0, in this order, equals the mean of the error
     # indicator times 100 bit for bit; 100.0 * errors / limit does not.
-    clean = error_count(system, subset.images, subset.labels) / limit * 100.0
-    attacked = error_count(system, adv.adversarials, adv.labels) / limit * 100.0
-    return clean, attacked, adv.surrogate_success_pct, adv
+    clean = decision_errors(classify_batch(system, subset.images), subset.labels)
+    attacked = decision_errors(classify_batch(system, adv.adversarials), adv.labels)
+    return clean / limit * 100.0, attacked / limit * 100.0, adv.surrogate_success_pct, adv

@@ -353,6 +353,12 @@ def _load_split(config: RunConfig, which: str) -> LabeledSet:
     if rows != cols:
         raise ConfigError(f"{paths[0]} holds {rows}x{cols} images; "
                           "every system needs square N x N images")
+    # Both loaders read labels from unsigned bytes, so none is negative.
+    outside = np.flatnonzero(data.labels >= config.classes)
+    if outside.size:
+        source = paths[1] if config.dataset_format == "idx" else f"dataset {which}_batches"
+        raise ConfigError(f"{source} holds label {data.labels[outside[0]]}, "
+                          f"dataset classes is {config.classes}")
     return data
 
 
@@ -404,9 +410,8 @@ def _load_adv_for(config: RunConfig, name: str, attack: AttackConfig,
     if len(adv) != config.limit:
         raise ConfigError(f"{path} holds {len(adv)} samples, eval limit is "
                           f"{config.limit}")
-    if (adv.originals.shape != slice_.images.shape
-            or not np.array_equal(adv.originals, slice_.images)
-            or not np.array_equal(adv.labels, slice_.labels)):
+    if not (np.array_equal(adv.originals, slice_.images)
+            and np.array_equal(adv.labels, slice_.labels)):
         raise ConfigError(f"{path} was not crafted from the first "
                           f"{config.limit} samples of dataset "
                           f"{config.dataset_name!r}")

@@ -338,30 +338,6 @@ _ADAM = (0.9, 0.999, 1e-8)
 _BLOCK = 1 << 16
 
 
-@dataclass
-class _AdamSlots:
-    """Adam state: both moments per tensor plus one scratch pair.
-
-    `m` and `v` hold one array per tensor, the weights then the biases.
-    Both scratch buffers are flat and hold one block of the Adam sweep,
-    or the largest tensor if that is smaller; every update writes its
-    temporaries into views of them instead of allocating.
-    """
-
-    m: list
-    v: list
-    scratch: tuple[np.ndarray, np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def zeros(cls, tensors: list) -> "_AdamSlots":
-        largest = min(max(t.size for t in tensors), _BLOCK)
-        dtype = tensors[0].dtype
-        return cls([np.zeros_like(t) for t in tensors],
-                   [np.zeros_like(t) for t in tensors],
-                   (np.empty(largest, dtype), np.empty(largest, dtype)))
-
-
 def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
           hyper: Hyper, key: int, columns: np.ndarray | None = None) -> ModelParams:
     """Mini-batch training with keyed shuffling; returns updated params.
@@ -398,8 +374,14 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
     # C-contiguous copies, which every Adam step updates in place.
     trained = ModelParams(params.arch, tuple(w.copy() for w in params.weights),
                           tuple(b.copy() for b in params.biases))
-    slots = _AdamSlots.zeros(trained.weights + trained.biases)
-    lr = params.dtype.type(hyper.learning_rate)
+    # Adam's state: both moments of every tensor, weights then biases, and a
+    # flat scratch pair of one block, or of the largest tensor if smaller.
+    tensors = trained.weights + trained.biases
+    ms = [np.zeros_like(t) for t in tensors]
+    vs = [np.zeros_like(t) for t in tensors]
+    width = min(max(t.size for t in tensors), _BLOCK)
+    scratch = (np.empty(width, params.dtype), np.empty(width, params.dtype))
+    step = 0
 
     try:
         for epoch in range(hyper.epochs):
@@ -414,9 +396,11 @@ def train(params: ModelParams, dataset: tuple[np.ndarray, np.ndarray],
                 loss, dw, db, _ = batch_loss_and_grads(trained, batch, labels[idx],
                                                        wrt="params")
                 epoch_loss += loss * len(idx)
+                step += 1
                 try:
                     with np.errstate(over="raise", invalid="raise"):
-                        _apply_update(trained.weights, trained.biases, dw, db, slots, lr)
+                        _apply_update(tensors, dw + db, ms, vs, scratch, adam_scalars(
+                            params.dtype, step, hyper.learning_rate))
                 except FloatingPointError as exc:
                     raise FloatingPointError(f"Adam update: {exc}") from None
             logger.debug("epoch %d: mean loss %.6f", epoch, epoch_loss / count)
@@ -431,29 +415,28 @@ def _keyed_order(state: int, count: int) -> np.ndarray:
     return fisher_yates(state, count)
 
 
-def _apply_update(weights, biases, dw, db, slots: _AdamSlots, lr):
-    """One Adam step, in place on `weights` and `biases`.
+def _apply_update(tensors, grads, ms, vs, scratch, scalars: tuple) -> None:
+    """One Adam step, in place on each of `tensors` and its moments in `ms`
+    and `vs`, from its gradient in `grads`, with `adam_scalars`' `scalars`
+    for this step. `scratch` is a pair of flat buffers of at least one
+    block, or of the largest tensor if that is smaller.
 
     Each tensor is swept in blocks of `_BLOCK` elements of its flat view,
     and `adam_block` runs every formula over one block before the next
-    block starts. A block's parameters, moments, gradient and the slots'
-    scratch pair then stay in cache across the formula's passes; whole
-    tensors the size of a 784x256 first layer overflow L2 between passes.
-    Below 64 Ki elements the cost of the extra NumPy calls outweighs the
-    cache gain.
+    block starts. A block's parameters, moments, gradient and the scratch
+    pair then stay in cache across the formula's passes; whole tensors the
+    size of a 784x256 first layer overflow L2 between passes. Below 64 Ki
+    elements the cost of the extra NumPy calls outweighs the cache gain.
     """
-    dtype = weights[0].dtype
-    slots.t += 1
-    scalars = adam_scalars(dtype, slots.t, lr)
-    for grad, value, m, v in zip(dw + db, weights + biases, slots.m, slots.v):
-        grad = grad.astype(dtype, copy=False).reshape(-1)
+    for value, grad, m, v in zip(tensors, grads, ms, vs):
+        grad = grad.astype(value.dtype, copy=False).reshape(-1)
         # Parameters and moments are C-contiguous, so these flat views write through.
         value, m, v = value.reshape(-1), m.reshape(-1), v.reshape(-1)
         for start in range(0, value.size, _BLOCK):
             block = slice(start, start + _BLOCK)
             val = value[block]
             adam_block(val, grad[block], m[block], v[block],
-                       slots.scratch[0][:val.size], slots.scratch[1][:val.size], scalars)
+                       scratch[0][:val.size], scratch[1][:val.size], scalars)
 
 
 def adam_scalars(dtype: np.dtype, t: int, lr) -> tuple:

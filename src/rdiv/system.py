@@ -198,10 +198,7 @@ def train_system(system: SystemSpec, trainset: LabeledSet, hyper: Hyper,
     require_count(workers, "workers")
     if not system.channels:
         raise ValueError("system has no channels")
-    if len(trainset) == 0:
-        raise ValueError("training set is empty")
-    if trainset.size != system.size or trainset.colors != system.colors:
-        raise ValueError("training set shape does not match the system")
+    check_batch(trainset.images, system.size, system.colors)
 
     def train_one(channel: ChannelSpec) -> ChannelSpec:
         pre = channel.preprocessor
@@ -299,14 +296,6 @@ def decision_errors(decisions: np.ndarray, labels: np.ndarray) -> int:
     if labels.shape != (len(decisions),):
         raise ValueError(f"expected {len(decisions)} labels, got shape {labels.shape}")
     return int((decisions != labels).sum())
-
-
-def error_count(system: SystemSpec, images: np.ndarray, labels: np.ndarray) -> int:
-    """How many of the (B, N, N, m) `images` the system gets wrong.
-
-    Rejected samples count as errors.
-    """
-    return decision_errors(classify_batch(system, images), labels)
 
 
 def rebuild_preprocessors(system: SystemSpec, master: MasterKey) -> SystemSpec:

@@ -32,7 +32,7 @@ from rdiv.rng import TAG_INIT, MasterKey, derive_subkey, uniform_floats
 from rdiv.system import (
     build_system,
     classify_batch,
-    error_count,
+    decision_errors,
     first_branches,
     rebuild_preprocessors,
     train_system,
@@ -312,7 +312,7 @@ def test_criterion_06_attack_competence(surrogate, test_slice):
 
 
 def error_pct(system, images, labels) -> float:
-    return error_count(system, images, labels) / len(labels) * 100.0
+    return decision_errors(classify_batch(system, images), labels) / len(labels) * 100.0
 
 
 def test_criterion_07_defense_trend(perm_systems, cw_full, test_slice):

@@ -600,6 +600,25 @@ def test_transfer_eval_identity_system_matches_surrogate(surrogate):
             transfer_eval(system, surrogate, data, config, limit)
 
 
+def test_transfer_eval_refuses_a_set_of_another_attack_or_other_images(surrogate):
+    data = toy_set(count=20, seed=9)
+    system = build_system("identity", MASTER, 1, 1, toy_arch(), SIZE, COLORS)
+    config = AttackConfig(kind="fgsm", eps=0.15)
+    adv = craft_adv_set(surrogate, data, config)
+    assert transfer_eval(system, surrogate, data, config, 20, adv=adv)[3] is adv
+    for other in (AttackConfig(kind="pgd-linf", eps=0.15, alpha=0.15, steps=1),
+                  AttackConfig(kind="fgsm", eps=0.1)):
+        with pytest.raises(ValueError, match=r"^adversarial set was crafted with "
+                                             r"AttackConfig\(kind='fgsm', eps=0.15,"):
+            transfer_eval(system, surrogate, data, other, 20, adv=adv)
+    shifted = LabeledSet(data.images[::-1].copy(), data.labels[::-1].copy(), name="shifted")
+    relabelled = LabeledSet(data.images, (data.labels + 1) % CLASSES, name="relabelled")
+    for testset in (shifted, relabelled, toy_set(count=20, seed=10)):
+        with pytest.raises(ValueError, match=r"^adversarial set was not crafted from "
+                                             r"the first 20 test samples$"):
+            transfer_eval(system, surrogate, testset, config, 20, adv=adv)
+
+
 def test_transfer_eval_zero_eps_equals_clean(surrogate):
     data = toy_set(count=30, seed=13)
     system = train_system(

@@ -438,6 +438,53 @@ def test_a_cw_target_outside_the_classes_is_refused_before_any_artifact(data_dir
     assert parse_config(yaml.safe_dump(config)).attacks[2][1].target == 9
 
 
+def test_labels_outside_the_dataset_classes_are_refused_where_they_load(
+        pipeline, data_dir, tmp_path, capsys):
+    # Each split is checked as it loads: otherwise `report` would count such
+    # an image as an error, and training would name neither file nor setting.
+    out_dir = tmp_path / "out"
+    config = config_dict(data_dir, out_dir)
+    config["dataset"]["classes"] = 2
+    path = tmp_path / "two.yaml"
+    path.write_text(yaml.safe_dump(config))
+    labels_path = data_dir / "train-labels.idx"
+    first = next(v for v in load_idx(data_dir / "train-images.idx", labels_path).labels
+                 if v >= 2)
+    for command in ("train", "surrogate"):
+        assert run(command, "--config", str(path)) == 1
+        assert capsys.readouterr().err == (f"error: {labels_path} holds label {first}, "
+                                           "dataset classes is 2\n")
+    assert not out_dir.exists()
+
+    pixels, labels = make_dataset(TEST_COUNT, seed=12)
+    labels[0] = 12
+    _, labels_path = write_idx(tmp_path, "test", pixels, labels)
+    config, run_dir = pipeline
+    relabelled = config_dict(data_dir, run_dir)
+    relabelled["dataset"].update(test_labels=str(labels_path))
+    path.write_text(yaml.safe_dump(relabelled))
+    for command in ("attack", "eval", "report"):
+        assert run(command, "--config", str(path)) == 1
+        assert capsys.readouterr().err == (f"error: {labels_path} holds label 12, "
+                                           "dataset classes is 10\n")
+
+
+def test_cifar10_labels_outside_the_classes_name_the_batch_list(tmp_path, capsys):
+    batch = tmp_path / "batch.bin"
+    records = np.zeros((2, 3073), np.uint8)
+    records[:, 0] = (3, 7)
+    batch.write_bytes(records.tobytes())
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({
+        "dataset": {"name": "cifar", "format": "cifar10", "classes": 5,
+                    "train_batches": [str(batch)], "test_batches": [str(batch)]},
+        "system": {"master_key": KEY}, "out_dir": str(tmp_path / "out")}))
+    assert run("train", "--config", str(path)) == 1
+    assert capsys.readouterr().err == ("error: dataset train_batches holds label 7, "
+                                       "dataset classes is 5\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_adam_overflow_ends_in_an_error_line_and_saves_nothing(data_dir, tmp_path, capsys):
     # Weights near 1e10 in three dense layers overflow Adam's second moment
     # while every forward pass stays finite.

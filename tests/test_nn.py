@@ -416,6 +416,15 @@ class TestTrain:
                                                      r"in \w+ in epoch 0$"):
             train(init_params(mlp_arch(784, (32, 16), 10), KEY), (x, labels), hyper, 7)
 
+    def test_a_rate_past_the_float32_range_fails_in_the_first_step(self):
+        # Adam's scalars are cast inside the update's error state, so the
+        # cast's overflow is the error, with no RuntimeWarning before it.
+        x, y = self.separable_set()
+        hyper = Hyper(learning_rate=1e39, batch_size=16, epochs=1)
+        with pytest.raises(FloatingPointError, match=r"^Adam update: overflow encountered "
+                                                     r"in cast in epoch 0$"):
+            train(init_params(mlp_arch(2, (8,), 2), KEY), (x, y), hyper, 7)
+
     def test_a_breaking_last_step_raises_inside_train(self):
         # One batch holds the whole set, so no forward pass follows the one
         # step in the loop; the final check of the last batch names the epoch.

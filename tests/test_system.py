@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -15,7 +16,7 @@ from rdiv.system import (
     SystemSpec,
     build_system,
     classify_batch,
-    error_count,
+    decision_errors,
     first_branches,
     nested_decisions,
     predict_batch,
@@ -353,7 +354,7 @@ def test_empty_batch_gives_empty_results(trained_perm_system):
     for system in (trained_perm_system, zero_net_system(reject_threshold=0.5)):
         assert predict_batch(system, empty).shape == (0, CLASSES)
         assert classify_batch(system, empty).shape == (0,)
-        assert error_count(system, empty, no_labels) == 0
+        assert decision_errors(classify_batch(system, empty), no_labels) == 0
 
 
 def zero_net_system(reject_threshold=None):
@@ -386,25 +387,26 @@ def test_rejects_count_as_errors():
     data = toy_set(count=10)
     system = zero_net_system(reject_threshold=0.9)
     assert np.all(classify_batch(system, data.images) == REJECT)
-    assert error_count(system, data.images, data.labels) == 10
+    assert decision_errors(classify_batch(system, data.images), data.labels) == 10
 
 
-def test_error_count_counts_wrong_decisions_and_checks_labels(trained_perm_system):
+def test_decision_errors_counts_wrong_decisions_and_checks_labels(trained_perm_system):
     data = toy_set(count=30, seed=3)
     decisions = classify_batch(trained_perm_system, data.images)
     wrong = decisions != data.labels
-    assert error_count(trained_perm_system, data.images, data.labels) == wrong.sum()
-    assert error_count(trained_perm_system, data.images[:12],
-                       data.labels[:12]) == wrong[:12].sum()
+    assert decision_errors(decisions, data.labels) == wrong.sum()
+    assert decision_errors(classify_batch(trained_perm_system, data.images[:12]),
+                           data.labels[:12]) == wrong[:12].sum()
     flipped = np.where(wrong, decisions, (data.labels + 1) % CLASSES)
-    assert error_count(trained_perm_system, data.images, flipped) == 30 - wrong.sum()
+    assert decision_errors(decisions, flipped) == 30 - wrong.sum()
     with pytest.raises(ValueError, match="labels"):
-        error_count(trained_perm_system, data.images, data.labels[:29])
+        decision_errors(decisions, data.labels[:29])
 
 
 def test_trained_system_learns_toy_task(trained_perm_system):
     data = toy_set()
-    assert error_count(trained_perm_system, data.images, data.labels) / 60 * 100.0 < 15.0
+    errors = decision_errors(classify_batch(trained_perm_system, data.images), data.labels)
+    assert errors / 60 * 100.0 < 15.0
 
 
 def test_channel_order_does_not_change_decisions(trained_perm_system):
@@ -457,6 +459,38 @@ def test_train_rejects_mismatched_data():
         train_system(system, empty, toy_hyper())
     with pytest.raises(ValueError):
         train_system(dreplace(system, channels=()), bad, toy_hyper())
+
+
+@pytest.mark.parametrize("mode", ["direct-permutation", "dct-sign-flip-3band"])
+@pytest.mark.parametrize("shape", [(60, 4, 4, COLORS), (60, SIZE, SIZE - 1, COLORS),
+                                   (60, SIZE, SIZE, COLORS + 2)],
+                         ids=["other N", "not square", "other m"])
+def test_train_system_refuses_other_batch_shapes_before_any_channel_trains(
+        mode, shape, monkeypatch):
+    # The set's shape is checked by `check_batch`, as every batch a system
+    # scores is.
+    def no_training(*args, **kwargs):
+        raise AssertionError("a channel trained")
+
+    monkeypatch.setattr("rdiv.system.train", no_training)
+    system = build_system(mode, MASTER, MODE_TABLE[mode].groups, 2, toy_arch(), SIZE,
+                          COLORS)
+    data = LabeledSet(np.zeros(shape, np.float32), np.zeros(60, np.int64), name="other")
+    expected = re.escape(f"expected batch of shape (B, {SIZE}, {SIZE}, {COLORS}), "
+                         f"got {shape}")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        train_system(system, data, toy_hyper())
+
+
+@pytest.mark.parametrize("mode", ["direct-permutation", "dct-sign-flip-3band"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_system_refuses_an_empty_set(mode, workers):
+    system = build_system(mode, MASTER, MODE_TABLE[mode].groups, 2, toy_arch(), SIZE,
+                          COLORS)
+    empty = LabeledSet(np.zeros((0, SIZE, SIZE, COLORS), np.float32),
+                       np.zeros((0,), np.int64), name="empty")
+    with pytest.raises(ValueError, match="^dataset is empty$"):
+        train_system(system, empty, toy_hyper(), workers=workers)
 
 
 def test_modes_tuple_is_public():
