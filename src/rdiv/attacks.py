@@ -185,6 +185,9 @@ def pgd_linf_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
 
     Starts at the clean image, so steps=1 with alpha=eps reproduces fgsm.
     """
+    require_number(eps, "eps")
+    require_number(alpha, "alpha")
+    require_count(steps, "steps")
     labels = require_indices(labels, "labels", len(images), params.arch.classes)
     _check_pixels(images)
     low = np.maximum(images - eps, 0.0)
@@ -407,6 +410,18 @@ def craft_adv_set(params: ModelParams, dataset: LabeledSet,
                                   labels.copy(), images.copy(), adv), params)
 
 
+def check_adv_set(adv: AdvSet, config: AttackConfig, subset: LabeledSet) -> None:
+    """Refuse `adv` unless crafted under `config` from `subset`'s images and labels."""
+    if adv.config != config:
+        raise ValueError(f"adversarial set was crafted with {adv.config}, not {config}")
+    if len(adv) != len(subset):
+        raise ValueError(f"adversarial set has {len(adv)} samples, need {len(subset)}")
+    if not (np.array_equal(adv.originals, subset.images)
+            and np.array_equal(adv.labels, subset.labels)):
+        raise ValueError(f"adversarial set was not crafted from the first {len(subset)} "
+                         "test samples")
+
+
 def transfer_eval(system: SystemSpec, surrogate: ModelParams,
                   testset: LabeledSet, config: AttackConfig, limit: int,
                   adv: AdvSet | None = None) -> tuple[float, float, float, AdvSet]:
@@ -420,14 +435,8 @@ def transfer_eval(system: SystemSpec, surrogate: ModelParams,
     subset = take_first(testset, require_count(limit, "limit"))
     if adv is None:
         adv = craft_adv_set(surrogate, subset, config)
-    elif len(adv) != limit:
-        raise ValueError(f"adversarial set has {len(adv)} samples, need {limit}")
-    elif adv.config != config:
-        raise ValueError(f"adversarial set was crafted with {adv.config}, not {config}")
-    elif not (np.array_equal(adv.originals, subset.images)
-              and np.array_equal(adv.labels, subset.labels)):
-        raise ValueError(f"adversarial set was not crafted from the first {limit} "
-                         "test samples")
+    else:
+        check_adv_set(adv, config, subset)
     # errors / limit * 100.0, in this order, equals the mean of the error
     # indicator times 100 bit for bit; 100.0 * errors / limit does not.
     clean = decision_errors(classify_batch(system, subset.images), subset.labels)

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .attacks import AdvSet, AttackConfig, craft_adv_set, train_surrogate
+from .attacks import AdvSet, AttackConfig, check_adv_set, craft_adv_set, train_surrogate
 from .dataio import LabeledSet, load_cifar10, load_idx, take_first
 from .nn import (
     ArchSpec,
@@ -367,27 +367,30 @@ def _arch_for(config: RunConfig, data: LabeledSet) -> ArchSpec:
                     config.classes)
 
 
-def _require_arch(path: Path, arch: ArchSpec, config: RunConfig, slice_: LabeledSet,
-                  command: str) -> None:
-    """Refuse an artifact whose network is not the one `command` would train now."""
-    expected = _arch_for(config, slice_)
-    if arch != expected:
-        raise ConfigError(f"{path} was trained on differently shaped images than "
-                          f"dataset {config.dataset_name!r} or with other hidden "
-                          f"widths: it holds a {arch.widths} network, the config "
-                          f"gives {expected.widths}; rerun the {command} command")
+def _artifact(path: Path, command: str) -> Path:
+    """`path`, or the one error for an artifact that `command` has not written."""
+    if not path.is_file():
+        raise ConfigError(f"missing {path}; run the {command} command")
+    return path
+
+
+def _refuse_stale(path: Path, made: dict, configured: dict, command: str) -> None:
+    """Refuse a file made with other settings than the configured ones, naming each."""
+    stale = [f"{name} {made[name]!r} (configured {configured[name]!r})"
+             for name in made if made[name] != configured[name]]
+    if stale:
+        raise ConfigError(f"{path} was made with {', '.join(stale)}; "
+                          f"rerun the {command} command")
+
+
+def _network(arch: ArchSpec) -> dict:
+    """The settings a network was made with: its widths and layer kinds."""
+    return {"network widths": arch.widths,
+            "layer kinds": " ".join(kind for kind, _ in arch.layers)}
 
 
 def _system_path(config: RunConfig, branches: int) -> Path:
     return config.out_dir / f"system-i{branches}.rdiv"
-
-
-def _surrogate_path(config: RunConfig) -> Path:
-    return config.out_dir / "surrogate.rdiv"
-
-
-def _adv_path(config: RunConfig, name: str) -> Path:
-    return config.out_dir / f"adv-{name}.radv"
 
 
 def _pct(errors: int, limit: int) -> str:
@@ -398,23 +401,13 @@ def _pct(errors: int, limit: int) -> str:
 
 def _load_adv_for(config: RunConfig, name: str, attack: AttackConfig,
                   slice_: LabeledSet) -> AdvSet:
-    path = _adv_path(config, name)
-    if not path.is_file():
-        raise ConfigError(f"missing adversarial set {path}; run the attack command")
+    path = _artifact(config.out_dir / f"adv-{name}.radv", "attack")
     adv = read_adv_set(path)
-    if adv.config != attack:
-        stored, wanted = vars(adv.config), vars(attack)
-        stale = ", ".join(f"{field} {stored[field]!r} (configured {wanted[field]!r})"
-                          for field in stored if stored[field] != wanted[field])
-        raise ConfigError(f"{path} was crafted with {stale}; rerun the attack command")
-    if len(adv) != config.limit:
-        raise ConfigError(f"{path} holds {len(adv)} samples, eval limit is "
-                          f"{config.limit}")
-    if not (np.array_equal(adv.originals, slice_.images)
-            and np.array_equal(adv.labels, slice_.labels)):
-        raise ConfigError(f"{path} was not crafted from the first "
-                          f"{config.limit} samples of dataset "
-                          f"{config.dataset_name!r}")
+    _refuse_stale(path, vars(adv.config), vars(attack), "attack")
+    try:
+        check_adv_set(adv, attack, slice_)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}; rerun the attack command") from None
     return adv
 
 
@@ -453,7 +446,7 @@ def cmd_train(config: RunConfig) -> int:
 def cmd_surrogate(config: RunConfig) -> int:
     trainset, slice_, arch = _training_inputs(config)
     params = train_surrogate(trainset, arch, config.hyper, config.master)
-    path = _surrogate_path(config)
+    path = config.out_dir / "surrogate.rdiv"
     save_params(path, params, derive_subkey(config.master, 0, 0, TAG_INIT))
     preds = forward(params, slice_.images.reshape(config.limit, -1)).argmax(axis=1)
     errors = decision_errors(preds, slice_.labels)
@@ -466,16 +459,15 @@ def cmd_attack(config: RunConfig) -> int:
     _need(config, "dataset", "out")
     if not config.attacks:
         raise ConfigError("no attacks configured")
-    path = _surrogate_path(config)
-    if not path.is_file():
-        raise ConfigError(f"missing surrogate {path}; run the surrogate command")
+    path = _artifact(config.out_dir / "surrogate.rdiv", "surrogate")
     params, _ = read_params(path)
     testset = _load_split(config, "test")
     slice_ = take_first(testset, config.limit)
-    _require_arch(path, params.arch, config, slice_, "surrogate")
+    _refuse_stale(path, _network(params.arch), _network(_arch_for(config, slice_)),
+                  "surrogate")
     for name, attack in config.attacks:
         adv = craft_adv_set(params, slice_, attack)
-        out = _adv_path(config, name)
+        out = config.out_dir / f"adv-{name}.radv"
         save_adv_set(out, adv)
         errors = decision_errors(adv.preds_after, adv.labels)
         print(f"{name}: surrogate error {_pct(errors, len(adv))}% "
@@ -488,17 +480,12 @@ def _read_grid_file(config: RunConfig, branches: int, slice_: LabeledSet) -> Sys
     system = read_system(path)
     if config.reject_threshold is not None:
         system = replace(system, reject_threshold=config.reject_threshold)
-    if system.mode != config.mode or system.branches != branches:
-        raise ConfigError(f"{path} was trained with mode {system.mode!r} and "
-                          f"I={system.branches} (configured mode {config.mode!r} "
-                          f"and I={branches}); rerun the train command")
-    if system.per_color != config.per_color:
-        raise ConfigError(f"{path} was trained with per_color {system.per_color!r} "
-                          f"(configured {config.per_color!r}); rerun the train command")
-    if (system.size, system.colors) != (slice_.size, slice_.colors):
-        raise ConfigError(f"{path} was trained on differently shaped images than "
-                          f"dataset {config.dataset_name!r}; rerun the train command")
-    _require_arch(path, system.arch, config, slice_, "train")
+    made = {"mode": system.mode, "I": system.branches, "per_color": system.per_color,
+            "image shape": f"{system.size}x{system.size}x{system.colors}"}
+    wanted = {"mode": config.mode, "I": branches, "per_color": config.per_color,
+              "image shape": f"{slice_.size}x{slice_.size}x{slice_.colors}"}
+    _refuse_stale(path, made | _network(system.arch),
+                  wanted | _network(_arch_for(config, slice_)), "train")
     return system
 
 
@@ -514,9 +501,7 @@ def _evaluate_rows(config: RunConfig) -> list[dict]:
     """
     _need(config, "dataset", "out")
     for branches in config.branch_grid:
-        path = _system_path(config, branches)
-        if not path.is_file():
-            raise ConfigError(f"missing system file {path}; run the train command")
+        _artifact(_system_path(config, branches), "train")
     testset = _load_split(config, "test")
     slice_ = take_first(testset, config.limit)
     advsets = [(name, _load_adv_for(config, name, attack, slice_))

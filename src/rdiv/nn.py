@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,9 +142,11 @@ def require_count(value, what: str, minimum: int = 1) -> int:
 
 def require_number(value, what: str, positive: bool = False, high: float = math.inf) -> None:
     """`value` as a finite int or float in [0, `high`], or in (0, `high`] if
-    `positive`; bools, strings and NaN are refused."""
+    `positive`; bools, strings, NaN and ints too large for a float (compared
+    exactly, not converted) are refused."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value) or not (0 < value if positive else 0 <= value)
+            or not abs(value) <= sys.float_info.max
+            or not (0 < value if positive else 0 <= value)
             or value > high):
         interval = f"{'(' if positive else '['}0, {high:g}{']' if high < math.inf else ')'}"
         raise ValueError(f"{what} must be a number in {interval}, got {value!r}")

@@ -9,8 +9,9 @@ they return and before they raise an error from any body field, hashing
 first whatever that error left unread, so any changed byte is rejected as
 a checksum mismatch. A read holds one copy of the artifact. `_parse` is
 its one error boundary: it turns every ValueError of the read into a
-`BlobFormatError` that begins with the file's path. Bodies use little-endian integers and floats, float32 parameter and pixel
-tensors in row-major order, flag bytes that are 0 or 1, and keys as 16
+`BlobFormatError` that begins with the file's path. Bodies use
+little-endian integers and floats, float32 parameter and pixel tensors
+in row-major order, flag bytes that are 0 or 1, and keys as 16
 lowercase hex digits. An arch is a layer count, then per layer a kind
 byte, plus fan_in and fan_out for dense layers.
 

@@ -10,6 +10,7 @@ from rdiv.attacks import (
     AttackConfig,
     _margin_and_seed,
     _row_chunks,
+    check_adv_set,
     cw_l2_batch,
     craft_adv_set,
     fgsm_batch,
@@ -18,7 +19,7 @@ from rdiv.attacks import (
     train_surrogate,
     transfer_eval,
 )
-from rdiv.dataio import LabeledSet
+from rdiv.dataio import LabeledSet, take_first
 from rdiv.nn import (
     Hyper,
     ModelParams,
@@ -601,22 +602,31 @@ def test_transfer_eval_identity_system_matches_surrogate(surrogate):
 
 
 def test_transfer_eval_refuses_a_set_of_another_attack_or_other_images(surrogate):
+    # transfer_eval and the CLI share check_adv_set; each refusal is tried
+    # through both library entry points.
     data = toy_set(count=20, seed=9)
     system = build_system("identity", MASTER, 1, 1, toy_arch(), SIZE, COLORS)
     config = AttackConfig(kind="fgsm", eps=0.15)
     adv = craft_adv_set(surrogate, data, config)
     assert transfer_eval(system, surrogate, data, config, 20, adv=adv)[3] is adv
+    check_adv_set(adv, config, data)
+
+    def refused(message, testset, attack, limit=20):
+        with pytest.raises(ValueError, match=message):
+            transfer_eval(system, surrogate, testset, attack, limit, adv=adv)
+        with pytest.raises(ValueError, match=message):
+            check_adv_set(adv, attack, take_first(testset, limit))
+
     for other in (AttackConfig(kind="pgd-linf", eps=0.15, alpha=0.15, steps=1),
                   AttackConfig(kind="fgsm", eps=0.1)):
-        with pytest.raises(ValueError, match=r"^adversarial set was crafted with "
-                                             r"AttackConfig\(kind='fgsm', eps=0.15,"):
-            transfer_eval(system, surrogate, data, other, 20, adv=adv)
+        refused(r"^adversarial set was crafted with AttackConfig\(kind='fgsm', eps=0.15,",
+                data, other)
+    refused(r"^adversarial set has 20 samples, need 19$", data, config, limit=19)
     shifted = LabeledSet(data.images[::-1].copy(), data.labels[::-1].copy(), name="shifted")
     relabelled = LabeledSet(data.images, (data.labels + 1) % CLASSES, name="relabelled")
     for testset in (shifted, relabelled, toy_set(count=20, seed=10)):
-        with pytest.raises(ValueError, match=r"^adversarial set was not crafted from "
-                                             r"the first 20 test samples$"):
-            transfer_eval(system, surrogate, testset, config, 20, adv=adv)
+        refused(r"^adversarial set was not crafted from the first 20 test samples$",
+                testset, config)
 
 
 def test_transfer_eval_zero_eps_equals_clean(surrogate):

@@ -14,7 +14,7 @@ from rdiv import cli
 from rdiv.attacks import AdvSet
 from rdiv.cli import ConfigError, _pct, parse_config
 from rdiv.dataio import load_idx
-from rdiv.nn import Hyper, init_params, mlp_arch
+from rdiv.nn import ArchSpec, Hyper, init_params, mlp_arch
 from rdiv.rng import TAG_INIT, MasterKey, derive_subkey
 from rdiv.serialize import read_adv_set, read_system, save_params, save_system
 from rdiv.system import build_system, train_system
@@ -399,6 +399,25 @@ def test_pct_rounds_half_up_exactly():
     assert _pct(125, 1000) == "12.50"
 
 
+BIG = 10**400
+
+
+@pytest.mark.parametrize("text, line", [
+    (f"train: {{learning_rate: {BIG}}}",
+     f"train: learning_rate must be a number in (0, inf), got {BIG}"),
+    (f"system: {{reject_threshold: {BIG}}}",
+     f"reject_threshold must be a number in [0, 1], got {BIG}"),
+    (f"attacks: [{{kind: fgsm, eps: {BIG}}}]",
+     f"attacks[0]: eps must be a number in [0, inf), got {BIG}"),
+], ids=["learning_rate", "reject_threshold", "eps"])
+def test_an_int_past_the_float_range_ends_in_one_error_line(tmp_path, capsys, text, line):
+    # float() of such an int overflows; it is refused as a number out of range.
+    path = tmp_path / "big.yaml"
+    path.write_text(text + "\n")
+    assert run("train", "--config", str(path)) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
 def test_missing_config_file(capsys):
     assert run("train", "--config", "/nonexistent/config.yaml") == 1
     assert "config file not found" in capsys.readouterr().err
@@ -734,161 +753,115 @@ def test_surrogate_checks_the_eval_slice_before_training(data_dir, tmp_path, cap
     assert not (out_dir / "surrogate.rdiv").exists()
 
 
-def test_attack_requires_surrogate(data_dir, tmp_path, capsys):
-    config = write_config(tmp_path / "c.yaml", data_dir, tmp_path / "empty")
-    (tmp_path / "empty").mkdir()
-    assert run("attack", "--config", config) == 1
-    assert "missing surrogate" in capsys.readouterr().err
+def _test_split(cfg, tmp, pixels, labels):
+    images_path, labels_path = write_idx(tmp, "test", pixels, labels)
+    cfg["dataset"].update(test_images=str(images_path), test_labels=str(labels_path))
+    return images_path
 
 
-def test_eval_requires_system(data_dir, tmp_path, capsys):
-    config = write_config(tmp_path / "c.yaml", data_dir, tmp_path / "empty2")
-    (tmp_path / "empty2").mkdir()
-    assert run("eval", "--config", config) == 1
-    assert "missing system" in capsys.readouterr().err
-
-
-def test_eval_rejects_limit_mismatch(pipeline, capsys):
-    config, _ = pipeline
-    assert run("eval", "--config", config, "--limit", "30") == 1
-    err = capsys.readouterr().err
-    assert "holds 60 samples" in err
-
-
-def test_eval_rejects_adv_set_with_other_labels(pipeline, data_dir, tmp_path, capsys):
-    # The same test images under other labels: the stored adversarial set
-    # was scored on labels this dataset does not have.
-    config, out_dir = pipeline
+def _small_test_images(cfg, out, tmp):
     pixels, labels = make_dataset(TEST_COUNT, seed=12)
-    images_path, labels_path = write_idx(tmp_path, "test", pixels, (labels + 1) % 10)
-    assert (images_path.read_bytes()
-            == (data_dir / "test-images.idx").read_bytes())
-    relabelled = config_dict(data_dir, out_dir)
-    relabelled["dataset"].update(test_labels=str(labels_path))
-    path = tmp_path / "relabelled.yaml"
-    path.write_text(yaml.safe_dump(relabelled))
-    for command in ("eval", "report"):
-        assert run(command, "--config", str(path)) == 1
-        err = capsys.readouterr().err
-        assert f"{out_dir / 'adv-fgsm0.radv'} was not crafted from the first" in err
-    assert run("eval", "--config", config) == 0
+    cfg["attacks"] = []
+    _test_split(cfg, tmp, pixels[:, :16, :16], labels)
 
 
-def test_attack_refuses_surrogate_of_other_image_shape(data_dir, tmp_path, capsys):
-    out_dir = tmp_path / "out"
-    out_dir.mkdir()
-    config = write_config(tmp_path / "c.yaml", data_dir, out_dir)
-    # A surrogate for 16x16 gray images against the 28x28 test set.
+def _relabelled_test_images(cfg, out, tmp):
+    pixels, labels = make_dataset(TEST_COUNT, seed=12)
+    images = Path(cfg["dataset"]["test_images"]).read_bytes()
+    assert _test_split(cfg, tmp, pixels, (labels + 1) % 10).read_bytes() == images
+
+
+def _surrogate_file(out, arch):
     key = derive_subkey(MasterKey(int(KEY, 16)), 0, 0, TAG_INIT)
-    save_params(out_dir / "surrogate.rdiv", init_params(mlp_arch(256, (16,), 10), key),
-                key)
-    assert run("attack", "--config", config) == 1
-    err = capsys.readouterr().err
-    assert (f"{out_dir / 'surrogate.rdiv'} was trained on differently shaped "
-            "images than dataset 'synth'") in err
-    assert not list(out_dir.glob("*.radv"))
+    save_params(out / "surrogate.rdiv", init_params(arch, key), key)
 
 
-def test_eval_refuses_an_adv_set_crafted_under_another_config(pipeline, data_dir,
-                                                              tmp_path, capsys):
-    # The stored set was crafted at eps 0.1; its numbers say nothing about 0.01.
-    config, out_dir = pipeline
-    stale = config_dict(data_dir, out_dir)
-    stale["attacks"][1]["eps"] = 0.01
-    path = tmp_path / "stale.yaml"
-    path.write_text(yaml.safe_dump(stale))
-    for command in ("eval", "report"):
-        capsys.readouterr()
-        assert run(command, "--config", str(path)) == 1
-        assert capsys.readouterr().err == (
-            f"error: {out_dir / 'adv-pgd-linf.radv'} was crafted with eps 0.1 "
-            "(configured 0.01); rerun the attack command\n")
-    assert run("eval", "--config", config) == 0
-
-
-def test_eval_refuses_system_files_of_another_arch(pipeline, data_dir, tmp_path, capsys):
-    # The files hold 784-16-10 networks; the config now asks for 784-8-10.
-    _, out_dir = pipeline
-    path = write_config(tmp_path / "narrow.yaml", data_dir, out_dir, arch={"hidden": [8]})
-    for command in ("eval", "report"):
-        capsys.readouterr()
-        assert run(command, "--config", path) == 1
-        assert capsys.readouterr().err == (
-            f"error: {out_dir / 'system-i2.rdiv'} was trained on differently shaped "
-            "images than dataset 'synth' or with other hidden widths: it holds a "
-            "784-16-10 network, the config gives 784-8-10; rerun the train command\n")
-
-
-def test_eval_refuses_system_files_of_another_image_shape(pipeline, data_dir, tmp_path,
-                                                         capsys):
-    # The files were trained on 28x28 digits; the test set now holds 16x16 ones.
-    _, out_dir = pipeline
-    pixels, labels = make_dataset(TEST_COUNT, seed=12)
-    images_path, labels_path = write_idx(tmp_path, "test", pixels[:, :16, :16], labels)
-    small = config_dict(data_dir, out_dir, attacks=[])
-    small["dataset"].update(test_images=str(images_path), test_labels=str(labels_path))
-    path = tmp_path / "small.yaml"
-    path.write_text(yaml.safe_dump(small))
-    for command in ("eval", "report"):
-        capsys.readouterr()
-        assert run(command, "--config", str(path)) == 1
-        assert capsys.readouterr().err == (
-            f"error: {out_dir / 'system-i2.rdiv'} was trained on differently shaped "
-            "images than dataset 'synth'; rerun the train command\n")
-
-
-def test_eval_refuses_system_files_of_another_per_color(pipeline, data_dir, tmp_path,
-                                                       capsys):
-    # The files were trained with shared permutations; their rows say
-    # nothing about per-colour ones.
-    _, out_dir = pipeline
-    system = config_dict(data_dir, out_dir)["system"] | {"per_color": True}
-    path = write_config(tmp_path / "per-color.yaml", data_dir, out_dir, system=system)
-    for command in ("eval", "report"):
-        capsys.readouterr()
-        assert run(command, "--config", path) == 1
-        assert capsys.readouterr().err == (
-            f"error: {out_dir / 'system-i2.rdiv'} was trained with per_color False "
-            "(configured True); rerun the train command\n")
-
-
-def test_eval_names_the_stored_and_configured_mode_and_grid(pipeline, data_dir, tmp_path,
-                                                           capsys):
-    _, out_dir = pipeline
-    path = write_config(tmp_path / "c.yaml", data_dir, out_dir, attacks=[])
-    for command in ("eval", "report"):
-        capsys.readouterr()
-        assert run(command, "--config", path, "--mode", "identity") == 1
-        assert capsys.readouterr().err == (
-            f"error: {out_dir / 'system-i2.rdiv'} was trained with mode "
-            "'direct-permutation' and I=2 (configured mode 'identity' and I=2); "
-            "rerun the train command\n")
+# Each row: the commands that read the artifact, an edit of the pipeline's
+# config (cfg), its artifact copy (out) or a scratch directory (tmp), and the
+# one error line after "error: ", where {out} is the copy. A missing file
+# names the command that writes it; a stale one names every setting it was
+# made with that differs from the config's, and the command to rerun.
+STALE_OR_MISSING = [
+    ("grid-mode", ("eval", "report"),
+     lambda cfg, out, tmp: cfg["system"].update(mode="identity"),
+     "{out}/system-i2.rdiv was made with mode 'direct-permutation' (configured 'identity'); "
+     "rerun the train command"),
     # A file named for I=2 that holds the I=1 grid.
-    fresh = tmp_path / "fresh"
-    fresh.mkdir()
-    shutil.copy(out_dir / "system-i1.rdiv", fresh / "system-i2.rdiv")
-    path = write_config(tmp_path / "fresh.yaml", data_dir, fresh, attacks=[],
-                        system={"mode": "direct-permutation", "branches": 2,
-                                "master_key": KEY})
-    assert run("eval", "--config", path) == 1
-    assert capsys.readouterr().err == (
-        f"error: {fresh / 'system-i2.rdiv'} was trained with mode "
-        "'direct-permutation' and I=1 (configured mode 'direct-permutation' and "
-        "I=2); rerun the train command\n")
+    ("grid-I", ("eval", "report"),
+     lambda cfg, out, tmp: shutil.copy(out / "system-i1.rdiv", out / "system-i2.rdiv"),
+     "{out}/system-i2.rdiv was made with I 1 (configured 2); rerun the train command"),
+    # Shared permutations say nothing about per-colour ones.
+    ("grid-per_color", ("eval", "report"),
+     lambda cfg, out, tmp: cfg["system"].update(per_color=True),
+     "{out}/system-i2.rdiv was made with per_color False (configured True); "
+     "rerun the train command"),
+    # The files were trained on 28x28 digits; the test set now holds 16x16 ones.
+    ("grid-image-shape", ("eval", "report"),
+     _small_test_images,
+     "{out}/system-i2.rdiv was made with image shape '28x28x1' (configured '16x16x1'), "
+     "network widths '784-16-10' (configured '256-16-10'); rerun the train command"),
+    ("grid-widths", ("eval", "report"), lambda cfg, out, tmp: cfg.update(arch={"hidden": [8]}),
+     "{out}/system-i2.rdiv was made with network widths '784-16-10' (configured "
+     "'784-8-10'); rerun the train command"),
+    ("surrogate-widths", ("attack",), lambda cfg, out, tmp: cfg.update(arch={"hidden": [8]}),
+     "{out}/surrogate.rdiv was made with network widths '784-16-10' (configured "
+     "'784-8-10'); rerun the surrogate command"),
+    # A surrogate for 16x16 gray images against the 28x28 test set.
+    ("surrogate-image-shape", ("attack",),
+     lambda cfg, out, tmp: _surrogate_file(out, mlp_arch(256, (16,), 10)),
+     "{out}/surrogate.rdiv was made with network widths '256-16-10' (configured "
+     "'784-16-10'); rerun the surrogate command"),
+    # The same widths with no ReLU between the dense layers.
+    ("surrogate-layer-kinds", ("attack",),
+     lambda cfg, out, tmp: _surrogate_file(out, ArchSpec(784, (
+         ("dense", (784, 16)), ("dense", (16, 10)), ("softmax-output", ())))),
+     "{out}/surrogate.rdiv was made with layer kinds 'dense dense softmax-output' "
+     "(configured 'dense relu dense softmax-output'); rerun the surrogate command"),
+    # The stored set was crafted at eps 0.1 in 3 steps; its numbers say
+    # nothing about 0.01 in 4.
+    ("adv-fields", ("eval", "report"),
+     lambda cfg, out, tmp: cfg["attacks"][1].update(eps=0.01, steps=4),
+     "{out}/adv-pgd-linf.radv was made with eps 0.1 (configured 0.01), steps 3 "
+     "(configured 4); rerun the attack command"),
+    ("adv-count", ("eval", "report"), lambda cfg, out, tmp: cfg.update(eval={"limit": 30}),
+     "{out}/adv-fgsm0.radv: adversarial set has 60 samples, need 30; "
+     "rerun the attack command"),
+    # The same test images under other labels: the stored set was scored on
+    # labels this dataset does not have.
+    ("adv-relabelled", ("eval", "report"),
+     _relabelled_test_images,
+     "{out}/adv-fgsm0.radv: adversarial set was not crafted from the first 60 test "
+     "samples; rerun the attack command"),
+    ("missing-system", ("eval", "report"),
+     lambda cfg, out, tmp: (out / "system-i1.rdiv").unlink(),
+     "missing {out}/system-i1.rdiv; run the train command"),
+    ("missing-adv", ("eval", "report"),
+     lambda cfg, out, tmp: (out / "adv-pgd-linf.radv").unlink(),
+     "missing {out}/adv-pgd-linf.radv; run the attack command"),
+    ("missing-surrogate", ("attack",), lambda cfg, out, tmp: (out / "surrogate.rdiv").unlink(),
+     "missing {out}/surrogate.rdiv; run the surrogate command"),
+]
 
 
-def test_attack_refuses_a_surrogate_of_another_arch(pipeline, data_dir, tmp_path, capsys):
-    _, out_dir = pipeline
-    fresh = tmp_path / "fresh"
-    fresh.mkdir()
-    shutil.copy(out_dir / "surrogate.rdiv", fresh)
-    config = write_config(tmp_path / "narrow.yaml", data_dir, fresh, arch={"hidden": [8]})
-    assert run("attack", "--config", config) == 1
-    assert capsys.readouterr().err == (
-        f"error: {fresh / 'surrogate.rdiv'} was trained on differently shaped "
-        "images than dataset 'synth' or with other hidden widths: it holds a "
-        "784-16-10 network, the config gives 784-8-10; rerun the surrogate command\n")
-    assert not list(fresh.glob("*.radv"))
+@pytest.mark.parametrize("commands, edit, line", [
+    pytest.param(commands, edit, line, id=name)
+    for name, commands, edit, line in STALE_OR_MISSING])
+def test_a_stale_or_missing_artifact_ends_the_command_in_one_line(
+        pipeline, data_dir, tmp_path, capsys, commands, edit, line):
+    _, saved = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(saved, out)
+    cfg = config_dict(data_dir, out)
+    edit(cfg, out, tmp_path)
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    files = {f.name: f.read_bytes() for f in out.iterdir()}
+    for command in commands:
+        capsys.readouterr()
+        assert run(command, "--config", str(path)) == 1
+        assert capsys.readouterr() == ("", f"error: {line.format(out=out)}\n")
+    # Nothing was written: no report.csv, no adversarial set.
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == files
 
 
 def test_attack_prints_exact_half_up_percentages(pipeline, data_dir, tmp_path,

@@ -13,20 +13,22 @@ import re
 import numpy as np
 import pytest
 
-from rdiv.attacks import AttackConfig
+from rdiv.attacks import AttackConfig, fgsm_batch, pgd_linf_batch
 from rdiv.dataio import LabeledSet, take_first
-from rdiv.nn import Hyper, mlp_arch
+from rdiv.nn import Hyper, init_params, mlp_arch
 from rdiv.rng import MasterKey, derive_subkey, keyed_permutation, next_u64, skip, u64_stream
 from rdiv.system import check_settings
 from rdiv.transforms import dct_basis
 
 MASTER = MasterKey(7)
 FIVE = LabeledSet(np.zeros((5, 2, 2, 1), np.float32), np.zeros(5, np.int64), "five")
+PARAMS = init_params(mlp_arch(4, (3,), 2), 1)
 
 # What no int setting takes: a bool, a float, a string and a negative int.
 NOT_INTS = (True, 1.5, "2", -1)
-# What no number setting takes; 1.5 is a fine rate, so NaN and inf stand in.
-NOT_NUMBERS = (True, "2", -1.0, math.nan, math.inf)
+# What no number setting takes; 1.5 is a fine rate, so NaN, inf and an int
+# past the float range stand in.
+NOT_NUMBERS = (True, "2", -1.0, math.nan, math.inf, 10**400)
 # What no flag takes.
 NOT_FLAGS = (1, 1.5, "2", -1, None)
 
@@ -60,6 +62,15 @@ SETTINGS = [
      lambda v: AttackConfig("cw-l2", targeted=True, target=v), NOT_INTS),
     ("AttackConfig-targeted", "targeted", lambda v: AttackConfig("cw-l2", targeted=v),
      NOT_FLAGS),
+    ("pgd_linf_batch-eps", "eps",
+     lambda v: pgd_linf_batch(PARAMS, FIVE.images, FIVE.labels, v, 0.01, 1), NOT_NUMBERS),
+    ("pgd_linf_batch-alpha", "alpha",
+     lambda v: pgd_linf_batch(PARAMS, FIVE.images, FIVE.labels, 0.1, v, 1), NOT_NUMBERS),
+    ("pgd_linf_batch-steps", "steps",
+     lambda v: pgd_linf_batch(PARAMS, FIVE.images, FIVE.labels, 0.1, 0.01, v),
+     NOT_INTS + (0,)),
+    ("fgsm_batch-eps", "eps", lambda v: fgsm_batch(PARAMS, FIVE.images, FIVE.labels, v),
+     NOT_NUMBERS),
     ("take_first", "sample count", lambda v: take_first(FIVE, v), NOT_INTS),
     ("check_settings-reject_threshold", "reject_threshold",
      lambda v: check_settings("identity", False, v), NOT_NUMBERS + (1.5,)),
@@ -72,7 +83,7 @@ SETTINGS = [
 
 
 @pytest.mark.parametrize("setting, call, value", [
-    pytest.param(setting, call, value, id=f"{entry}-{value!r}")
+    pytest.param(setting, call, value, id=f"{entry}-{value!r:.24}")
     for entry, setting, call, values in SETTINGS for value in values])
 def test_entry_points_refuse_bad_values_naming_the_setting(setting, call, value):
     with pytest.raises(ValueError, match=rf"^{setting} must be .*, got {re.escape(repr(value))}$"):
