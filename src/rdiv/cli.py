@@ -25,7 +25,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -52,12 +52,12 @@ from .serialize import (
     save_adv_set,
     save_params,
     save_system,
-    system_file_equals,
 )
 from .system import (
     MODE_TABLE,
     SystemSpec,
     build_system,
+    check_reject_threshold,
     check_settings,
     decision_errors,
     first_branches,
@@ -264,7 +264,8 @@ def _resolve(raw: dict) -> RunConfig:
     mode = system.get("mode", "direct-permutation")
     per_color = system.get("per_color", False)
     reject = system.get("reject_threshold")
-    check_settings(mode, per_color, reject)
+    check_settings(mode, per_color)
+    check_reject_threshold(reject)
     branches = system.get("branches", 1)
     grid = tuple(branches) if isinstance(branches, list) else (branches,)
     if not grid:
@@ -362,6 +363,16 @@ def _load_split(config: RunConfig, which: str) -> LabeledSet:
     return data
 
 
+def _eval_slice(config: RunConfig) -> LabeledSet:
+    """The first `eval limit` samples of the test split, which must hold them."""
+    testset = _load_split(config, "test")
+    if config.limit > len(testset):
+        source = config.test_paths[0] if config.dataset_format == "idx" else "dataset test_batches"
+        raise ConfigError(f"eval limit {config.limit} is more than the {len(testset)} "
+                          f"samples in {source}")
+    return take_first(testset, config.limit)
+
+
 def _arch_for(config: RunConfig, data: LabeledSet) -> ArchSpec:
     return mlp_arch(data.size * data.size * data.colors, config.hidden,
                     config.classes)
@@ -413,14 +424,13 @@ def _load_adv_for(config: RunConfig, name: str, attack: AttackConfig,
 
 def _training_inputs(config: RunConfig) -> tuple[LabeledSet, LabeledSet, ArchSpec]:
     """The train split, eval slice and arch that train and surrogate start
-    from, with the output directory made; the slice is taken before anything
-    trains, so a limit the test split cannot fill is refused first."""
+    from; the output directory is made after the slice is taken, so a limit
+    the test split cannot fill is refused before anything trains or is written."""
     _need(config, "dataset", "master", "out")
     trainset = _load_split(config, "train")
-    testset = _load_split(config, "test")
-    arch = _arch_for(config, trainset)
+    slice_ = _eval_slice(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    return trainset, take_first(testset, config.limit), arch
+    return trainset, slice_, _arch_for(config, trainset)
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -429,11 +439,10 @@ def cmd_train(config: RunConfig) -> int:
     # largest grid holds every smaller one: train each lineage once.
     full = build_system(config.mode, config.master, MODE_TABLE[config.mode].groups,
                         max(config.branch_grid), arch, trainset.size,
-                        trainset.colors,
-                        reject_threshold=config.reject_threshold,
-                        per_color=config.per_color)
+                        trainset.colors, per_color=config.per_color)
     full = train_system(full, trainset, config.hyper, workers=config.workers)
-    decisions = nested_decisions(full, config.branch_grid, slice_.images)
+    decisions = nested_decisions(full, config.branch_grid, slice_.images,
+                                 config.reject_threshold)
     for branches in config.branch_grid:
         path = _system_path(config, branches)
         save_system(path, first_branches(full, branches))
@@ -461,8 +470,7 @@ def cmd_attack(config: RunConfig) -> int:
         raise ConfigError("no attacks configured")
     path = _artifact(config.out_dir / "surrogate.rdiv", "surrogate")
     params, _ = read_params(path)
-    testset = _load_split(config, "test")
-    slice_ = take_first(testset, config.limit)
+    slice_ = _eval_slice(config)
     _refuse_stale(path, _network(params.arch), _network(_arch_for(config, slice_)),
                   "surrogate")
     for name, attack in config.attacks:
@@ -478,8 +486,6 @@ def cmd_attack(config: RunConfig) -> int:
 def _read_grid_file(config: RunConfig, branches: int, slice_: LabeledSet) -> SystemSpec:
     path = _system_path(config, branches)
     system = read_system(path)
-    if config.reject_threshold is not None:
-        system = replace(system, reject_threshold=config.reject_threshold)
     made = {"mode": system.mode, "I": system.branches, "per_color": system.per_color,
             "image shape": f"{system.size}x{system.size}x{system.colors}"}
     wanted = {"mode": config.mode, "I": branches, "per_color": config.per_color,
@@ -492,28 +498,30 @@ def _read_grid_file(config: RunConfig, branches: int, slice_: LabeledSet) -> Sys
 def _evaluate_rows(config: RunConfig) -> list[dict]:
     """Shared by eval and report: one clean row per system, one per attack.
 
-    The largest system file is read and checked, and only its grid is
-    scored: each smaller file must hold exactly the bytes `train` writes
-    for its first branches, and `nested_decisions` gives every grid's
-    decisions from one score per channel and image set. A configured
-    master key that differs from the files' evaluates the channels under
-    preprocessors re-derived from that key (`rebuild_preprocessors`).
+    Every system file is read and checked against the config, the largest
+    first, and each smaller one must hold the master key and weights of the
+    largest grid's first branches. So only that grid is scored, and
+    `nested_decisions` gives every grid's decisions from one score per
+    channel and image set. A configured master key that differs from the
+    files' evaluates the channels under preprocessors re-derived from that
+    key (`rebuild_preprocessors`).
     """
     _need(config, "dataset", "out")
     for branches in config.branch_grid:
         _artifact(_system_path(config, branches), "train")
-    testset = _load_split(config, "test")
-    slice_ = take_first(testset, config.limit)
+    slice_ = _eval_slice(config)
     advsets = [(name, _load_adv_for(config, name, attack, slice_))
                for name, attack in config.attacks]
     top = max(config.branch_grid)
     largest = _read_grid_file(config, top, slice_)
-    for branches in config.branch_grid:
-        path = _system_path(config, branches)
-        if branches != top and not system_file_equals(
-                path, first_branches(largest, branches)):
-            raise ConfigError(f"{path} is not the first {branches} branches of "
-                              f"{_system_path(config, top)}; rerun the train command")
+    for branches in (b for b in config.branch_grid if b != top):
+        smaller = _read_grid_file(config, branches, slice_)
+        head = first_branches(largest, branches)
+        if smaller.master != head.master or not all(
+                a.params.equal(b.params) for a, b in zip(smaller.channels, head.channels)):
+            raise ConfigError(f"{_system_path(config, branches)} is not the first "
+                              f"{branches} branches of {_system_path(config, top)}; "
+                              "rerun the train command")
     if config.master is not None and config.master != largest.master:
         largest = rebuild_preprocessors(largest, config.master)
 
@@ -521,7 +529,8 @@ def _evaluate_rows(config: RunConfig) -> list[dict]:
         (name, adv.adversarials, adv.labels) for name, adv in advsets]
     pct = {}
     for name, images, labels in image_sets:
-        decisions = nested_decisions(largest, config.branch_grid, images)
+        decisions = nested_decisions(largest, config.branch_grid, images,
+                                     config.reject_threshold)
         for branches, decided in decisions.items():
             pct[branches, name] = _pct(decision_errors(decided, labels), config.limit)
     rows = []

@@ -341,21 +341,6 @@ def _parse_system(frame: _Frame) -> SystemSpec:
                         per_color=per_color, params=params)
 
 
-def system_file_equals(path: str | Path, system: SystemSpec) -> bool:
-    """Whether the file at `path` holds exactly what `save_system` writes
-    for `system`.
-
-    The file is compared with the frame one part at a time, so neither is
-    held whole.
-    """
-    parts = [memoryview(part).cast("B") for part in _system_frame(system)]
-    with open(path, "rb") as handle:
-        if handle.seek(0, os.SEEK_END) != sum(len(part) for part in parts):
-            return False
-        handle.seek(0)
-        return all(handle.read(len(part)) == part for part in parts)
-
-
 def _adv_frame(adv: AdvSet) -> tuple:
     config = adv.config
     count = len(adv)
@@ -409,11 +394,7 @@ def save_system(path: str | Path, system: SystemSpec) -> None:
 
 
 def read_system(path: str | Path) -> SystemSpec:
-    """Read a system file, rebuilding keyed payloads from the master key.
-
-    The reject threshold is an evaluation-time setting and is not part of
-    the file.
-    """
+    """Read a system file, rebuilding keyed payloads from the master key."""
     return _parse(path, MODEL_MAGIC, _parse_system)
 
 

@@ -7,10 +7,11 @@ classify time each keyed transform is applied to the channel's first-layer
 weights, not to the images: the transforms are linear and every arch starts
 with a dense layer, so the two give the same scores. All keys derive from the
 system's master key, so the whole system is a deterministic function of
-(mode, master key, arch, data, hyper).
+(mode, master key, arch, data, hyper); a reject threshold is an argument
+of the decision functions, not part of a system.
 
 Modes (`MODE_TABLE` holds each one's transforms kind and J, and
-`check_settings` checks a mode with `per_color` and a reject threshold):
+`check_settings` checks a mode with `per_color`):
   identity                  - J=1, passthrough channels (keyless baseline)
   direct-permutation        - J=1, keyed pixel permutations
   dct-sign-flip-3band       - J=3, keyed sign flips in sub-bands V, H, D
@@ -71,8 +72,8 @@ MODES = tuple(MODE_TABLE)
 REJECT = -1
 
 
-def check_settings(mode: str, per_color: bool, reject_threshold: float | None) -> None:
-    """Refuse a mode, `per_color` or reject threshold that no system has.
+def check_settings(mode: str, per_color: bool) -> None:
+    """Refuse a mode or `per_color` that no system has.
 
     The one check of these settings: `build_system` runs it, and the CLI
     runs it on the config before any data is read.
@@ -82,6 +83,11 @@ def check_settings(mode: str, per_color: bool, reject_threshold: float | None) -
     require_bool(per_color, "per_color")
     if per_color and mode != "direct-permutation":
         raise ValueError(f"per_color applies to direct-permutation only, not mode {mode!r}")
+
+
+def check_reject_threshold(reject_threshold: float | None) -> None:
+    """Refuse a reject threshold outside [0, 1]; None rejects nothing. Both
+    decision functions run it, and the CLI runs it on the config."""
     if reject_threshold is not None:
         require_number(reject_threshold, "reject_threshold", high=1.0)
 
@@ -110,7 +116,6 @@ class SystemSpec:
     colors: int
     arch: ArchSpec
     channels: tuple[ChannelSpec, ...]
-    reject_threshold: float | None = None
     per_color: bool = False
 
     @property
@@ -125,19 +130,18 @@ class SystemSpec:
 
 def build_system(mode: str, master: MasterKey, groups: int, branches: int,
                  arch: ArchSpec, size: int, colors: int,
-                 reject_threshold: float | None = None,
                  per_color: bool = False,
                  params: Sequence[ModelParams] | None = None) -> SystemSpec:
     """Create the J x I channel grid with keyed preprocessors and init params.
 
     `groups` must equal the mode's J in `MODE_TABLE`, and `check_settings`
-    refuses the mode, `per_color` and `reject_threshold` a system cannot
-    have. Channel (j, i) derives its preprocessor, its weight init, and
-    later its shuffle order from lineage (j, i) under the master key.
+    refuses the mode and `per_color` a system cannot have. Channel (j, i)
+    derives its preprocessor, its weight init, and later its shuffle order
+    from lineage (j, i) under the master key.
     `params`, when given, supplies every channel's weights of `arch` in grid
     order instead of the keyed init; loading a saved system uses it.
     """
-    check_settings(mode, per_color, reject_threshold)
+    check_settings(mode, per_color)
     for value, what in ((groups, "groups"), (branches, "branches"),
                         (size, "size"), (colors, "colors")):
         require_count(value, what)
@@ -165,8 +169,7 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
             else:
                 model = params[len(channels)]
             channels.append(ChannelSpec(j, i, pre, model))
-    return SystemSpec(master, mode, size, colors, arch, tuple(channels),
-                      reject_threshold, per_color)
+    return SystemSpec(master, mode, size, colors, arch, tuple(channels), per_color)
 
 
 def first_branches(system: SystemSpec, branches: int) -> SystemSpec:
@@ -254,39 +257,43 @@ def predict_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
     return _sum_scores(channel_scores(system, images))
 
 
-def _decide(system: SystemSpec, total: np.ndarray) -> np.ndarray:
-    """Class decisions from the score total of `system`'s channels.
+def _decide(total: np.ndarray, channels: int, reject_threshold: float | None) -> np.ndarray:
+    """Class decisions from the score total of `channels` channels.
 
     The argmax tie-break is the smallest class index. With a reject
-    threshold t, a sample is rejected when max_score / channel_count < t.
+    threshold t, a sample is rejected when max_score / channels < t.
     """
     decisions = total.argmax(axis=1)
-    if system.reject_threshold is not None:
-        normalized = total.max(axis=1) / len(system.channels)
-        decisions = np.where(normalized < system.reject_threshold, REJECT, decisions)
+    if reject_threshold is not None:
+        normalized = total.max(axis=1) / channels
+        decisions = np.where(normalized < reject_threshold, REJECT, decisions)
     return decisions
 
 
-def classify_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
-    """Class decisions for a batch; REJECT where the threshold says so."""
-    return _decide(system, predict_batch(system, images))
+def classify_batch(system: SystemSpec, images: np.ndarray,
+                   reject_threshold: float | None = None) -> np.ndarray:
+    """Class decisions for a batch; REJECT where `reject_threshold` says so."""
+    check_reject_threshold(reject_threshold)
+    return _decide(predict_batch(system, images), len(system.channels), reject_threshold)
 
 
-def nested_decisions(system: SystemSpec, branch_grid: Sequence[int],
-                     images: np.ndarray) -> dict[int, np.ndarray]:
-    """`classify_batch(first_branches(system, I), images)` for each I in the grid.
+def nested_decisions(system: SystemSpec, branch_grid: Sequence[int], images: np.ndarray,
+                     reject_threshold: float | None = None) -> dict[int, np.ndarray]:
+    """`classify_batch(first_branches(system, I), images, reject_threshold)`
+    for each I in the grid.
 
     Every channel is scored once. Each sub-grid's total adds its own
     channels' scores in its own grid order, as `predict_batch` does; for
     J=3 those channels are not a prefix of the full grid.
     """
+    check_reject_threshold(reject_threshold)
     scores = channel_scores(system, images)
     decisions = {}
     for branches in branch_grid:
         sub = first_branches(system, branches)
         total = _sum_scores([s for channel, s in zip(system.channels, scores)
                              if channel.i < branches])
-        decisions[branches] = _decide(sub, total)
+        decisions[branches] = _decide(total, len(sub.channels), reject_threshold)
     return decisions
 
 
@@ -306,6 +313,5 @@ def rebuild_preprocessors(system: SystemSpec, master: MasterKey) -> SystemSpec:
     """
     return build_system(system.mode, master, system.groups, system.branches,
                         system.arch, system.size, system.colors,
-                        system.reject_threshold,
                         per_color=system.per_color,
                         params=[c.params for c in system.channels])

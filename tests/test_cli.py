@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import re
 import shutil
@@ -17,7 +19,7 @@ from rdiv.dataio import load_idx
 from rdiv.nn import ArchSpec, Hyper, init_params, mlp_arch
 from rdiv.rng import TAG_INIT, MasterKey, derive_subkey
 from rdiv.serialize import read_adv_set, read_system, save_params, save_system
-from rdiv.system import build_system, train_system
+from rdiv.system import REJECT, build_system, decision_errors, predict_batch, train_system
 
 from _helpers import read_written
 from _synth import make_dataset, write_idx
@@ -140,6 +142,7 @@ def test_only_a_null_section_means_defaults(name, value, message):
 @pytest.mark.parametrize("check, text", [
     ("rdiv.cli.require_count", ""),
     ("rdiv.cli.check_settings", ""),
+    ("rdiv.cli.check_reject_threshold", ""),
     ("rdiv.rng.MasterKey.__post_init__", f"system: {{master_key: '{KEY}'}}\n"),
 ])
 def test_every_library_check_error_is_a_config_error(monkeypatch, check, text):
@@ -707,19 +710,74 @@ def test_report_refuses_a_smaller_grid_from_another_key(pipeline, data_dir, tmp_
     edited = _reseal(bytes(edited))
     assert read_written(tmp_path / "edited.rdiv", read_system, edited).branches == 1
     saved = (out_dir / "system-i1.rdiv").read_bytes()
-    for name, blob in (("other-key", (tmp_path / "other" / "system-i1.rdiv").read_bytes()),
-                       ("one-weight-byte", edited),
-                       ("appended-byte", saved + b"\x00"),
-                       ("last-byte-cut", saved[:-1])):
+    # A corrupt smaller file fails its read, as a corrupt largest file does.
+    other = ("{path} is not the first 1 branches of {copy}/system-i2.rdiv; "
+             "rerun the train command")
+    corrupt = "{path}: SHA-256 checksum mismatch"
+    for name, blob, line in (
+            ("other-key", (tmp_path / "other" / "system-i1.rdiv").read_bytes(), other),
+            ("one-weight-byte", edited, other),
+            ("appended-byte", saved + b"\x00", corrupt),
+            ("last-byte-cut", saved[:-1], corrupt)):
         copy = tmp_path / name
         shutil.copytree(out_dir, copy)
         (copy / "system-i1.rdiv").write_bytes(blob)
         (copy / "report.csv").unlink(missing_ok=True)
         capsys.readouterr()
         assert run("report", "--config", config, "--out", str(copy)) == 1
-        err = capsys.readouterr().err
-        assert f"{copy / 'system-i1.rdiv'} is not the first 1 branches of" in err
+        line = line.format(path=copy / "system-i1.rdiv", copy=copy)
+        assert capsys.readouterr() == ("", f"error: {line}\n")
         assert not (copy / "report.csv").exists()
+
+
+# Rejects 13 of the 60 clean test images at I=1 and 26 at I=2; no normalized
+# top score of the pipeline's grids lies within 1e-4 of it.
+THRESHOLD = 0.14
+
+
+def test_the_reject_threshold_reaches_train_eval_and_report(pipeline, data_dir, tmp_path,
+                                                            capsys):
+    _, saved = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(saved, out)
+    cfg = config_dict(data_dir, out)
+    cfg["system"]["reject_threshold"] = THRESHOLD
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    capsys.readouterr()
+    assert run("train", "--config", str(path)) == 0
+    assert capsys.readouterr().out == (
+        f"system-i1: clean error 86.67% on 60 samples -> {out / 'system-i1.rdiv'}\n"
+        f"system-i2: clean error 83.33% on 60 samples -> {out / 'system-i2.rdiv'}\n")
+    # The threshold decides; it is not part of a system file.
+    for name in ("system-i1.rdiv", "system-i2.rdiv"):
+        assert (out / name).read_bytes() == (saved / name).read_bytes()
+    assert run("eval", "--config", str(path)) == 0
+    printed = capsys.readouterr().out
+    assert run("report", "--config", str(path)) == 0
+    capsys.readouterr()
+    report = (out / "report.csv").read_text()
+    assert report == ",".join(cli.REPORT_COLUMNS) + "\n" + "".join(
+        f"synth,direct-permutation,1,{row},{KEY},60\n"
+        for row in ("1,none,86.67,86.67", "1,fgsm0,86.67,86.67", "1,pgd-linf,86.67,86.67",
+                    "2,none,83.33,83.33", "2,fgsm0,83.33,83.33", "2,pgd-linf,83.33,85.00"))
+
+    testset = load_idx(data_dir / "test-images.idx", data_dir / "test-labels.idx")
+    images = {"none": testset.images, **{name: read_adv_set(out / f"adv-{name}.radv")
+                                          .adversarials for name in ("fgsm0", "pgd-linf")}}
+    rows = list(csv.DictReader(io.StringIO(report)))
+    for row in rows:
+        system = read_system(out / f"system-i{row['I']}.rdiv")
+        total = predict_batch(system, images[row["attack"]])
+        normalized = total.max(axis=1) / len(system.channels)
+        decisions = np.where(normalized < THRESHOLD, REJECT, total.argmax(axis=1))
+        errors = decision_errors(decisions, testset.labels)
+        assert row["adv_error_pct"] == _pct(errors, TEST_COUNT), row
+        if row["attack"] == "none":
+            assert 0 < (decisions == REJECT).sum() < TEST_COUNT
+    assert printed == "".join(f"system-i{row['I']} {row['attack']}: clean "
+                              f"{row['clean_error_pct']}% adversarial "
+                              f"{row['adv_error_pct']}%\n" for row in rows)
 
 
 @pytest.mark.parametrize("split", ["train", "test"])
@@ -748,9 +806,9 @@ def test_surrogate_checks_the_eval_slice_before_training(data_dir, tmp_path, cap
     out_dir = tmp_path / "out"
     config = write_config(tmp_path / "c.yaml", data_dir, out_dir, eval={"limit": 500})
     assert run("surrogate", "--config", config) == 1
-    assert capsys.readouterr().err == (
-        f"error: requested 500 samples, set has {TEST_COUNT}\n")
-    assert not (out_dir / "surrogate.rdiv").exists()
+    assert capsys.readouterr().err == (f"error: eval limit 500 is more than the {TEST_COUNT} "
+                                       f"samples in {data_dir / 'test-images.idx'}\n")
+    assert not out_dir.exists()
 
 
 def _test_split(cfg, tmp, pixels, labels):
@@ -776,11 +834,19 @@ def _surrogate_file(out, arch):
     save_params(out / "surrogate.rdiv", init_params(arch, key), key)
 
 
+def _smaller_grid_file(out, mode="direct-permutation", hidden=(16,), per_color=False):
+    """An untrained I=1 grid of other settings in place of the pipeline's."""
+    system = build_system(mode, MasterKey(int(KEY, 16)), 1, 1, mlp_arch(784, hidden, 10),
+                          28, 1, per_color=per_color)
+    save_system(out / "system-i1.rdiv", system)
+
+
 # Each row: the commands that read the artifact, an edit of the pipeline's
 # config (cfg), its artifact copy (out) or a scratch directory (tmp), and the
-# one error line after "error: ", where {out} is the copy. A missing file
-# names the command that writes it; a stale one names every setting it was
-# made with that differs from the config's, and the command to rerun.
+# one error line after "error: ", where {out} is the copy and {tmp} the
+# scratch directory. A missing file names the command that writes it; a
+# stale one names every setting it was made with that differs from the
+# config's, and the command to rerun.
 STALE_OR_MISSING = [
     ("grid-mode", ("eval", "report"),
      lambda cfg, out, tmp: cfg["system"].update(mode="identity"),
@@ -803,6 +869,22 @@ STALE_OR_MISSING = [
     ("grid-widths", ("eval", "report"), lambda cfg, out, tmp: cfg.update(arch={"hidden": [8]}),
      "{out}/system-i2.rdiv was made with network widths '784-16-10' (configured "
      "'784-8-10'); rerun the train command"),
+    # A smaller grid file is checked against the config as the largest is.
+    ("smaller-grid-mode", ("eval", "report"),
+     lambda cfg, out, tmp: _smaller_grid_file(out, mode="identity"),
+     "{out}/system-i1.rdiv was made with mode 'identity' (configured 'direct-permutation'); "
+     "rerun the train command"),
+    ("smaller-grid-I", ("eval", "report"),
+     lambda cfg, out, tmp: shutil.copy(out / "system-i2.rdiv", out / "system-i1.rdiv"),
+     "{out}/system-i1.rdiv was made with I 2 (configured 1); rerun the train command"),
+    ("smaller-grid-per_color", ("eval", "report"),
+     lambda cfg, out, tmp: _smaller_grid_file(out, per_color=True),
+     "{out}/system-i1.rdiv was made with per_color True (configured False); "
+     "rerun the train command"),
+    ("smaller-grid-widths", ("eval", "report"),
+     lambda cfg, out, tmp: _smaller_grid_file(out, hidden=(8,)),
+     "{out}/system-i1.rdiv was made with network widths '784-8-10' (configured "
+     "'784-16-10'); rerun the train command"),
     ("surrogate-widths", ("attack",), lambda cfg, out, tmp: cfg.update(arch={"hidden": [8]}),
      "{out}/surrogate.rdiv was made with network widths '784-16-10' (configured "
      "'784-8-10'); rerun the surrogate command"),
@@ -840,6 +922,11 @@ STALE_OR_MISSING = [
      "missing {out}/adv-pgd-linf.radv; run the attack command"),
     ("missing-surrogate", ("attack",), lambda cfg, out, tmp: (out / "surrogate.rdiv").unlink(),
      "missing {out}/surrogate.rdiv; run the surrogate command"),
+    # Every command that takes the eval slice refuses a limit past the test
+    # split before it trains or writes anything.
+    ("limit-past-test-split", ("train", "surrogate", "attack", "eval", "report"),
+     lambda cfg, out, tmp: _test_split(cfg, tmp, *make_dataset(40, seed=12)),
+     "eval limit 60 is more than the 40 samples in {tmp}/test-images.idx"),
 ]
 
 
@@ -859,7 +946,7 @@ def test_a_stale_or_missing_artifact_ends_the_command_in_one_line(
     for command in commands:
         capsys.readouterr()
         assert run(command, "--config", str(path)) == 1
-        assert capsys.readouterr() == ("", f"error: {line.format(out=out)}\n")
+        assert capsys.readouterr() == ("", f"error: {line.format(out=out, tmp=tmp_path)}\n")
     # Nothing was written: no report.csv, no adversarial set.
     assert {f.name: f.read_bytes() for f in out.iterdir()} == files
 
@@ -887,7 +974,7 @@ def test_attack_prints_exact_half_up_percentages(pipeline, data_dir, tmp_path,
         f"fgsm: surrogate error 3.13% on 32 samples -> {fresh / 'adv-fgsm.radv'}\n")
 
 
-@pytest.mark.parametrize("name", ["system-i2.rdiv", "adv-pgd-linf.radv"])
+@pytest.mark.parametrize("name", ["system-i2.rdiv", "system-i1.rdiv", "adv-pgd-linf.radv"])
 def test_eval_names_a_corrupted_file(pipeline, tmp_path, capsys, name):
     config, out_dir = pipeline
     copy = tmp_path / "copy"

@@ -17,7 +17,7 @@ from rdiv.attacks import AttackConfig, fgsm_batch, pgd_linf_batch
 from rdiv.dataio import LabeledSet, take_first
 from rdiv.nn import Hyper, init_params, mlp_arch
 from rdiv.rng import MasterKey, derive_subkey, keyed_permutation, next_u64, skip, u64_stream
-from rdiv.system import check_settings
+from rdiv.system import check_reject_threshold, check_settings
 from rdiv.transforms import dct_basis
 
 MASTER = MasterKey(7)
@@ -72,10 +72,10 @@ SETTINGS = [
     ("fgsm_batch-eps", "eps", lambda v: fgsm_batch(PARAMS, FIVE.images, FIVE.labels, v),
      NOT_NUMBERS),
     ("take_first", "sample count", lambda v: take_first(FIVE, v), NOT_INTS),
-    ("check_settings-reject_threshold", "reject_threshold",
-     lambda v: check_settings("identity", False, v), NOT_NUMBERS + (1.5,)),
+    ("check_reject_threshold", "reject_threshold", check_reject_threshold,
+     NOT_NUMBERS + (1.5,)),
     ("check_settings-per_color", "per_color",
-     lambda v: check_settings("direct-permutation", v, None), NOT_FLAGS),
+     lambda v: check_settings("direct-permutation", v), NOT_FLAGS),
     ("dct_basis", "basis size", dct_basis, NOT_INTS + (0,)),
     ("keyed_permutation", "permutation length", lambda v: keyed_permutation(1, v),
      NOT_INTS + (0,)),

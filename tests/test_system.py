@@ -106,15 +106,17 @@ def test_per_color_rejected_outside_direct_permutation():
         build_system("direct-permutation", MASTER, 1, 1, arch, SIZE, COLORS, per_color="no")
 
 
-def test_reject_threshold_outside_unit_interval_rejected():
+def test_reject_threshold_outside_unit_interval_rejected(trained_perm_system):
     # A quoted "0.5" once raised TypeError inside the range check.
+    images = toy_set(count=4).images
     for threshold in (-0.01, 1.01, float("nan"), "0.5", True):
         with pytest.raises(ValueError, match="reject_threshold must be a number in"):
-            build_system("identity", MASTER, 1, 1, toy_arch(), SIZE, COLORS,
-                         reject_threshold=threshold)
+            classify_batch(trained_perm_system, images, threshold)
+        with pytest.raises(ValueError, match="reject_threshold must be a number in"):
+            nested_decisions(trained_perm_system, [1], images, threshold)
     for threshold in (0.0, 1.0, 1):
-        build_system("identity", MASTER, 1, 1, toy_arch(), SIZE, COLORS,
-                     reject_threshold=threshold)
+        classify_batch(trained_perm_system, images, threshold)
+        nested_decisions(trained_perm_system, [1], images, threshold)
 
 
 @pytest.mark.parametrize("setting, value", [("groups", True), ("branches", True),
@@ -183,13 +185,11 @@ def test_nested_decisions_equal_classifying_each_sub_grid(mode):
     # A threshold at the median normalized top score rejects about half.
     scores = predict_batch(full, images)
     median = float(np.median(scores.max(axis=1) / len(full.channels)))
-    from dataclasses import replace
     for threshold in (None, median):
-        system = replace(full, reject_threshold=threshold)
-        decisions = nested_decisions(system, [2, 1], images)
+        decisions = nested_decisions(full, [2, 1], images, threshold)
         assert list(decisions) == [2, 1]
         for branches, got in decisions.items():
-            expected = classify_batch(first_branches(system, branches), images)
+            expected = classify_batch(first_branches(full, branches), images, threshold)
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
         if threshold is not None:
             assert (decisions[2] == REJECT).any() and (decisions[2] != REJECT).any()
@@ -351,16 +351,15 @@ def test_predict_batch_folds_transforms_into_first_layer(mode, colors, per_color
 def test_empty_batch_gives_empty_results(trained_perm_system):
     empty = np.zeros((0, SIZE, SIZE, COLORS), np.float32)
     no_labels = np.zeros((0,), np.int64)
-    for system in (trained_perm_system, zero_net_system(reject_threshold=0.5)):
+    for system, threshold in ((trained_perm_system, None), (zero_net_system(), 0.5)):
         assert predict_batch(system, empty).shape == (0, CLASSES)
-        assert classify_batch(system, empty).shape == (0,)
-        assert decision_errors(classify_batch(system, empty), no_labels) == 0
+        assert classify_batch(system, empty, threshold).shape == (0,)
+        assert decision_errors(classify_batch(system, empty, threshold), no_labels) == 0
 
 
-def zero_net_system(reject_threshold=None):
+def zero_net_system():
     arch = toy_arch()
-    system = build_system("identity", MASTER, 1, 1, arch, SIZE, COLORS,
-                          reject_threshold=reject_threshold)
+    system = build_system("identity", MASTER, 1, 1, arch, SIZE, COLORS)
     zeros = ModelParams(arch,
                         tuple(np.zeros(s, dtype=np.float32) for s in arch.dense_shapes),
                         tuple(np.zeros(s[1], dtype=np.float32) for s in arch.dense_shapes))
@@ -377,17 +376,16 @@ def test_tie_breaks_to_smallest_class():
 def test_reject_threshold_boundary():
     x = toy_set(count=1).images
     uniform = 1.0 / CLASSES
-    rejecting = zero_net_system(reject_threshold=uniform + 1e-3)
-    accepting = zero_net_system(reject_threshold=uniform - 1e-3)
-    assert classify_batch(rejecting, x).tolist() == [REJECT]
-    assert classify_batch(accepting, x).tolist() == [0]
+    system = zero_net_system()
+    assert classify_batch(system, x, uniform + 1e-3).tolist() == [REJECT]
+    assert classify_batch(system, x, uniform - 1e-3).tolist() == [0]
 
 
 def test_rejects_count_as_errors():
     data = toy_set(count=10)
-    system = zero_net_system(reject_threshold=0.9)
-    assert np.all(classify_batch(system, data.images) == REJECT)
-    assert decision_errors(classify_batch(system, data.images), data.labels) == 10
+    decisions = classify_batch(zero_net_system(), data.images, 0.9)
+    assert np.all(decisions == REJECT)
+    assert decision_errors(decisions, data.labels) == 10
 
 
 def test_decision_errors_counts_wrong_decisions_and_checks_labels(trained_perm_system):
@@ -433,11 +431,10 @@ def test_rebuild_preprocessors_swaps_key_keeps_params(trained_perm_system):
                          + [("direct-permutation", True)])
 def test_rebuild_preprocessors_equals_build_under_other_key(mode, per_color):
     system = build_system(mode, MASTER, MODE_TABLE[mode].groups, 2, toy_arch(), SIZE,
-                          COLORS, reject_threshold=0.5, per_color=per_color)
+                          COLORS, per_color=per_color)
     other = rebuild_preprocessors(system, MasterKey(0x5))
     fresh = build_system(mode, MasterKey(0x5), MODE_TABLE[mode].groups, 2, toy_arch(),
                          SIZE, COLORS, per_color=per_color)
-    assert other.reject_threshold == 0.5
     assert system.per_color == other.per_color == per_color
     assert first_branches(other, 1).per_color == per_color
     for a, b, c in zip(system.channels, other.channels, fresh.channels, strict=True):
