@@ -14,7 +14,7 @@ functions are pure. Derived keys and stream states are plain 64-bit ints,
 passed by value: a key is the state its stream starts from. `require_u64`
 is the one check of such a value: a master key, a lineage index or a
 stream state that is not an int in [0, 2**64) is refused where it enters,
-not reduced mod 2**64.
+not reduced mod 2**64, and `require_master` refuses a non-MasterKey master.
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ def require_u64(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value <= _MASK64:
         raise ValueError(f"{what} must be a 64-bit unsigned int, got {value!r}")
     return value
+
+
+def require_master(master) -> MasterKey:
+    """`master` itself if it is a MasterKey; a bare int or hex string is refused."""
+    if not isinstance(master, MasterKey):
+        raise ValueError(f"master must be a MasterKey, got {master!r}")
+    return master
 
 
 def hex16_value(text: str) -> int:
@@ -132,7 +139,7 @@ def derive_subkey(master: MasterKey, j: int, i: int, tag: int) -> int:
     """
     for value, what in ((j, "j"), (i, "i"), (tag, "tag")):
         require_u64(value, f"lineage index {what}")
-    seed = (master.value
+    seed = (require_master(master).value
             ^ ((j * _GAMMA) & _MASK64)
             ^ ((i * _BRANCH_C) & _MASK64)
             ^ tag) & _MASK64

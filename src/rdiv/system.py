@@ -40,7 +40,7 @@ from .nn import (
     require_number,
     train,
 )
-from .rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey
+from .rng import TAG_INIT, TAG_SHUFFLE, MasterKey, derive_subkey, require_master
 from .transforms import (
     SUBBAND_IDS,
     Preprocessor,
@@ -86,8 +86,8 @@ def check_settings(mode: str, per_color: bool) -> None:
 
 
 def check_reject_threshold(reject_threshold: float | None) -> None:
-    """Refuse a reject threshold outside [0, 1]; None rejects nothing. Both
-    decision functions run it, and the CLI runs it on the config."""
+    """Refuse a reject threshold outside [0, 1]; None rejects nothing.
+    `nested_decisions` runs it, and the CLI runs it on the config."""
     if reject_threshold is not None:
         require_number(reject_threshold, "reject_threshold", high=1.0)
 
@@ -142,6 +142,7 @@ def build_system(mode: str, master: MasterKey, groups: int, branches: int,
     order instead of the keyed init; loading a saved system uses it.
     """
     check_settings(mode, per_color)
+    require_master(master)
     for value, what in ((groups, "groups"), (branches, "branches"),
                         (size, "size"), (colors, "colors")):
         require_count(value, what)
@@ -246,10 +247,7 @@ def channel_scores(system: SystemSpec, images: np.ndarray) -> list[np.ndarray]:
 
 def _sum_scores(scores: Sequence[np.ndarray]) -> np.ndarray:
     """Add channel scores left to right; the inputs are left unchanged."""
-    total = scores[0]
-    for s in scores[1:]:
-        total = total + s
-    return total
+    return sum(scores[1:], scores[0])
 
 
 def predict_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
@@ -257,43 +255,36 @@ def predict_batch(system: SystemSpec, images: np.ndarray) -> np.ndarray:
     return _sum_scores(channel_scores(system, images))
 
 
-def _decide(total: np.ndarray, channels: int, reject_threshold: float | None) -> np.ndarray:
-    """Class decisions from the score total of `channels` channels.
-
-    The argmax tie-break is the smallest class index. With a reject
-    threshold t, a sample is rejected when max_score / channels < t.
-    """
-    decisions = total.argmax(axis=1)
-    if reject_threshold is not None:
-        normalized = total.max(axis=1) / channels
-        decisions = np.where(normalized < reject_threshold, REJECT, decisions)
-    return decisions
-
-
 def classify_batch(system: SystemSpec, images: np.ndarray,
                    reject_threshold: float | None = None) -> np.ndarray:
-    """Class decisions for a batch; REJECT where `reject_threshold` says so."""
-    check_reject_threshold(reject_threshold)
-    return _decide(predict_batch(system, images), len(system.channels), reject_threshold)
+    """Class decisions for a batch; REJECT where `reject_threshold` says so.
+    This is `nested_decisions` for the grid's own I."""
+    return nested_decisions(system, (system.branches,), images,
+                            reject_threshold)[system.branches]
 
 
 def nested_decisions(system: SystemSpec, branch_grid: Sequence[int], images: np.ndarray,
                      reject_threshold: float | None = None) -> dict[int, np.ndarray]:
-    """`classify_batch(first_branches(system, I), images, reject_threshold)`
-    for each I in the grid.
+    """The class decisions of `first_branches(system, I)` for each I in the grid.
 
-    Every channel is scored once. Each sub-grid's total adds its own
-    channels' scores in its own grid order, as `predict_batch` does; for
-    J=3 those channels are not a prefix of the full grid.
+    The threshold and every I are checked before any channel is scored, and
+    every channel is scored once. Each sub-grid's total adds its own
+    channels' scores in grid order, as `predict_batch` does; for J=3 those
+    channels are not a prefix of the full grid. The argmax tie-break is the
+    smallest class index; with a reject threshold t, a sample is REJECT when
+    its top total over the sub-grid's channel count is below t.
     """
     check_reject_threshold(reject_threshold)
+    subs = {branches: first_branches(system, branches) for branches in branch_grid}
     scores = channel_scores(system, images)
     decisions = {}
-    for branches in branch_grid:
-        sub = first_branches(system, branches)
+    for branches, sub in subs.items():
         total = _sum_scores([s for channel, s in zip(system.channels, scores)
                              if channel.i < branches])
-        decisions[branches] = _decide(total, len(sub.channels), reject_threshold)
+        decisions[branches] = total.argmax(axis=1)
+        if reject_threshold is not None:
+            rejected = total.max(axis=1) / len(sub.channels) < reject_threshold
+            decisions[branches][rejected] = REJECT
     return decisions
 
 

@@ -1,10 +1,11 @@
 """Every library entry point refuses a bad value where it enters.
 
 Each kind of value has one check: counts (`nn.require_count`), numbers
-(`nn.require_number`), flags (`nn.require_bool`) and 64-bit keys
-(`rng.require_u64`). Whatever the entry point, a bool, a float or a string
-where an int goes, a negative value and a value out of the setting's range
-raise a ValueError that names the setting.
+(`nn.require_number`), flags (`nn.require_bool`), 64-bit keys
+(`rng.require_u64`) and master keys (`rng.require_master`). Whatever the
+entry point, a bool, a float or a string where an int goes, a negative
+value, a value out of the setting's range and a master that is not a
+`MasterKey` raise a ValueError that names the setting.
 """
 
 import math
@@ -13,16 +14,22 @@ import re
 import numpy as np
 import pytest
 
-from rdiv.attacks import AttackConfig, fgsm_batch, pgd_linf_batch
+from rdiv.attacks import AttackConfig, fgsm_batch, pgd_linf_batch, train_surrogate
 from rdiv.dataio import LabeledSet, take_first
 from rdiv.nn import Hyper, init_params, mlp_arch
 from rdiv.rng import MasterKey, derive_subkey, keyed_permutation, next_u64, skip, u64_stream
-from rdiv.system import check_reject_threshold, check_settings
+from rdiv.system import (
+    build_system,
+    check_reject_threshold,
+    check_settings,
+    rebuild_preprocessors,
+)
 from rdiv.transforms import dct_basis
 
 MASTER = MasterKey(7)
 FIVE = LabeledSet(np.zeros((5, 2, 2, 1), np.float32), np.zeros(5, np.int64), "five")
 PARAMS = init_params(mlp_arch(4, (3,), 2), 1)
+IDENTITY = build_system("identity", MASTER, 1, 1, PARAMS.arch, 2, 1)
 
 # What no int setting takes: a bool, a float, a string and a negative int.
 NOT_INTS = (True, 1.5, "2", -1)
@@ -31,11 +38,21 @@ NOT_INTS = (True, 1.5, "2", -1)
 NOT_NUMBERS = (True, "2", -1.0, math.nan, math.inf, 10**400)
 # What no flag takes.
 NOT_FLAGS = (1, 1.5, "2", -1, None)
+# What no master takes: the bare int and the hex text a MasterKey holds.
+NOT_MASTERS = (123, "5eed5eed5eed5eed", None)
 
 # (entry point, setting as the error names it, the call, values it refuses).
 # The last value of each int or number row is out of the setting's range.
 SETTINGS = [
     ("MasterKey", "master key", MasterKey, NOT_INTS + (2**64,)),
+    # An identity grid draws no key, so a bare int once became its master.
+    ("build_system-master", "master",
+     lambda v: build_system("identity", v, 1, 1, PARAMS.arch, 2, 1), NOT_MASTERS),
+    ("derive_subkey-master", "master", lambda v: derive_subkey(v, 0, 0, 1), NOT_MASTERS),
+    ("rebuild_preprocessors", "master", lambda v: rebuild_preprocessors(IDENTITY, v),
+     NOT_MASTERS),
+    ("train_surrogate", "master",
+     lambda v: train_surrogate(FIVE, PARAMS.arch, Hyper(epochs=1), v), NOT_MASTERS),
     *((f"derive_subkey-{index}", f"lineage index {index}",
        lambda v, at=at: derive_subkey(MASTER, *(v if k == at else 0 for k in range(3))),
        NOT_INTS + (2**64,))

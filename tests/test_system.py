@@ -189,10 +189,33 @@ def test_nested_decisions_equal_classifying_each_sub_grid(mode):
         decisions = nested_decisions(full, [2, 1], images, threshold)
         assert list(decisions) == [2, 1]
         for branches, got in decisions.items():
-            expected = classify_batch(first_branches(full, branches), images, threshold)
+            # The rule written out: the argmax of the sub-grid's summed
+            # scores, REJECT where the top total per channel is below t.
+            sub = first_branches(full, branches)
+            total = predict_batch(sub, images)
+            expected = total.argmax(axis=1)
+            if threshold is not None:
+                top = total.max(axis=1) / len(sub.channels)
+                expected = np.where(top < threshold, REJECT, expected)
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert np.array_equal(classify_batch(full, images, threshold), decisions[2])
         if threshold is not None:
             assert (decisions[2] == REJECT).any() and (decisions[2] != REJECT).any()
+
+
+def test_nested_decisions_refuse_bad_values_before_scoring(monkeypatch):
+    # An I past the grid was once refused only after every channel was scored.
+    system = build_system("direct-permutation", MASTER, 1, 2, toy_arch(), SIZE, COLORS)
+
+    def no_scoring(*args):
+        raise AssertionError("channel_scores ran")
+
+    monkeypatch.setattr("rdiv.system.channel_scores", no_scoring)
+    images = toy_set(count=4).images
+    with pytest.raises(ValueError, match=r"^cannot take 3 branches from a grid of 2$"):
+        nested_decisions(system, [1, 3], images)
+    with pytest.raises(ValueError, match="^reject_threshold must be a number in"):
+        classify_batch(system, images, 1.5)
 
 
 def test_arch_must_match_image_shape():
