@@ -7,12 +7,12 @@ surrogate is trained under the defender's master key, though, so its
 initial weights and batch order are those of the defender's channel (0, 0):
 the attacker does not yet hold a key of their own.
 
-Attack kinds:
+Attack kinds (`ATTACK_FIELDS` lists the settings each one takes):
   fgsm      - one signed-gradient step of size eps: pgd-linf with one step
               of size alpha = eps
   pgd-linf  - iterated signed steps, projected into the eps ball each step
   cw-l2     - margin loss plus squared l2 penalty, optimized in tanh space
-              with a fixed trade-off constant
+              with a fixed trade-off constant; targeted when given a target
 
 All pixel values live in [0, 1]: the attacks refuse input pixels outside
 that range or not finite, and every crafted image is clamped there.
@@ -21,7 +21,7 @@ that range or not finite, and every crafted image is clamped there.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .nn import (
     batch_loss_and_grads,
     forward,
     logits_and_cache,
-    require_bool,
     require_count,
     require_indices,
     require_number,
@@ -46,7 +45,13 @@ from .system import SystemSpec, build_system, classify_batch, decision_errors, t
 
 logger = logging.getLogger(__name__)
 
-ATTACK_KINDS = ("fgsm", "pgd-linf", "cw-l2")
+# Each attack kind's settings. A kind's file byte is its index, so new kinds go last.
+ATTACK_FIELDS = {
+    "fgsm": ("eps",),
+    "pgd-linf": ("eps", "alpha", "steps"),
+    "cw-l2": ("c", "iterations", "step_size", "kappa", "target"),
+}
+ATTACK_KINDS = tuple(ATTACK_FIELDS)
 
 # Keeps arctanh finite at pixel values 0 and 1.
 _TANH_CLIP = 1.0 - 1e-6
@@ -62,8 +67,8 @@ _BLOCK = 1 << 15
 class AttackConfig:
     """Parameters for one attack run.
 
-    Fields a kind does not use are ignored, except `targeted`: only cw-l2
-    runs a targeted attack, so fgsm and pgd-linf refuse `targeted=True`.
+    Every value is checked first. Then a field that `ATTACK_FIELDS` does
+    not list for the kind is refused unless it keeps its default.
     """
 
     kind: str
@@ -74,11 +79,10 @@ class AttackConfig:
     iterations: int = 200    # cw-l2 optimizer iterations
     step_size: float = 1e-2  # cw-l2 optimizer learning rate
     kappa: float = 0.0       # cw-l2 confidence margin
-    targeted: bool = False
-    target: int = 0
+    target: int | None = None  # cw-l2 target class; None runs untargeted
 
     def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
+        if self.kind not in ATTACK_FIELDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         for name in ("eps", "kappa"):
             require_number(getattr(self, name), name)
@@ -86,10 +90,12 @@ class AttackConfig:
             require_number(getattr(self, name), name, positive=True)
         for name in ("steps", "iterations"):
             require_count(getattr(self, name), name)
-        require_count(self.target, "target", minimum=0)
-        require_bool(self.targeted, "targeted")
-        if self.targeted and self.kind != "cw-l2":
-            raise ValueError(f"targeted applies to cw-l2 only, not {self.kind}")
+        if self.target is not None:
+            require_count(self.target, "target", minimum=0)
+        for field in fields(self)[1:]:
+            if (field.name not in ATTACK_FIELDS[self.kind]
+                    and getattr(self, field.name) != field.default):
+                raise ValueError(f"{self.kind} takes no {field.name}")
 
 
 @dataclass(frozen=True)
@@ -210,24 +216,24 @@ def pgd_linf_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
 
 
 def _margin_and_seed(logits: np.ndarray, labels: np.ndarray, kappa: float,
-                     targeted: bool, target: int):
+                     target: int | None):
     """Raw margin per sample plus the logit-space gradient seed.
 
     Untargeted: margin = Z_y - max_{t != y} Z_t + kappa; it is negative once
     some wrong class beats the true one by more than kappa, which is success.
-    Targeted swaps the roles so the chosen class must win by more than kappa.
+    A `target` swaps the roles so that class must win by more than kappa.
     The loss is max(margin, 0), so only positive margins seed a gradient.
     """
     batch = logits.shape[0]
     rows = np.arange(batch)
-    own = np.broadcast_to(target, (batch,)) if targeted else labels
+    own = labels if target is None else np.broadcast_to(target, (batch,))
     keep = logits.copy()
     keep[rows, own] = -np.inf
     rival = keep.argmax(axis=1)
     gap = logits[rows, own] - keep[rows, rival]
     # fl(a - b) == -fl(b - a), so negating the gap is exact.
-    raw = (-gap if targeted else gap) + kappa
-    up, down = (rival, own) if targeted else (own, rival)
+    raw = (gap if target is None else -gap) + kappa
+    up, down = (own, rival) if target is None else (rival, own)
     seed = np.zeros_like(logits)
     active = raw > 0
     seed[rows[active], up[active]] = 1.0
@@ -263,7 +269,7 @@ def cw_l2_batch(params: ModelParams, images: np.ndarray, labels: np.ndarray,
     flat_dim = params.arch.input_dim
     classes = params.arch.classes
     labels = require_indices(labels, "labels", batch, classes)
-    if config.targeted and config.target >= classes:
+    if config.target is not None and config.target >= classes:
         raise ValueError(f"target {config.target} is not in [0, {classes})")
     _check_pixels(images)
     x = images.reshape(batch, flat_dim)
@@ -357,15 +363,14 @@ def _cw_chunk(work: ModelParams, x: np.ndarray, labels: np.ndarray,
 
     # The clean input has norm 0, so it is kept wherever it already succeeds.
     margin, _ = _margin_and_seed(logits_and_cache(work, x)[0], labels, config.kappa,
-                                 config.targeted, config.target)
+                                 config.target)
     best_norm2[margin < 0] = 0.0
     # Pass `iterations + 1` only scores the last iterate: each pass scores
     # the iterate the previous one produced, with the logits its gradient
     # step needs anyway, so no iterate runs its forward pass twice.
     for it in range(1, config.iterations + 2):
         logits, cache = logits_and_cache(work, adv)
-        margin, seed = _margin_and_seed(logits, labels, config.kappa,
-                                        config.targeted, config.target)
+        margin, seed = _margin_and_seed(logits, labels, config.kappa, config.target)
         better = keep_better(margin)
         if it > config.iterations:
             np.copyto(best, adv, where=better)

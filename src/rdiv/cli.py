@@ -178,12 +178,11 @@ def _parse_attacks(raw: dict, classes: int) -> tuple[tuple[str, AttackConfig], .
         _require_keys(entry, allowed, f"attacks[{pos}]")
         if "kind" not in entry:
             raise ConfigError(f"attacks[{pos}] needs a kind")
-        settings = {k: v for k, v in entry.items() if k != "name"}
         try:
-            config = AttackConfig(**settings)
-        except (TypeError, ValueError) as exc:
+            config = AttackConfig(**{k: v for k, v in entry.items() if k != "name"})
+        except ValueError as exc:
             raise ConfigError(f"attacks[{pos}]: {exc}") from None
-        if config.targeted and config.target >= classes:
+        if config.target is not None and config.target >= classes:
             raise ConfigError(f"attacks[{pos}]: target {config.target} is not in "
                               f"[0, {classes})")
         name = entry.get("name", entry["kind"])
@@ -296,7 +295,7 @@ def _resolve(raw: dict) -> RunConfig:
     _require_keys(train, {field.name for field in fields(Hyper)}, "train")
     try:
         hyper = Hyper(**train)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"train: {exc}") from None
 
     eval_section = _section(raw, "eval")
@@ -337,15 +336,11 @@ def _need(config: RunConfig, *what: str) -> None:
         raise ConfigError("no output directory: set out_dir or pass --out")
 
 
-def _check_paths(paths: tuple[Path, ...]) -> None:
+def _load_split(config: RunConfig, which: str) -> LabeledSet:
+    paths = config.train_paths if which == "train" else config.test_paths
     missing = [str(p) for p in paths if not p.is_file()]
     if missing:
         raise ConfigError(f"missing dataset file(s): {', '.join(missing)}")
-
-
-def _load_split(config: RunConfig, which: str) -> LabeledSet:
-    paths = config.train_paths if which == "train" else config.test_paths
-    _check_paths(paths)
     if config.dataset_format == "idx":
         data = load_idx(paths[0], paths[1], name=config.dataset_name)
     else:

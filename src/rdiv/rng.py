@@ -20,7 +20,7 @@ not reduced mod 2**64, and `require_master` refuses a non-MasterKey master.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +54,7 @@ def require_u64(value, what: str) -> int:
 def require_master(master) -> MasterKey:
     """`master` itself if it is a MasterKey; a bare int or hex string is refused."""
     if not isinstance(master, MasterKey):
-        raise ValueError(f"master must be a MasterKey, got {master!r}")
+        raise ValueError(f"master must be a MasterKey, got {type(master).__name__}")
     return master
 
 
@@ -73,7 +73,7 @@ def hex16_value(text: str) -> int:
 class MasterKey:
     """Secret 64-bit key shared between training and testing."""
 
-    value: int
+    value: int = field(repr=False)
 
     def __post_init__(self):
         require_u64(self.value, "master key")
@@ -204,10 +204,7 @@ def keyed_sign_mask(key: int, shape: tuple[int, int],
     if not (0 <= r0 <= r1 <= rows and 0 <= c0 <= c1 <= cols):
         raise ValueError(f"region {region} out of bounds for shape {shape}")
     mask = np.ones(shape, dtype=np.float64)
-    count = (r1 - r0) * (c1 - c0)
-    if count == 0:
-        return mask
-    bits = u64_stream(key, count) & np.uint64(1)
+    bits = u64_stream(key, (r1 - r0) * (c1 - c0)) & np.uint64(1)
     block = 1.0 - 2.0 * bits.astype(np.float64)  # bit 1 -> -1, bit 0 -> +1
     mask[r0:r1, c0:c1] = block.reshape(r1 - r0, c1 - c0)
     return mask

@@ -38,6 +38,8 @@ Adversarial set ("RADV"):
     attack kind byte | config fields, among them the targeted byte (0/1) |
     count N m | indices u32[count] | labels u32[count] | originals, then
     adversarials, f32[count,N,N,m].
+    Fields a kind does not take hold their defaults. The targeted byte is 1
+    if the config has a target; without one, the stored target must be 0.
 
 The version byte is 2 for "RDIV" and 3 for "RADV" (its version 2 packed
 each sample into one record); no other version is read.
@@ -167,9 +169,6 @@ class _Frame:
         self.fill(chunk)
         return bytes(chunk)
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
@@ -273,7 +272,7 @@ def _read_arch(frame: _Frame) -> ArchSpec:
         raise ValueError(f"layer count {layer_count} out of range")
     layers = []
     for _ in range(layer_count):
-        code = frame.u8()
+        code = frame.take(1)[0]
         if not 1 <= code <= len(LAYER_KINDS):
             raise ValueError(f"unknown layer code {code}")
         kind = LAYER_KINDS[code - 1]
@@ -354,7 +353,7 @@ def _adv_frame(adv: AdvSet) -> tuple:
     header = _ADV_HEADER.pack(ATTACK_KINDS.index(config.kind), config.eps, config.alpha,
                               config.steps, config.c, config.iterations,
                               config.step_size, config.kappa,
-                              int(config.targeted), config.target,
+                              config.target is not None, config.target or 0,
                               count, size, colors)
     return _seal(ADV_MAGIC, header, _view(adv.indices, "<u4"), _view(adv.labels, "<u4"),
                  _view(adv.originals, "<f4"), _view(adv.adversarials, "<f4"))
@@ -365,9 +364,11 @@ def _parse_adv_set(frame: _Frame) -> AdvSet:
      target, count, size, colors) = frame.fields(_ADV_HEADER)
     if kind_code >= len(ATTACK_KINDS):
         raise ValueError(f"unknown attack code {kind_code}")
+    if not _flag(targeted, "targeted") and target:
+        raise ValueError(f"target {target} beside targeted byte 0, expected 0")
     config = AttackConfig(kind=ATTACK_KINDS[kind_code], eps=eps, alpha=alpha, steps=steps,
                           c=c, iterations=iterations, step_size=step_size, kappa=kappa,
-                          targeted=_flag(targeted, "targeted"), target=target)
+                          target=target if targeted else None)
     # No dense layer takes more inputs, so no model could read a larger image.
     if size * size * colors > _MAX_LAYER_DIM:
         raise ValueError(f"image dims {size}x{size}x{colors} out of range")

@@ -267,14 +267,16 @@ def nested_decisions(system: SystemSpec, branch_grid: Sequence[int], images: np.
                      reject_threshold: float | None = None) -> dict[int, np.ndarray]:
     """The class decisions of `first_branches(system, I)` for each I in the grid.
 
-    The threshold and every I are checked before any channel is scored, and
-    every channel is scored once. Each sub-grid's total adds its own
-    channels' scores in grid order, as `predict_batch` does; for J=3 those
-    channels are not a prefix of the full grid. The argmax tie-break is the
-    smallest class index; with a reject threshold t, a sample is REJECT when
-    its top total over the sub-grid's channel count is below t.
+    The threshold and every I of a non-empty grid are checked before any
+    channel is scored, and each channel is scored once. A sub-grid's total
+    adds its own channels' scores in grid order, as `predict_batch` does;
+    for J=3 those are not a prefix of the full grid. The argmax tie-break
+    is the smallest class index; with a reject threshold t, a sample is
+    REJECT when its top total over the sub-grid's channel count is below t.
     """
     check_reject_threshold(reject_threshold)
+    if not branch_grid:
+        raise ValueError("branch grid holds no I")
     subs = {branches: first_branches(system, branches) for branches in branch_grid}
     scores = channel_scores(system, images)
     decisions = {}

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rdiv.attacks import (
     _CHUNK,
     _TANH_CLIP,
+    ATTACK_FIELDS,
     AdvSet,
     AttackConfig,
     _margin_and_seed,
@@ -195,7 +197,7 @@ def test_cw_targeted_hits_target(surrogate):
     keep = data.labels != 2
     images, labels = data.images[keep], data.labels[keep]
     adv = cw_l2_batch(surrogate, images, labels,
-                      cw_config(targeted=True, target=2))
+                      cw_config(target=2))
     preds = forward(surrogate, adv.reshape(len(adv), -1)).argmax(axis=1)
     assert np.mean(preds == 2) >= 0.9
 
@@ -218,23 +220,23 @@ def _attack_succeeded(logits: np.ndarray, labels: np.ndarray,
     batch = logits.shape[0]
     rows = np.arange(batch)
     keep = logits.copy()
-    if config.targeted:
+    if config.target is not None:
         keep[rows, config.target] = -np.inf
         return logits[:, config.target] - keep.max(axis=1) > config.kappa
     keep[rows, labels] = -np.inf
     return keep.max(axis=1) - logits[rows, labels] > config.kappa
 
 
-@pytest.mark.parametrize("targeted", [False, True])
+@pytest.mark.parametrize("target", [None, 1])
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 2.0])
-def test_negative_margin_is_success(targeted, kappa):
+def test_negative_margin_is_success(target, kappa):
     # Integer logits make ties and margins of exactly kappa common.
-    rng = np.random.default_rng(int(kappa * 10) + targeted)
+    rng = np.random.default_rng(int(kappa * 10) + (target is not None))
     for logits in (rng.integers(-3, 4, size=(400, 4)).astype(np.float64),
                    rng.standard_normal((400, 4)) * 3.0):
         labels = rng.integers(0, 4, size=400)
-        config = cw_config(kappa=kappa, targeted=targeted, target=1)
-        margin, _ = _margin_and_seed(logits, labels, kappa, targeted, 1)
+        config = cw_config(kappa=kappa, target=target)
+        margin, _ = _margin_and_seed(logits, labels, kappa, target)
         assert np.array_equal(margin < 0, _attack_succeeded(logits, labels, config))
 
 
@@ -262,8 +264,7 @@ def reference_cw_l2(params, images, labels, config):
         tanh_w = np.tanh(w)
         adv = (tanh_w + 1.0) / 2.0
         logits, cache = logits_and_cache(work, adv)
-        _, seed = _margin_and_seed(logits, labels, config.kappa,
-                                   config.targeted, config.target)
+        _, seed = _margin_and_seed(logits, labels, config.kappa, config.target)
         _, _, dadv = backward_from_logits(work, cache, config.c * seed)
         dw = (dadv + 2.0 * (adv - x)) * (1.0 - tanh_w ** 2) / 2.0
         m = 0.9 * m + (1 - 0.9) * dw
@@ -279,7 +280,7 @@ CW_REFERENCE_CONFIGS = [
     cw_config(iterations=25),
     cw_config(iterations=1),
     cw_config(iterations=25, kappa=1.0),
-    cw_config(iterations=25, targeted=True, target=2, c=0.5),
+    cw_config(iterations=25, target=2, c=0.5),
 ]
 CW_REFERENCE_IDS = ["untargeted", "one-iteration", "kappa", "targeted"]
 
@@ -304,8 +305,7 @@ def textbook_cw_points(params, images, labels, config):
         adv = (tanh_w + 1.0) / 2.0
         points.append(adv)
         logits, cache = logits_and_cache(work, adv)
-        _, seed = _margin_and_seed(logits, labels, config.kappa,
-                                   config.targeted, config.target)
+        _, seed = _margin_and_seed(logits, labels, config.kappa, config.target)
         _, _, dadv = backward_from_logits(work, cache, config.c * seed)
         dw = (dadv + 2.0 * (adv - x)) * (1.0 - tanh_w ** 2) / 2.0
         m = 0.9 * m + (1 - 0.9) * dw
@@ -434,8 +434,7 @@ def test_cw_never_keeps_the_starting_iterate(surrogate, probes):
     start = (np.tanh(np.arctanh((2.0 * x - 1.0) * _TANH_CLIP)) + 1.0) / 2.0
 
     def margins(model, points):
-        return _margin_and_seed(logits_and_cache(model, points)[0], labels,
-                                0.0, False, 0)[0]
+        return _margin_and_seed(logits_and_cache(model, points)[0], labels, 0.0, None)[0]
 
     clean, moved = margins(params, x), margins(params, start)
     row = int(np.argmin(moved - clean))
@@ -549,11 +548,9 @@ def test_cw_rejects_labels_and_targets_outside_the_classes(surrogate, probes):
                 labels[:-1], labels.astype(np.float64)):
         with pytest.raises(ValueError, match="labels"):
             cw_l2_batch(surrogate, images, bad, cw_config(iterations=1))
-    with pytest.raises(ValueError, match="target"):
-        cw_l2_batch(surrogate, images, labels,
-                    cw_config(iterations=1, targeted=True, target=CLASSES))
-    # An untargeted run ignores the target field, as it does every unused one.
-    cw_l2_batch(surrogate, images, labels, cw_config(iterations=1, target=CLASSES))
+    with pytest.raises(ValueError, match=rf"^target {CLASSES} is not in \[0, {CLASSES}\)$"):
+        cw_l2_batch(surrogate, images, labels, cw_config(iterations=1, target=CLASSES))
+    cw_l2_batch(surrogate, images, labels, cw_config(iterations=1, target=CLASSES - 1))
 
 
 @pytest.mark.parametrize("config", [
@@ -673,19 +670,24 @@ def test_attack_config_validation():
         AttackConfig(kind="cw-l2", c=0.0)
     with pytest.raises(ValueError):
         AttackConfig(kind="cw-l2", kappa=-1.0)
-    for target in (-1, True, 1.0, "2", None):
+    for target in (-1, True, 1.0, "2"):
         with pytest.raises(ValueError, match="target"):
-            AttackConfig(kind="cw-l2", targeted=True, target=target)
-    # A targeted fgsm or pgd-linf run crafted the untargeted bytes.
-    for kind in ("fgsm", "pgd-linf"):
-        with pytest.raises(ValueError, match=f"targeted applies to cw-l2 only, not {kind}"):
-            AttackConfig(kind=kind, targeted=True)
+            AttackConfig(kind="cw-l2", target=target)
+    # None is the default: an untargeted run.
+    assert AttackConfig(kind="cw-l2", target=None) == AttackConfig(kind="cw-l2")
+    # `targeted` is no field: a target alone makes a targeted run.
+    with pytest.raises(TypeError, match="targeted"):
+        AttackConfig(kind="cw-l2", targeted=True)
+
+
+def _kind_taking(field: str) -> str:
+    return next(kind for kind, names in ATTACK_FIELDS.items() if field in names)
 
 
 @pytest.mark.parametrize("field, value", [
     ("steps", 2.5), ("steps", True), ("steps", "3"),
     ("iterations", True), ("iterations", 10.0),
-    ("targeted", "no"), ("targeted", 1), ("targeted", None),
+    ("target", "no"), ("target", 1.0), ("target", -1),
     ("eps", float("nan")), ("eps", float("inf")), ("eps", True), ("eps", "0.1"),
     ("alpha", float("nan")), ("alpha", True),
     ("c", float("inf")), ("c", False),
@@ -694,7 +696,36 @@ def test_attack_config_validation():
 ])
 def test_attack_config_refuses_wrong_types(field, value):
     with pytest.raises(ValueError, match=field):
-        AttackConfig(kind="cw-l2", **{field: value})
+        AttackConfig(kind=_kind_taking(field), **{field: value})
+
+
+# A valid value other than the default, for every field but the kind.
+NON_DEFAULT = {"eps": 0.25, "alpha": 0.05, "steps": 3, "c": 2.0, "iterations": 7,
+               "step_size": 0.05, "kappa": 1.0, "target": 1}
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind in ATTACK_FIELDS for field in NON_DEFAULT])
+def test_each_kind_takes_only_its_own_settings(kind, field):
+    """`ATTACK_FIELDS` is the one statement of who takes what: a field the
+    kind takes is kept, any other is refused unless it keeps its default."""
+    assert set(NON_DEFAULT) == {f.name for f in fields(AttackConfig)} - {"kind"}
+    default = next(f.default for f in fields(AttackConfig) if f.name == field)
+    assert AttackConfig(kind, **{field: default}) == AttackConfig(kind)
+    if field in ATTACK_FIELDS[kind]:
+        assert getattr(AttackConfig(kind, **{field: NON_DEFAULT[field]}), field) == \
+            NON_DEFAULT[field]
+    else:
+        with pytest.raises(ValueError, match=rf"^{kind} takes no {field}$"):
+            AttackConfig(kind, **{field: NON_DEFAULT[field]})
+
+
+def test_attack_config_checks_values_before_the_kind_table():
+    # A bad value is named as such even on a kind that does not take it.
+    with pytest.raises(ValueError, match=r"^kappa must be a number in \[0, inf\), got -1.0$"):
+        AttackConfig("pgd-linf", kappa=-1.0)
+    with pytest.raises(ValueError, match=r"^target must be a non-negative int, got -1$"):
+        AttackConfig("fgsm", target=-1)
 
 
 def test_adv_set_length_validation():

@@ -3,9 +3,10 @@ import io
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,17 +14,18 @@ import pytest
 import yaml
 
 from rdiv import cli
-from rdiv.attacks import AdvSet
+from rdiv.attacks import ATTACK_FIELDS, AdvSet, AttackConfig
 from rdiv.cli import ConfigError, _pct, parse_config
 from rdiv.dataio import load_idx
 from rdiv.nn import ArchSpec, Hyper, init_params, mlp_arch
 from rdiv.rng import TAG_INIT, MasterKey, derive_subkey
-from rdiv.serialize import read_adv_set, read_system, save_params, save_system
+from rdiv.serialize import read_adv_set, read_system, save_adv_set, save_params, save_system
 from rdiv.system import REJECT, build_system, decision_errors, predict_batch, train_system
 
 from _helpers import read_written
 from _synth import make_dataset, write_idx
-from test_serialize import _reseal
+from test_attacks import NON_DEFAULT
+from test_serialize import _KAPPA, _reseal
 
 TRAIN_COUNT = 120
 TEST_COUNT = 60
@@ -218,41 +220,65 @@ def test_parse_config_validates_values(data_dir, tmp_path):
     with pytest.raises(ConfigError, match="attacks"):
         parse_config(yaml.safe_dump(bad))
     # A negative target would index the last class instead of failing.
-    # Only cw-l2 runs targeted, so the entry becomes one.
     for target in (-1, True, 1.0, "2"):
         bad = yaml.safe_load(yaml.safe_dump(good))
-        bad["attacks"][1].update(kind="cw-l2", targeted=True, target=target)
-        with pytest.raises(ConfigError, match="target"):
+        bad["attacks"][1] = {"kind": "cw-l2", "target": target}
+        with pytest.raises(ConfigError, match=r"^attacks\[1\]: target must be"):
             parse_config(yaml.safe_dump(bad))
 
 
 def test_parse_config_refuses_bad_attack_and_train_values(data_dir, tmp_path):
     # Each of these once parsed and then failed or misled at run time: a
     # float step count raised TypeError inside `rdiv attack`, `true` ran one
-    # iteration, a quoted "no" ran a targeted attack, a targeted pgd-linf
-    # ran untargeted, a NaN learning rate died in training and beta1 = 1.5
-    # trained a useless model. Adam's constants are no longer settings, so
-    # beta1 and the others are now refused as unknown keys.
+    # iteration, a quoted "no" ran a targeted attack, a NaN learning rate
+    # died in training and beta1 = 1.5 trained a useless model. Adam's
+    # constants are no longer settings, so beta1 and the others are now
+    # refused as unknown keys. Each attack field is set on a kind that takes it.
     good = config_dict(data_dir, tmp_path)
     nan, inf = float("nan"), float("inf")
     for section, field, value in (
             ("attacks", "steps", 2.5), ("attacks", "iterations", True),
-            ("attacks", "targeted", "no"), ("attacks", "targeted", True),
+            ("attacks", "target", "no"), ("attacks", "target", True),
             ("attacks", "eps", nan),
             ("attacks", "alpha", inf), ("attacks", "c", True),
             ("attacks", "step_size", nan), ("attacks", "kappa", -inf),
             ("train", "learning_rate", nan), ("train", "learning_rate", inf)):
         bad = yaml.safe_load(yaml.safe_dump(good))
-        (bad["attacks"][1] if section == "attacks" else bad["train"])[field] = value
+        if section == "attacks":
+            kind = next(k for k, names in ATTACK_FIELDS.items() if field in names)
+            bad["attacks"][1] = {"kind": kind, field: value}
+        else:
+            bad["train"][field] = value
         where = r"attacks\[1\]" if section == "attacks" else "train"
         with pytest.raises(ConfigError, match=f"{where}: {field}"):
             parse_config(yaml.safe_dump(bad))
+    # A target alone makes a cw-l2 run targeted; the old flag is no key.
+    bad = yaml.safe_load(yaml.safe_dump(good))
+    bad["attacks"][1] = {"kind": "cw-l2", "targeted": True}
+    with pytest.raises(ConfigError, match=r"^unknown key\(s\) in attacks\[1\]: targeted$"):
+        parse_config(yaml.safe_dump(bad))
     for field, value in (("beta1", 1.5), ("beta2", 0.999), ("eps", 1e-8),
                          ("weight_decay", 0.0), ("optimizer", "adam")):
         bad = yaml.safe_load(yaml.safe_dump(good))
         bad["train"][field] = value
         with pytest.raises(ConfigError, match=rf"^unknown key\(s\) in train: {field}$"):
             parse_config(yaml.safe_dump(bad))
+
+
+@pytest.mark.parametrize("kind, field", [
+    (kind, field) for kind in ATTACK_FIELDS for field in NON_DEFAULT
+    if field not in ATTACK_FIELDS[kind]])
+def test_a_setting_the_attack_kind_does_not_take_ends_every_command_in_one_line(
+        tmp_path, capsys, kind, field):
+    # The dataset files do not exist, so the line comes before any data is read.
+    config = config_dict(tmp_path / "absent", tmp_path / "out")
+    config["attacks"] = [{"kind": kind, field: NON_DEFAULT[field]}]
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump(config))
+    for command in ("train", "surrogate", "attack", "eval", "report"):
+        assert run(command, "--config", str(path)) == 1
+        assert capsys.readouterr() == ("", f"error: attacks[0]: {kind} takes no {field}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_config_rejects_per_color_outside_direct_permutation(data_dir, tmp_path):
@@ -444,8 +470,7 @@ def test_a_cw_target_outside_the_classes_is_refused_before_any_artifact(data_dir
     # `target: 12` with 10 classes once parsed; `attack` then wrote
     # adv-fgsm0.radv before the cw entry failed.
     config = config_dict(data_dir, tmp_path / "out")
-    config["attacks"].append({"name": "cw", "kind": "cw-l2", "targeted": True, "target": 12,
-                              "iterations": 2})
+    config["attacks"].append({"name": "cw", "kind": "cw-l2", "target": 12, "iterations": 2})
     path = tmp_path / "c.yaml"
     path.write_text(yaml.safe_dump(config))
     for command in ("train", "surrogate", "attack", "eval", "report"):
@@ -456,8 +481,8 @@ def test_a_cw_target_outside_the_classes_is_refused_before_any_artifact(data_dir
     config["dataset"]["classes"] = 9
     with pytest.raises(ConfigError, match=r"^attacks\[2\]: target 9 is not in \[0, 9\)$"):
         parse_config(yaml.safe_dump(config))
-    config["attacks"][2]["targeted"] = False
-    assert parse_config(yaml.safe_dump(config)).attacks[2][1].target == 9
+    config["attacks"][2]["target"] = 8
+    assert parse_config(yaml.safe_dump(config)).attacks[2][1].target == 8
 
 
 def test_labels_outside_the_dataset_classes_are_refused_where_they_load(
@@ -841,6 +866,22 @@ def _smaller_grid_file(out, mode="direct-permutation", hidden=(16,), per_color=F
     save_system(out / "system-i1.rdiv", system)
 
 
+def _untargeted_cw_set(cfg, out, tmp):
+    """An untargeted cw-l2 set under a config that now sets a target: the
+    same entry without `targeted: true` once ran untargeted."""
+    adv = read_adv_set(out / "adv-pgd-linf.radv")
+    save_adv_set(out / "adv-cw.radv", replace(adv, config=AttackConfig("cw-l2", iterations=2)))
+    cfg["attacks"].append({"name": "cw", "kind": "cw-l2", "iterations": 2, "target": 7})
+
+
+def _pgd_set_with_kappa(cfg, out, tmp):
+    """The pipeline's pgd-linf set as written from a config that also set
+    kappa 1.0, when settings a kind does not take were ignored."""
+    blob = bytearray((out / "adv-pgd-linf.radv").read_bytes())
+    struct.pack_into("<d", blob, _KAPPA, 1.0)
+    (out / "adv-pgd-linf.radv").write_bytes(_reseal(bytes(blob)))
+
+
 # Each row: the commands that read the artifact, an edit of the pipeline's
 # config (cfg), its artifact copy (out) or a scratch directory (tmp), and the
 # one error line after "error: ", where {out} is the copy and {tmp} the
@@ -905,6 +946,10 @@ STALE_OR_MISSING = [
      lambda cfg, out, tmp: cfg["attacks"][1].update(eps=0.01, steps=4),
      "{out}/adv-pgd-linf.radv was made with eps 0.1 (configured 0.01), steps 3 "
      "(configured 4); rerun the attack command"),
+    ("adv-target", ("eval", "report"), _untargeted_cw_set,
+     "{out}/adv-cw.radv was made with target None (configured 7); rerun the attack command"),
+    ("adv-unused-setting", ("eval", "report"), _pgd_set_with_kappa,
+     "{out}/adv-pgd-linf.radv: pgd-linf takes no kappa"),
     ("adv-count", ("eval", "report"), lambda cfg, out, tmp: cfg.update(eval={"limit": 30}),
      "{out}/adv-fgsm0.radv: adversarial set has 60 samples, need 30; "
      "rerun the attack command"),

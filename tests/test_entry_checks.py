@@ -5,7 +5,9 @@ Each kind of value has one check: counts (`nn.require_count`), numbers
 (`rng.require_u64`) and master keys (`rng.require_master`). Whatever the
 entry point, a bool, a float or a string where an int goes, a negative
 value, a value out of the setting's range and a master that is not a
-`MasterKey` raise a ValueError that names the setting.
+`MasterKey` raise a ValueError that names the setting. The error shows the
+value, except for a master: a bare int there may be the key itself, so the
+error names its type.
 """
 
 import math
@@ -69,16 +71,16 @@ SETTINGS = [
      NOT_NUMBERS + (0,)),
     ("Hyper-batch_size", "batch_size", lambda v: Hyper(batch_size=v), NOT_INTS + (0,)),
     ("Hyper-epochs", "epochs", lambda v: Hyper(epochs=v), NOT_INTS),
-    *((f"AttackConfig-{name}", name, lambda v, name=name: AttackConfig("cw-l2", **{name: v}),
+    # Each field on a kind that takes it, so no row depends on check order.
+    *((f"AttackConfig-{name}", name,
+       lambda v, name=name, kind=kind: AttackConfig(kind, **{name: v}),
        NOT_NUMBERS + ((0,) if name in ("alpha", "c", "step_size") else ()))
-      for name in ("eps", "alpha", "c", "step_size", "kappa")),
-    *((f"AttackConfig-{name}", name, lambda v, name=name: AttackConfig("cw-l2", **{name: v}),
-       NOT_INTS + (0,))
-      for name in ("steps", "iterations")),
-    ("AttackConfig-target", "target",
-     lambda v: AttackConfig("cw-l2", targeted=True, target=v), NOT_INTS),
-    ("AttackConfig-targeted", "targeted", lambda v: AttackConfig("cw-l2", targeted=v),
-     NOT_FLAGS),
+      for kind, name in (("pgd-linf", "eps"), ("pgd-linf", "alpha"), ("cw-l2", "c"),
+                         ("cw-l2", "step_size"), ("cw-l2", "kappa"))),
+    *((f"AttackConfig-{name}", name,
+       lambda v, name=name, kind=kind: AttackConfig(kind, **{name: v}), NOT_INTS + (0,))
+      for kind, name in (("pgd-linf", "steps"), ("cw-l2", "iterations"))),
+    ("AttackConfig-target", "target", lambda v: AttackConfig("cw-l2", target=v), NOT_INTS),
     ("pgd_linf_batch-eps", "eps",
      lambda v: pgd_linf_batch(PARAMS, FIVE.images, FIVE.labels, v, 0.01, 1), NOT_NUMBERS),
     ("pgd_linf_batch-alpha", "alpha",
@@ -103,7 +105,8 @@ SETTINGS = [
     pytest.param(setting, call, value, id=f"{entry}-{value!r:.24}")
     for entry, setting, call, values in SETTINGS for value in values])
 def test_entry_points_refuse_bad_values_naming_the_setting(setting, call, value):
-    with pytest.raises(ValueError, match=rf"^{setting} must be .*, got {re.escape(repr(value))}$"):
+    shown = type(value).__name__ if setting == "master" else repr(value)
+    with pytest.raises(ValueError, match=rf"^{setting} must be .*, got {re.escape(shown)}$"):
         call(value)
 
 

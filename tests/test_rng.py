@@ -209,6 +209,11 @@ def test_master_key_hex_roundtrip():
         MasterKey.from_hex("123")
 
 
+def test_master_key_repr_shows_no_digit_of_the_key():
+    key = MasterKey(6840227782638526189)
+    assert repr(key) == str(key) == "MasterKey()"
+
+
 # Sixteen characters each, and each accepted by int(text, 16).
 LOOSE_KEY_HEX = ("0x000000000000ab", "+00000000000000a", " 00000000000000a",
                  "0000_0000_0000_a")

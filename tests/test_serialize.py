@@ -240,7 +240,7 @@ def handmade_adv_set():
     originals = rng.random((5, 3, 3, 2), dtype=np.float32)
     adversarials = np.clip(originals + np.float32(0.125), 0.0, 1.0)
     config = AttackConfig(kind="cw-l2", c=2.5, iterations=17, step_size=0.03,
-                          kappa=0.25, targeted=True, target=2)
+                          kappa=0.25, target=2)
     return AdvSet(config, np.array([4, 0, 9, 2, 7]), np.array([1, 0, 2, 2, 1]),
                   originals, adversarials)
 
@@ -273,6 +273,78 @@ def test_adv_set_bytes_golden(tmp_path):
     with pytest.raises(ValueError, match="u32"):
         save_adv_set(tmp_path / "negative.radv", negative)
     assert not (tmp_path / "negative.radv").exists()
+
+
+# One set of each attack kind on the handmade arrays; only the header differs.
+# The digests are those the format had when cw-l2 took a `targeted` flag
+# beside its target: folding the flag into `target` changed no byte.
+GOLDEN_KIND_SHA256 = {
+    "fgsm": "1e71d76af35f13853a3687e432c2a7845b5e656be964f668d3e531074ad946bb",
+    "pgd-linf": "3796e9106ef9b851399784cf3aeb2f61205928cd88e3ffb82dec59540c5fc67c",
+    "cw-l2": "9117567379f7b8c32b31f6c83cb80155a675237f84d34b20b6bf0051f5afbc17",
+    "cw-l2-targeted": "1bfd3a9cb3d906de3afa6374d0e7d1645b33d6bcaf79234ccbbcb56e336f5e29",
+}
+KIND_CONFIGS = {
+    "fgsm": AttackConfig("fgsm", eps=0.2),
+    "pgd-linf": AttackConfig("pgd-linf", eps=0.2, alpha=0.03, steps=9),
+    "cw-l2": AttackConfig("cw-l2", c=2.5, iterations=17, step_size=0.03),
+    "cw-l2-targeted": AttackConfig("cw-l2", c=2.5, iterations=17, step_size=0.03,
+                                   kappa=0.5, target=1),
+}
+
+
+@pytest.mark.parametrize("name", KIND_CONFIGS)
+def test_adv_set_bytes_golden_per_kind(tmp_path, name):
+    path = tmp_path / "adv.radv"
+    adv = replace(handmade_adv_set(), config=KIND_CONFIGS[name])
+    assert sha256(saved_bytes(path, save_adv_set, adv)) == GOLDEN_KIND_SHA256[name]
+    assert read_adv_set(path).config == KIND_CONFIGS[name]
+
+
+# Byte offsets in an adversarial set's header: magic, version and kind byte,
+# then eps, alpha, steps, c, iterations, step_size, kappa, the targeted byte
+# and the target.
+_KAPPA = 6 + struct.calcsize("<ddIdId")
+_TARGETED = _KAPPA + 8
+_TARGET = _TARGETED + 1
+
+
+def test_a_set_with_a_setting_its_kind_does_not_take_is_refused(tmp_path):
+    """Such a set was written when unused settings were ignored, say a
+    pgd-linf set from a config with kappa 1.0, or fgsm with a target."""
+    path = tmp_path / "adv.radv"
+    pgd = bytearray(saved_bytes(path, save_adv_set, replace(
+        handmade_adv_set(), config=KIND_CONFIGS["pgd-linf"])))
+    assert struct.unpack_from("<d", pgd, _KAPPA) == (0.0,)
+    struct.pack_into("<d", pgd, _KAPPA, 1.0)
+    with pytest.raises(BlobFormatError) as caught:
+        read_written(path, read_adv_set, _reseal(bytes(pgd)))
+    assert str(caught.value) == f"{path}: pgd-linf takes no kappa"
+    fgsm = bytearray(saved_bytes(path, save_adv_set, replace(
+        handmade_adv_set(), config=KIND_CONFIGS["fgsm"])))
+    assert fgsm[_TARGETED] == 0
+    fgsm[_TARGETED] = 1
+    with pytest.raises(BlobFormatError) as caught:
+        read_written(path, read_adv_set, _reseal(bytes(fgsm)))
+    assert str(caught.value) == f"{path}: fgsm takes no target"
+
+
+def test_an_untargeted_set_stores_target_0(tmp_path):
+    """A targeted byte of 0 reads as no target, so any other stored target
+    is refused like a flag byte other than 0 or 1."""
+    path = tmp_path / "adv.radv"
+    blob = bytearray(saved_bytes(path, save_adv_set, replace(
+        handmade_adv_set(), config=KIND_CONFIGS["cw-l2"])))
+    assert blob[_TARGETED] == 0 and struct.unpack_from("<I", blob, _TARGET) == (0,)
+    assert read_adv_set(path).config.target is None
+    struct.pack_into("<I", blob, _TARGET, 4)
+    with pytest.raises(BlobFormatError) as caught:
+        read_written(path, read_adv_set, _reseal(bytes(blob)))
+    assert str(caught.value) == f"{path}: target 4 beside targeted byte 0, expected 0"
+    # A targeted set may hold target 0.
+    targeted = replace(handmade_adv_set(), config=AttackConfig("cw-l2", target=0))
+    save_adv_set(path, targeted)
+    assert read_adv_set(path).config.target == 0
 
 
 # Byte offsets in a system file: magic, version and mode byte come first,
@@ -331,9 +403,8 @@ def test_flag_bytes_are_0_or_1(tmp_path):
     file's per-color byte; bool() of it would read 2 as targeted."""
     path = tmp_path / "adv.radv"
     blob = bytearray(saved_bytes(path, save_adv_set, handmade_adv_set()))
-    targeted = 5 + struct.calcsize("<BddIdIdd")
-    assert blob[targeted] == 1
-    blob[targeted] = 2
+    assert blob[_TARGETED] == 1
+    blob[_TARGETED] = 2
     with pytest.raises(BlobFormatError) as caught:
         read_written(path, read_adv_set, _reseal(bytes(blob)))
     assert str(caught.value) == f"{path}: targeted byte 2, expected 0 or 1"
@@ -581,9 +652,8 @@ def test_adv_set_corruption_detected(tmp_path):
         read_written(path, read_adv_set, _reseal(bytes(mangled)))
 
 
-# The record count and image dims follow magic, version, kind byte and the
-# packed attack config.
-_ADV_COUNT = 4 + 1 + 1 + struct.calcsize("<ddIdIddBI")
+# The record count and image dims follow the packed attack config.
+_ADV_COUNT = _TARGET + 4
 
 
 def test_adv_set_corrupt_count_raises_before_allocating(tmp_path):

@@ -214,8 +214,20 @@ def test_nested_decisions_refuse_bad_values_before_scoring(monkeypatch):
     images = toy_set(count=4).images
     with pytest.raises(ValueError, match=r"^cannot take 3 branches from a grid of 2$"):
         nested_decisions(system, [1, 3], images)
+    with pytest.raises(ValueError, match=r"^branch grid holds no I$"):
+        nested_decisions(system, [], images)
     with pytest.raises(ValueError, match="^reject_threshold must be a number in"):
         classify_batch(system, images, 1.5)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_system_repr_shows_no_digit_of_its_key(mode):
+    key = MasterKey(6840227782638526189)
+    system = build_system(mode, key, MODE_TABLE[mode].groups, 2, toy_arch(), SIZE, COLORS)
+    text = repr(system)
+    assert "master=MasterKey()" in text
+    for digits in (str(key.value), f"{key.value:x}", f"{key.value:X}"):
+        assert digits not in text
 
 
 def test_arch_must_match_image_shape():
